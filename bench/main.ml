@@ -996,16 +996,22 @@ let micro_tests () =
     let c =
       Inband.Controller.create
         ~config:
-          { Inband.Config.default with Inband.Config.control_interval = 0 }
+          {
+            Inband.Config.default with
+            Inband.Config.control_interval = 0;
+            ewma_alpha = 1.0;
+          }
         ~pool:pool2 ()
     in
-    let now = ref 0 in
+    ignore (Inband.Controller.on_sample c ~now:0 ~server:1 (Des.Time.us 200));
+    (* Each call gives the other server a strictly worse sample than any
+       before, so every call shifts weight and rebuilds the table. *)
+    let i = ref 0 in
     Test.make ~name:"controller on_sample (incl rebuild m=4099)"
       (Staged.stage (fun () ->
-           now := !now + 1_000_000;
-           Inband.Controller.on_sample c ~now:!now
-             ~server:(!now / 1_000_000 mod 2)
-             (Des.Time.us 200)))
+           incr i;
+           Inband.Controller.on_sample c ~now:!i ~server:(!i land 1)
+             (Des.Time.us 200 + !i)))
   in
   let histogram =
     let h = Stats.Histogram.create () in

@@ -18,9 +18,10 @@
      (link transmissions, service completions, think times): they return
      no handle, so the event record provably cannot be cancelled or
      referenced after firing and is recycled through a free list —
-     steady-state fire-and-forget scheduling allocates nothing but the
-     callback closure. [schedule] still returns a live handle and its
-     record is left to the GC.
+     steady-state fire-and-forget scheduling allocates the callback
+     closure and the 3-word cons cell [recycle] pushes onto the free
+     list. [schedule] still returns a live handle and its record is
+     left to the GC.
 
    - Cancellable events more than one wheel tick in the future park in a
      hierarchical timing wheel ({!Wheel}) instead of the heap: O(1) arm,
@@ -256,7 +257,8 @@ let set_tagged_sink t f = t.tagged_sink <- f
 
 (* Fire-and-forget like [post], but the callback is the engine-wide
    [tagged_sink] applied to (tag, arg): no closure is built per event,
-   so a warm free list makes this path allocation-free end to end. *)
+   so with a warm free list the post allocates nothing; only [recycle]
+   conses its free-list cell after the event fires. *)
 let post_tagged t ~at ~tag arg =
   if tag < 0 then invalid_arg "Engine.post_tagged: tag must be >= 0";
   check_future t at;

@@ -30,9 +30,10 @@ val schedule_after : t -> delay:Time.t -> (unit -> unit) -> handle
 val post : t -> at:Time.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule}: no handle is returned, so the event can
     never be cancelled and its record is recycled through a free list
-    after firing. The dominant schedule-then-fire pattern (link
-    transmissions, service completions, think times) allocates nothing
-    but the callback closure in steady state.
+    after firing. In steady state the dominant schedule-then-fire
+    pattern (link transmissions, service completions, think times)
+    allocates the callback closure plus the 3-word list cell that
+    returns the fired record to the free list.
 
     @raise Invalid_argument if [at] is in the past. *)
 
@@ -50,10 +51,11 @@ val set_tagged_sink : t -> (int -> Obj.t -> unit) -> unit
 val post_tagged : t -> at:Time.t -> tag:int -> Obj.t -> unit
 (** Closure-free {!post}: when the event fires, the installed
     {!set_tagged_sink} handler is applied to [(tag, arg)]. With a warm
-    free list this allocates nothing at all — not even the callback
-    closure — which is what makes the sharded barrier drain
-    allocation-free. [tag] must be [>= 0] ([-1] marks plain events
-    internally); firing without a sink installed fails loudly.
+    free list the post itself allocates nothing, not even a callback
+    closure, so the sharded barrier drain allocates nothing; firing
+    conses the same 3-word free-list cell as {!post}. [tag] must be
+    [>= 0] ([-1] marks plain events internally); firing without a sink
+    installed fails loudly.
 
     @raise Invalid_argument if [at] is in the past or [tag < 0]. *)
 

@@ -1,30 +1,12 @@
-type t = {
-  offset : int;
-  skip : int;
-  size : int;
-  mutable cursor : int;
-  (* (offset + cursor * skip) mod size, maintained incrementally so
-     [next] — the table-populate inner loop — costs an add and a
-     compare instead of two divisions. *)
-  mutable pos : int;
-}
+type t = { offset : int; skip : int; size : int }
 
 let create ~name ~size =
   if size < 3 || not (Hashing.is_prime size) then
     invalid_arg "Permutation.create: size must be a prime >= 3";
   let offset = Hashing.string ~seed:0xC0FFEE name mod size in
   let skip = (Hashing.string ~seed:0xBADDAD name mod (size - 1)) + 1 in
-  { offset; skip; size; cursor = 0; pos = offset }
+  { offset; skip; size }
 
+let offset t = t.offset
+let skip t = t.skip
 let nth t j = (t.offset + (j mod t.size * t.skip)) mod t.size
-
-let next t =
-  let slot = t.pos in
-  t.cursor <- t.cursor + 1;
-  let p = t.pos + t.skip in
-  t.pos <- (if p >= t.size then p - t.size else p);
-  slot
-
-let reset t =
-  t.cursor <- 0;
-  t.pos <- t.offset

@@ -13,12 +13,11 @@ val create : name:string -> size:int -> t
 
     @raise Invalid_argument if [size] is not prime or < 3. *)
 
-val next : t -> int
-(** The next preferred slot (advances the cursor; wraps forever). *)
+val offset : t -> int
+(** The first slot of the sequence, in [0..size-1]. *)
 
-val reset : t -> unit
-(** Rewind the cursor to the beginning. *)
+val skip : t -> int
+(** The stride between consecutive slots, in [1..size-1]. *)
 
 val nth : t -> int -> int
-(** [nth t j] is the [j]-th slot of the sequence without moving the
-    cursor. *)
+(** [nth t j] is the [j]-th slot of the sequence, for [j >= 0]. *)

@@ -2,7 +2,7 @@ type t = {
   names : string array;
   table_size : int;
   weights : float array;
-  perms : Permutation.t array; (* rewound and reused on every rebuild *)
+  scratch : Table.scratch;
   mutable table : int array;
   mutable spare : int array; (* ping-pong buffer for rebuilds *)
   mutable rebuild_count : int;
@@ -22,16 +22,15 @@ let create ?(table_size = 4099) ~names () =
     names;
   let n = Array.length names in
   let weights = Array.make n (1.0 /. float_of_int n) in
-  let backends = Array.mapi (fun i name -> (name, weights.(i))) names in
-  let perms =
-    Array.map (fun name -> Permutation.create ~name ~size:table_size) names
-  in
+  let scratch = Table.scratch ~names ~size:table_size in
+  let table = Array.make table_size (-1) in
+  ignore (Table.fill scratch ~weights ~prev:table ~into:table);
   {
     names;
     table_size;
     weights;
-    perms;
-    table = Table.populate ~perms ~size:table_size ~backends ();
+    scratch;
+    table;
     spare = Array.make table_size (-1);
     rebuild_count = 0;
     disruption_sum = 0.0;
@@ -53,14 +52,16 @@ let set_weights t ws =
   Array.iteri (fun i w -> set_weight t i w) ws
 
 let rebuild t =
-  (* The controller rebuilds every control interval under load; recycle
-     the previous table as scratch so each rebuild allocates only the
-     transient backend list, not a [table_size] array. *)
-  let backends = Array.mapi (fun i name -> (name, t.weights.(i))) t.names in
-  let fresh =
-    Table.populate ~perms:t.perms ~into:t.spare ~size:t.table_size ~backends ()
+  (* The controller rebuilds every control interval under load. The
+     kernel writes the previous table's ping-pong partner and counts
+     changed owners in the same pass, so a rebuild allocates nothing
+     but the boxed disruption sum. *)
+  let changed =
+    Table.fill t.scratch ~weights:t.weights ~prev:t.table ~into:t.spare
   in
-  t.disruption_sum <- t.disruption_sum +. Table.disruption t.table fresh;
+  t.disruption_sum <-
+    t.disruption_sum +. (float_of_int changed /. float_of_int t.table_size);
+  let fresh = t.spare in
   t.spare <- t.table;
   t.table <- fresh;
   t.rebuild_count <- t.rebuild_count + 1

@@ -9,25 +9,36 @@
     unit of credit. With equal weights this reduces exactly to classic
     Maglev. *)
 
-val populate :
-  ?perms:Permutation.t array ->
-  ?into:int array ->
-  size:int ->
-  backends:(string * float) array ->
-  unit ->
-  int array
+type scratch
+(** The state {!fill} walks: each backend's permutation as an offset, a
+    skip and a cursor, its credit, and an occupancy bitset of [size / 8]
+    bytes. Built once per backend set, reused by every {!fill}. *)
+
+val scratch : names:string array -> size:int -> scratch
+(** [scratch ~names ~size] hashes each backend name into its
+    {!Permutation} over [size] slots, in order.
+
+    @raise Invalid_argument if [size] is not a prime >= 3. *)
+
+val fill :
+  scratch -> weights:float array -> prev:int array -> into:int array -> int
+(** [fill s ~weights ~prev ~into] writes into [into] the table for
+    [weights] (one per backend, in the order of [s]'s names), exactly
+    as {!populate} would build it, and returns how many slots have an
+    owner different from the one in [prev]. Each slot of [into] is
+    written once and read from [prev] just before, so [prev] may be
+    [into] itself. Allocates nothing.
+
+    @raise Invalid_argument if the lengths disagree with [s], any weight
+    is NaN or all weights are <= 0. *)
+
+val populate : size:int -> backends:(string * float) array -> unit -> int array
 (** [populate ~size ~backends ()] builds the table: entry [s] is the
     index (into [backends]) of the backend owning slot [s]. Backends
-    with weight <= 0 receive no slots. [?perms] supplies cached
-    permutations (one per backend, in order, built for [size]); they are
-    rewound and reused, sparing the per-rebuild hashing when the
-    controller repopulates the table every control interval. [?into]
-    supplies a scratch array of length [size] that is overwritten and
-    returned instead of allocating a fresh table.
+    with weight <= 0 receive no slots.
 
     @raise Invalid_argument if [size] is not prime, [backends] is empty,
-    all weights are <= 0, any weight is NaN, [perms] has the wrong
-    length, or [into] has the wrong length. *)
+    all weights are <= 0, or any weight is NaN. *)
 
 val slot_shares : int array -> n:int -> float array
 (** [slot_shares table ~n] is the fraction of slots owned by each of the

@@ -32,30 +32,37 @@ let permutation_is_permutation () =
   let size = 101 in
   let p = Maglev.Permutation.create ~name:"backend-7" ~size in
   let seen = Array.make size false in
-  for _ = 1 to size do
-    let slot = Maglev.Permutation.next p in
+  for j = 0 to size - 1 do
+    let slot = Maglev.Permutation.nth p j in
     check_bool "in range" true (slot >= 0 && slot < size);
     check_bool "no repeat within a period" false seen.(slot);
     seen.(slot) <- true
   done;
   check_bool "covers all slots" true (Array.for_all (fun b -> b) seen)
 
-let permutation_wraps_and_resets () =
+let permutation_wraps () =
   let size = 13 in
   let p = Maglev.Permutation.create ~name:"b" ~size in
-  let first = Maglev.Permutation.next p in
-  for _ = 1 to size - 1 do
-    ignore (Maglev.Permutation.next p)
-  done;
-  check_int "wraps to the same sequence" first (Maglev.Permutation.next p);
-  Maglev.Permutation.reset p;
-  check_int "reset rewinds" first (Maglev.Permutation.next p)
+  for j = 0 to size - 1 do
+    check_int "wraps to the same sequence" (Maglev.Permutation.nth p j)
+      (Maglev.Permutation.nth p (j + size))
+  done
 
 let permutation_nth_pure () =
-  let p = Maglev.Permutation.create ~name:"c" ~size:11 in
+  (* [nth] is the closed form of the walk the populate kernel steps
+     incrementally: start at [offset], add [skip] modulo the size. *)
+  let size = 11 in
+  let p = Maglev.Permutation.create ~name:"c" ~size in
   let third = Maglev.Permutation.nth p 3 in
-  ignore (Maglev.Permutation.next p);
-  check_int "nth ignores cursor" third (Maglev.Permutation.nth p 3)
+  ignore (Maglev.Permutation.nth p 7);
+  check_int "nth has no state" third (Maglev.Permutation.nth p 3);
+  let offset = Maglev.Permutation.offset p in
+  let skip = Maglev.Permutation.skip p in
+  check_bool "skip in range" true (skip >= 1 && skip < size);
+  for j = 0 to 2 * size do
+    check_int "offset + j * skip" ((offset + (j * skip)) mod size)
+      (Maglev.Permutation.nth p j)
+  done
 
 let permutation_requires_prime () =
   Alcotest.check_raises "composite size"
@@ -70,12 +77,116 @@ let permutation_qcheck =
       let p = Maglev.Permutation.create ~name ~size in
       let seen = Array.make size false in
       let ok = ref true in
-      for _ = 1 to size do
-        let s = Maglev.Permutation.next p in
+      for j = 0 to size - 1 do
+        let s = Maglev.Permutation.nth p j in
         if seen.(s) then ok := false;
         seen.(s) <- true
       done;
       !ok)
+
+(* --- Reference oracle ---------------------------------------------------- *)
+
+(* The weighted populate loop as it stood before the allocation-free
+   kernel replaced it: a closure per claim that probes the int table, an
+   initial fill with -1, and no disruption count. [Permutation] no longer
+   has a cursor, so this loop keeps its own and steps [Permutation.nth],
+   the closed form, where the kernel walks offset and skip. *)
+let oracle_populate ~size ~backends =
+  if Array.length backends = 0 then invalid_arg "Table.populate: no backends";
+  if not (Maglev.Hashing.is_prime size) then
+    invalid_arg "Table.populate: size must be prime";
+  Array.iter
+    (fun (_, w) ->
+      if Float.is_nan w then invalid_arg "Table.populate: NaN weight")
+    backends;
+  let n = Array.length backends in
+  let max_weight =
+    Array.fold_left (fun acc (_, w) -> Float.max acc w) 0.0 backends
+  in
+  if max_weight <= 0.0 then invalid_arg "Table.populate: all weights <= 0";
+  let perms =
+    Array.map (fun (name, _) -> Maglev.Permutation.create ~name ~size) backends
+  in
+  let cursors = Array.make n 0 in
+  let next i =
+    let slot = Maglev.Permutation.nth perms.(i) cursors.(i) in
+    cursors.(i) <- cursors.(i) + 1;
+    slot
+  in
+  let table = Array.make size (-1) in
+  let filled = ref 0 in
+  let credit = Array.make n 0.0 in
+  (* A backend claims its next preferred slot that is still free. *)
+  let claim i =
+    let rec go () =
+      if !filled < size then begin
+        let slot = next i in
+        if table.(slot) = -1 then begin
+          table.(slot) <- i;
+          incr filled
+        end
+        else go ()
+      end
+    in
+    go ()
+  in
+  while !filled < size do
+    for i = 0 to n - 1 do
+      let _, w = backends.(i) in
+      if w > 0.0 then begin
+        credit.(i) <- credit.(i) +. (w /. max_weight);
+        while credit.(i) >= 1.0 && !filled < size do
+          credit.(i) <- credit.(i) -. 1.0;
+          claim i
+        done
+      end
+    done
+  done;
+  table
+
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
+(* Weight vectors of the shapes that stress the credit arithmetic: all
+   equal, random with zeros and tiny weights mixed in (possibly all
+   zero, which both sides must reject alike), and all but one zero. *)
+let weights_gen n =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun w -> Array.make n w) (float_range 1e-3 10.0);
+        array_size (return n)
+          (frequency
+             [ (1, return 0.0); (1, return 1e-3); (4, float_range 0.0 10.0) ]);
+        map2
+          (fun k w -> Array.init n (fun i -> if i = k then w else 0.0))
+          (int_bound (n - 1)) (float_range 1e-3 10.0);
+      ])
+
+let pp_weights = Fmt.(brackets (array ~sep:(any ";") (fmt "%h")))
+
+let equality_case sizes =
+  QCheck.make
+    ~print:(fun (size, salt, ws) ->
+      Fmt.str "size=%d salt=%d weights=%a" size salt pp_weights ws)
+    QCheck.Gen.(
+      triple (oneofl sizes) (int_bound 1_000_000) (int_range 1 12)
+      >>= fun (size, salt, n) ->
+      map (fun ws -> (size, salt, ws)) (weights_gen n))
+
+let kernel_matches_oracle (size, salt, ws) =
+  let backends = Array.mapi (fun i w -> (Fmt.str "b%d-%d" salt i, w)) ws in
+  outcome (fun () -> Maglev.Table.populate ~size ~backends ())
+  = outcome (fun () -> oracle_populate ~size ~backends)
+
+let table_equals_oracle_qcheck =
+  QCheck.Test.make ~count:500 ~name:"kernel table equals the oracle's"
+    (equality_case [ 3; 5; 7; 101; 1021; 4099 ])
+    kernel_matches_oracle
+
+let table_equals_oracle_large_qcheck =
+  QCheck.Test.make ~count:6 ~name:"kernel table equals the oracle's at 65537"
+    (equality_case [ 65537 ]) kernel_matches_oracle
 
 (* --- Table --------------------------------------------------------------- *)
 
@@ -165,6 +276,12 @@ let table_errors () =
   Alcotest.check_raises "all zero weights"
     (Invalid_argument "Table.populate: all weights <= 0") (fun () ->
       ignore (Maglev.Table.populate ~size:11 ~backends:[| ("a", 0.0) |] ()));
+  Alcotest.check_raises "NaN weight"
+    (Invalid_argument "Table.populate: NaN weight") (fun () ->
+      ignore
+        (Maglev.Table.populate ~size:11
+           ~backends:[| ("a", 1.0); ("b", Float.nan) |]
+           ()));
   Alcotest.check_raises "disruption length mismatch"
     (Invalid_argument "Table.disruption: length mismatch") (fun () ->
       ignore (Maglev.Table.disruption [| 0 |] [| 0; 1 |]))
@@ -221,13 +338,144 @@ let pool_set_weights_vector () =
       Maglev.Pool.set_weights p [| 1.0 |])
 
 let pool_errors () =
+  Alcotest.check_raises "no backends"
+    (Invalid_argument "Pool.create: no backends") (fun () ->
+      ignore (Maglev.Pool.create ~names:[||] ()));
+  Alcotest.check_raises "composite size"
+    (Invalid_argument "Pool.create: table_size must be prime") (fun () ->
+      ignore (Maglev.Pool.create ~table_size:4096 ~names:(names 2) ()));
   Alcotest.check_raises "duplicate names"
     (Invalid_argument "Pool.create: duplicate backend \"a\"") (fun () ->
       ignore (Maglev.Pool.create ~names:[| "a"; "a" |] ()));
   Alcotest.check_raises "bad weight"
     (Invalid_argument "Pool.set_weight: bad weight") (fun () ->
       let p = Maglev.Pool.create ~names:(names 2) () in
-      Maglev.Pool.set_weight p 0 (-1.0))
+      Maglev.Pool.set_weight p 0 (-1.0));
+  Alcotest.check_raises "NaN weight"
+    (Invalid_argument "Pool.set_weight: bad weight") (fun () ->
+      let p = Maglev.Pool.create ~names:(names 2) () in
+      Maglev.Pool.set_weight p 0 Float.nan);
+  (* A rejected rebuild leaves the live table and the counters alone. *)
+  let p = Maglev.Pool.create ~table_size:101 ~names:(names 2) () in
+  let before = Maglev.Pool.current_table p in
+  Maglev.Pool.set_weights p [| 0.0; 0.0 |];
+  Alcotest.check_raises "all zero weights"
+    (Invalid_argument "Table.populate: all weights <= 0") (fun () ->
+      Maglev.Pool.rebuild p);
+  check_bool "table kept" true (Maglev.Pool.current_table p = before);
+  check_int "not counted" 0 (Maglev.Pool.rebuilds p);
+  Alcotest.(check (float 0.0)) "no disruption" 0.0
+    (Maglev.Pool.total_disruption p)
+
+(* MD5 of a table, one character per slot owner (n <= 10). *)
+let table_md5 table =
+  Digest.to_hex
+    (Digest.string
+       (String.init (Array.length table) (fun s ->
+            Char.chr (Char.code '0' + table.(s)))))
+
+let pool_pinned_table () =
+  (* Recorded with the closure-per-claim populate loop the kernel
+     replaced: the same weights must keep building the same tables. *)
+  let ws = [| 0.3; 0.1; 0.05; 0.2; 0.125; 0.075; 0.1; 0.05 |] in
+  let p = Maglev.Pool.create ~table_size:65537 ~names:(names 8) () in
+  Alcotest.(check string)
+    "uniform" "118ba7007cdc430d32559e351f43931b"
+    (table_md5 (Maglev.Pool.current_table p));
+  Maglev.Pool.set_weights p ws;
+  Maglev.Pool.rebuild p;
+  Alcotest.(check string)
+    "weighted" "27518693f4e84f7b3966bbd311f5cd14"
+    (table_md5 (Maglev.Pool.current_table p));
+  Alcotest.(check string)
+    "populate" "27518693f4e84f7b3966bbd311f5cd14"
+    (table_md5
+       (Maglev.Table.populate ~size:65537
+          ~backends:(Array.mapi (fun i name -> (name, ws.(i))) (names 8))
+          ()))
+
+let pool_rebuild_allocation () =
+  (* The controller rebuilds a 65537-slot table about every 1 ms; the
+     closure-per-claim loop allocated 8 words per slot (524 282 per
+     rebuild). The kernel allocates only the boxed disruption sum. *)
+  let p = Maglev.Pool.create ~table_size:65537 ~names:(names 8) () in
+  let a = Array.init 8 (fun i -> if i = 0 then 1.1 else 1.0) in
+  let b = Array.init 8 (fun i -> if i = 7 then 1.1 else 1.0) in
+  let worst = ref 0.0 in
+  for k = 0 to 4 do
+    Maglev.Pool.set_weights p (if k land 1 = 0 then a else b);
+    let before = Gc.minor_words () in
+    Maglev.Pool.rebuild p;
+    let words = Gc.minor_words () -. before in
+    (* The first rebuild is the warm-up. *)
+    if k > 0 then worst := Float.max !worst words
+  done;
+  if !worst >= 100.0 then
+    Alcotest.failf "a warm rebuild allocated %.0f minor words" !worst
+
+type pool_op = Set of float array | Rebuild
+
+let pp_pool_op ppf = function
+  | Set ws -> Fmt.pf ppf "Set %a" pp_weights ws
+  | Rebuild -> Fmt.pf ppf "Rebuild"
+
+let pool_ops_arbitrary =
+  QCheck.make
+    ~print:(fun (size, n, ops) ->
+      Fmt.str "size=%d n=%d %a" size n Fmt.(Dump.list pp_pool_op) ops)
+    QCheck.Gen.(
+      pair (oneofl [ 3; 7; 101; 1021; 4099 ]) (int_range 1 8)
+      >>= fun (size, n) ->
+      map
+        (fun ops -> (size, n, ops))
+        (list_size (int_range 1 30)
+           (frequency
+              [
+                (2, map (fun ws -> Set ws) (weights_gen n)); (3, return Rebuild);
+              ])))
+
+(* Replays the ops on a pool and on the oracle, which rebuilds from
+   scratch and measures each rebuild with [Table.disruption]. *)
+let pool_disruption_matches_oracle (size, n, ops) =
+  let names = names n in
+  let pool = Maglev.Pool.create ~table_size:size ~names () in
+  let weights = Array.make n (1.0 /. float_of_int n) in
+  let oracle () =
+    oracle_populate ~size
+      ~backends:(Array.mapi (fun i name -> (name, weights.(i))) names)
+  in
+  let table = ref (oracle ()) in
+  let sum = ref 0.0 in
+  let rebuilds = ref 0 in
+  let same_outcomes =
+    List.for_all
+      (function
+        | Set ws ->
+            Maglev.Pool.set_weights pool ws;
+            Array.blit ws 0 weights 0 n;
+            true
+        | Rebuild ->
+            let expected =
+              outcome (fun () ->
+                  let fresh = oracle () in
+                  sum := !sum +. Maglev.Table.disruption !table fresh;
+                  table := fresh;
+                  incr rebuilds)
+            in
+            expected = outcome (fun () -> Maglev.Pool.rebuild pool))
+      ops
+  in
+  same_outcomes
+  && Int64.equal
+       (Int64.bits_of_float !sum)
+       (Int64.bits_of_float (Maglev.Pool.total_disruption pool))
+  && Maglev.Pool.rebuilds pool = !rebuilds
+  && Maglev.Pool.current_table pool = !table
+
+let pool_disruption_qcheck =
+  QCheck.Test.make ~count:200
+    ~name:"rebuild disruption and count equal the oracle's"
+    pool_ops_arbitrary pool_disruption_matches_oracle
 
 let pool_weight_change_preserves_most_lookups =
   QCheck.Test.make ~count:20
@@ -258,7 +506,7 @@ let () =
       ( "permutation",
         [
           Alcotest.test_case "is a permutation" `Quick permutation_is_permutation;
-          Alcotest.test_case "wraps and resets" `Quick permutation_wraps_and_resets;
+          Alcotest.test_case "wraps" `Quick permutation_wraps;
           Alcotest.test_case "nth pure" `Quick permutation_nth_pure;
           Alcotest.test_case "requires prime" `Quick permutation_requires_prime;
         ]
@@ -278,7 +526,12 @@ let () =
           Alcotest.test_case "errors" `Quick table_errors;
           Alcotest.test_case "deterministic" `Quick table_deterministic;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ table_weighted_qcheck ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              table_weighted_qcheck;
+              table_equals_oracle_qcheck;
+              table_equals_oracle_large_qcheck;
+            ] );
       ( "pool",
         [
           Alcotest.test_case "basics" `Quick pool_basics;
@@ -288,7 +541,12 @@ let () =
             pool_rebuild_applies_weights;
           Alcotest.test_case "set vector" `Quick pool_set_weights_vector;
           Alcotest.test_case "errors" `Quick pool_errors;
+          Alcotest.test_case "pinned table" `Quick pool_pinned_table;
+          Alcotest.test_case "rebuild allocation" `Quick
+            pool_rebuild_allocation;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ pool_weight_change_preserves_most_lookups ] );
+            [
+              pool_weight_change_preserves_most_lookups; pool_disruption_qcheck;
+            ] );
     ]
