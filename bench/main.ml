@@ -60,12 +60,12 @@ let run_ablation_far ~jobs () =
    PCC-clean, and at the largest fleet each coordination policy must cut
    fleet-total control actions at least 2x vs uncoordinated. *)
 let run_ablation_herd ~jobs ~check () =
-  let rows = Cluster.Multi_lb.coord_sweep ~jobs () in
-  Cluster.Multi_lb.print_coord rows;
+  let rows = Cluster.Ablations.coord_sweep ~jobs () in
+  Cluster.Ablations.print_coord rows;
   if check then begin
     let violations =
       List.fold_left
-        (fun acc r -> acc + r.Cluster.Multi_lb.pcc_violations)
+        (fun acc r -> acc + r.Cluster.Ablations.pcc_violations)
         0 rows
     in
     if violations > 0 then begin
@@ -73,13 +73,13 @@ let run_ablation_herd ~jobs ~check () =
       exit 1
     end;
     let max_lbs =
-      List.fold_left (fun m r -> Stdlib.max m r.Cluster.Multi_lb.n_lbs) 0 rows
+      List.fold_left (fun m r -> Stdlib.max m r.Cluster.Ablations.n_lbs) 0 rows
     in
     let actions_at policy =
       List.find_map
         (fun r ->
-          if r.Cluster.Multi_lb.coord = policy && r.Cluster.Multi_lb.n_lbs = max_lbs
-          then Some r.Cluster.Multi_lb.total_actions
+          if r.Cluster.Ablations.coord = policy && r.Cluster.Ablations.n_lbs = max_lbs
+          then Some r.Cluster.Ablations.total_actions
           else None)
         rows
     in
@@ -207,13 +207,13 @@ let run_ablation_law ~jobs ~check () =
   let find law coord n_lbs =
     List.find_opt
       (fun r ->
-        r.Cluster.Multi_lb.law = law
-        && r.Cluster.Multi_lb.coord = coord
-        && r.Cluster.Multi_lb.n_lbs = n_lbs)
+        r.Cluster.Ablations.law = law
+        && r.Cluster.Ablations.coord = coord
+        && r.Cluster.Ablations.n_lbs = n_lbs)
       rows
   in
   let lb_counts =
-    List.sort_uniq compare (List.map (fun r -> r.Cluster.Multi_lb.n_lbs) rows)
+    List.sort_uniq compare (List.map (fun r -> r.Cluster.Ablations.n_lbs) rows)
   in
   let finite v = if Float.is_nan v then -1.0 else v in
   let fields =
@@ -221,14 +221,14 @@ let run_ablation_law ~jobs ~check () =
       (fun r ->
         let prefix =
           Fmt.str "law_%s_%s_%dlb"
-            (Inband.Control_law.to_string r.Cluster.Multi_lb.law)
-            (Cluster.Coordination.policy_to_string r.Cluster.Multi_lb.coord)
-            r.Cluster.Multi_lb.n_lbs
+            (Inband.Control_law.to_string r.Cluster.Ablations.law)
+            (Cluster.Coordination.policy_to_string r.Cluster.Ablations.coord)
+            r.Cluster.Ablations.n_lbs
         in
         [
-          (prefix ^ "_converged_ms", finite r.Cluster.Multi_lb.converged_ms);
-          (prefix ^ "_p95_after_us", finite r.Cluster.Multi_lb.p95_after_us);
-          (prefix ^ "_actions", float_of_int r.Cluster.Multi_lb.total_actions);
+          (prefix ^ "_converged_ms", finite r.Cluster.Ablations.converged_ms);
+          (prefix ^ "_p95_after_us", finite r.Cluster.Ablations.p95_after_us);
+          (prefix ^ "_actions", float_of_int r.Cluster.Ablations.total_actions);
         ])
       rows
   in
@@ -241,7 +241,7 @@ let run_ablation_law ~jobs ~check () =
     match
       find Inband.Control_law.Shift_worst Cluster.Coordination.Uncoordinated 1
     with
-    | Some r -> r.Cluster.Multi_lb.converged_ms
+    | Some r -> r.Cluster.Ablations.converged_ms
     | None -> nan
   in
   let recorded_baseline =
@@ -257,7 +257,7 @@ let run_ablation_law ~jobs ~check () =
   if check then begin
     let violations =
       List.fold_left
-        (fun acc r -> acc + r.Cluster.Multi_lb.pcc_violations)
+        (fun acc r -> acc + r.Cluster.Ablations.pcc_violations)
         0 rows
     in
     if violations > 0 then
@@ -286,24 +286,24 @@ let run_ablation_law ~jobs ~check () =
         with
         | Some base, Some grad, gossip ->
             if
-              grad.Cluster.Multi_lb.p95_after_us
-              > 1.10 *. base.Cluster.Multi_lb.p95_after_us
+              grad.Cluster.Ablations.p95_after_us
+              > 1.10 *. base.Cluster.Ablations.p95_after_us
             then
               tripwire_fail ~smoke:"law-smoke" ~tripwire:"p95"
                 "gradient post-injection p95 at %d LBs is %.1fus, above 1.1x \
                  shift-worst's %.1fus"
-                n_lbs grad.Cluster.Multi_lb.p95_after_us
-                base.Cluster.Multi_lb.p95_after_us;
+                n_lbs grad.Cluster.Ablations.p95_after_us
+                base.Cluster.Ablations.p95_after_us;
             (match gossip with
             | Some g
               when n_lbs > 1
-                   && g.Cluster.Multi_lb.total_actions
-                      >= grad.Cluster.Multi_lb.total_actions ->
+                   && g.Cluster.Ablations.total_actions
+                      >= grad.Cluster.Ablations.total_actions ->
                 tripwire_fail ~smoke:"law-smoke" ~tripwire:"churn"
                   "gradient+gossip at %d LBs took %d actions, no fewer than \
                    uncoordinated gradient's %d"
-                  n_lbs g.Cluster.Multi_lb.total_actions
-                  grad.Cluster.Multi_lb.total_actions
+                  n_lbs g.Cluster.Ablations.total_actions
+                  grad.Cluster.Ablations.total_actions
             | Some _ | None -> ())
         | _ -> ())
       lb_counts;

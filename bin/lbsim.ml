@@ -69,6 +69,25 @@ let remap =
   in
   Arg.conv (parse, Inband.Remap.pp)
 
+let coord_policy =
+  let parse s =
+    Result.map_error (fun msg -> `Msg msg)
+      (Cluster.Coordination.policy_of_string s)
+  in
+  let print ppf p = Fmt.string ppf (Cluster.Coordination.policy_to_string p) in
+  Arg.conv (parse, print)
+
+let lb_count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Cluster.Scenario.max_lbs -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg
+             (Fmt.str "expected a fleet size in 1..%d" Cluster.Scenario.max_lbs))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let remap_arg =
   Arg.(
     value
@@ -242,42 +261,57 @@ let sweep_cmd =
       | None -> ()
     in
     match which with
-    | "alpha" ->
+    | `Alpha ->
         Cluster.Ablations.print_alpha (Cluster.Ablations.alpha_sweep ~jobs ())
-    | "epoch" ->
+    | `Epoch ->
         Cluster.Ablations.print_epoch (Cluster.Ablations.epoch_sweep ~jobs ())
-    | "timing" ->
+    | `Timing ->
         Cluster.Ablations.print_timing (Cluster.Ablations.timing_sweep ~jobs ())
-    | "policy" ->
+    | `Policy ->
         let result =
           Cluster.Ablations.policy_comparison ~jobs ~law ~metrics_interval ()
         in
         Cluster.Fig3.print result;
         dump_metrics result
-    | "far" ->
+    | `Far ->
         Cluster.Ablations.print_far (Cluster.Ablations.far_clients ~jobs ())
-    | "herd" ->
-        Cluster.Multi_lb.print_herd (Cluster.Multi_lb.herd_sweep ~jobs ~law ())
-    | "law" ->
+    | `Herd ->
+        Cluster.Ablations.print_coord
+          (Cluster.Ablations.coord_sweep ~jobs ~law
+             ~policies:[ Cluster.Coordination.Uncoordinated ]
+             ())
+    | `Law ->
         Cluster.Ablations.print_laws (Cluster.Ablations.law_sweep ~jobs ())
-    | "dependency" ->
+    | `Dependency ->
         Cluster.Dependency.print (Cluster.Dependency.run_cases ~jobs ())
-    | "estimator" ->
+    | `Estimator ->
         Cluster.Ablations.print_estimator
           (Cluster.Ablations.estimator_comparison ~jobs ())
-    | "source" ->
+    | `Source ->
         Cluster.Ablations.print_source
           (Cluster.Ablations.source_comparison ~jobs ())
-    | "remap" ->
-        Cluster.Frontier.print (Cluster.Frontier.run ~jobs ())
-    | other ->
-        Fmt.epr
-          "unknown sweep %S \
-           (alpha|epoch|timing|policy|far|herd|law|dependency|estimator|source|remap)@."
-          other
+    | `Remap -> Cluster.Frontier.print (Cluster.Frontier.run ~jobs ())
+  in
+  let sweeps =
+    [
+      ("alpha", `Alpha);
+      ("epoch", `Epoch);
+      ("timing", `Timing);
+      ("policy", `Policy);
+      ("far", `Far);
+      ("herd", `Herd);
+      ("law", `Law);
+      ("dependency", `Dependency);
+      ("estimator", `Estimator);
+      ("source", `Source);
+      ("remap", `Remap);
+    ]
   in
   let which =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SWEEP")
+    Arg.(
+      required
+      & pos 0 (some (enum sweeps)) None
+      & info [] ~docv:"SWEEP" ~doc:(Arg.doc_alts_enum sweeps))
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -322,41 +356,37 @@ let report_pcc ?(hard = true) oracle =
   end
 
 let herd_cmd =
-  let run coord law remap lbs duration inject_at assert_pcc jobs =
-    let policies =
-      match coord with
-      | "all" -> Ok Cluster.Coordination.[ Uncoordinated; Gossip_average; Leader ]
-      | s -> Result.map (fun p -> [ p ]) (Cluster.Coordination.policy_of_string s)
+  let run policies law remap lbs duration inject_at assert_pcc jobs =
+    let rows =
+      Cluster.Ablations.coord_sweep ~jobs ~law ~remap ~policies ~lb_counts:lbs
+        ~duration ~inject_at ()
     in
-    match policies with
-    | Error msg ->
-        Fmt.epr "--coord: %s@." msg;
-        exit 2
-    | Ok policies ->
-        let rows =
-          Cluster.Multi_lb.coord_sweep ~jobs ~law ~remap ~policies
-            ~lb_counts:lbs ~duration ~inject_at ()
-        in
-        Cluster.Multi_lb.print_coord rows;
-        if assert_pcc then begin
-          let violations =
-            List.fold_left
-              (fun acc r -> acc + r.Cluster.Multi_lb.pcc_violations)
-              0 rows
-          in
-          let checked =
-            List.fold_left
-              (fun acc r -> acc + r.Cluster.Multi_lb.pcc_checked)
-              0 rows
-          in
-          Fmt.pr "pcc: %d packets checked, %d violations@." checked violations;
-          if violations > 0 then exit 1
-        end
+    Cluster.Ablations.print_coord rows;
+    if assert_pcc then begin
+      let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+      let violations = sum (fun r -> r.Cluster.Ablations.pcc_violations) in
+      Fmt.pr "pcc: %d packets checked, %d violations@."
+        (sum (fun r -> r.Cluster.Ablations.pcc_checked))
+        violations;
+      if violations > 0 then exit 1
+    end
+  in
+  let all = Cluster.Coordination.[ Uncoordinated; Gossip_average; Leader ] in
+  let policies =
+    let parse = function
+      | "all" -> Ok all
+      | s -> Result.map (fun p -> [ p ]) (Arg.conv_parser coord_policy s)
+    in
+    let print ppf ps =
+      if ps = all then Fmt.string ppf "all"
+      else Fmt.(list ~sep:comma (Arg.conv_printer coord_policy)) ppf ps
+    in
+    Arg.conv (parse, print)
   in
   let coord =
     Arg.(
       value
-      & opt string "all"
+      & opt policies all
       & info [ "coord" ] ~docv:"POLICY"
           ~doc:
             "Coordination policy to run: $(b,none), $(b,gossip), \
@@ -365,7 +395,7 @@ let herd_cmd =
   let lbs =
     Arg.(
       value
-      & opt (list int) [ 1; 2; 4 ]
+      & opt (list lb_count) [ 1; 2; 4 ]
       & info [ "lbs" ] ~docv:"N,..." ~doc:"Fleet sizes to sweep.")
   in
   let duration =
@@ -482,7 +512,7 @@ let run_cmd =
        count is the point. *)
     let pcc =
       if assert_pcc || remap <> Inband.Remap.Preserve then
-        Some (Cluster.Scenario.attach_pcc s)
+        Some (Cluster.Scenario.attach_pcc s).(0)
       else None
     in
     Cluster.Scenario.run s ~until:duration;
@@ -671,17 +701,51 @@ let churn_cmd =
 (* --- soak: long-horizon churn + adversarial clients -------------------- *)
 
 let soak_cmd =
-  let run_single minutes warmup_s windows seed check =
+  let run minutes warmup_s windows seed check lbs coord =
     let base = Cluster.Soak.default_config in
     let duration = Des.Time.sec (minutes * 60) in
+    let scenario = { base.Cluster.Soak.scenario with Cluster.Scenario.seed } in
     let config =
       {
         base with
         Cluster.Soak.duration;
         warmup = Stdlib.min (Des.Time.sec warmup_s) (duration / 4);
         windows;
-        scenario = { base.Cluster.Soak.scenario with Cluster.Scenario.seed };
+        scenario;
       }
+    in
+    let config =
+      match (lbs, coord) with
+      | None, None -> config
+      | lbs, coord ->
+          let n_lbs = Option.value lbs ~default:2 in
+          let policy =
+            Option.value coord ~default:Cluster.Coordination.Gossip_average
+          in
+          {
+            config with
+            Cluster.Soak.scenario =
+              {
+                scenario with
+                Cluster.Scenario.n_lbs;
+                n_clients = 2 * n_lbs;
+                coord =
+                  {
+                    Cluster.Coordination.default_config with
+                    Cluster.Coordination.policy;
+                  };
+              };
+            (* Every LB's link to server 1 is delayed 1 ms for 20 s of
+               every 40 s: the fleet re-converges round after round. *)
+            timeline =
+              [
+                Faults.Timeline.event ~at:(Des.Time.sec 10)
+                  ~target:(Faults.Timeline.Link "lb->s1")
+                  ~fault:(Faults.Timeline.Delay (Des.Time.ms 1))
+                  ~duration:(Des.Time.sec 20) ();
+              ];
+            fault_period = Des.Time.sec 40;
+          }
     in
     let result = Cluster.Soak.run ~config () in
     Cluster.Soak.print ~config result;
@@ -689,54 +753,6 @@ let soak_cmd =
       Fmt.epr "soak: flatness, stuck-state or PCC check failed@.";
       exit 1
     end
-  in
-  let run_coordinated minutes warmup_s windows seed check lbs policy =
-    let base = Cluster.Soak.default_coord_config in
-    let duration = Des.Time.sec (minutes * 60) in
-    let config =
-      {
-        base with
-        Cluster.Soak.coord_duration = duration;
-        coord_warmup = Stdlib.min (Des.Time.sec warmup_s) (duration / 4);
-        coord_windows = windows;
-        fleet =
-          {
-            base.Cluster.Soak.fleet with
-            Cluster.Multi_lb.n_lbs = lbs;
-            n_clients = 2 * lbs;
-            coord = Cluster.Multi_lb.coord_config_of policy;
-            seed;
-          };
-      }
-    in
-    let result = Cluster.Soak.run_coordinated ~config () in
-    Cluster.Soak.print_coordinated result;
-    if check && not (Cluster.Soak.coord_ok result) then begin
-      Fmt.epr "soak: coordinated flatness, stuck-state or PCC check failed@.";
-      exit 1
-    end
-  in
-  let run minutes warmup_s windows seed check lbs coord =
-    match (lbs, coord) with
-    | None, None -> run_single minutes warmup_s windows seed check
-    | lbs, coord ->
-        let policy =
-          match coord with
-          | None -> Cluster.Coordination.Gossip_average
-          | Some s -> begin
-              match Cluster.Coordination.policy_of_string s with
-              | Ok p -> p
-              | Error msg ->
-                  Fmt.epr "soak: bad --coord %S: %s@." s msg;
-                  exit 2
-            end
-        in
-        let lbs = Option.value lbs ~default:2 in
-        if lbs < 1 then begin
-          Fmt.epr "soak: --lbs must be at least 1@.";
-          exit 2
-        end;
-        run_coordinated minutes warmup_s windows seed check lbs policy
   in
   let minutes =
     Arg.(
@@ -770,19 +786,19 @@ let soak_cmd =
   let lbs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some lb_count) None
       & info [ "lbs" ] ~docv:"N"
           ~doc:
-            "Soak a whole $(b,N)-LB fleet (coordinated variant) instead \
-             of the single-LB churn cluster. Each LB gets its own VIP, \
-             estimator and controller plus two clients; server-delay \
-             pulses force the fleet to re-converge throughout. Implies \
-             $(b,--coord) gossip unless given.")
+            "Soak an $(b,N)-LB fleet of the churn cluster instead of a \
+             single LB. Each LB gets its own VIP, estimator and \
+             controller plus two clients; server-delay pulses replace \
+             the fault timeline and force the fleet to re-converge \
+             throughout. Implies $(b,--coord) gossip unless given.")
   in
   let coord =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some coord_policy) None
       & info [ "coord" ] ~docv:"POLICY"
           ~doc:
             "Control-plane policy for the fleet soak: $(b,none), \

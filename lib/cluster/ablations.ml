@@ -181,14 +181,257 @@ let policy_comparison ?jobs ?law ?(duration = Des.Time.sec 15)
     ~inject_at
     ()
 
-(* --- A8: control-law zoo ----------------------------------------------- *)
+(* --- A7/A8: LB fleets (§5 Q4) -------------------------------------------- *)
 
-(* The decision-rule ablation rides the herd harness: same injection,
-   same fleet sizes, laws swapped inside the controller. Defined in
-   {!Multi_lb} (it owns the harness); re-exported here so the ablation
-   battery stays one module. *)
-let law_sweep = Multi_lb.law_sweep
-let print_laws = Multi_lb.print_laws
+(* Every LB runs its own estimator and controller over one shared pool.
+   Uncoordinated, each acts on a partial view and the fleet over-shifts
+   and oscillates — the thundering herd the paper leaves open. The
+   coordination policies (gossip, leader) and the control laws are
+   config changes on this one scenario. *)
+let fleet_scenario =
+  {
+    Scenario.default_config with
+    Scenario.n_lbs = 2;
+    n_clients = 4;
+    policy = Inband.Policy.Latency_aware;
+    (* Stabilised controller so the single-LB baseline converges and the
+       sweep isolates the fleet effect. *)
+    lb =
+      {
+        Inband.Config.default with
+        Inband.Config.relative_threshold = 1.5;
+        ewma_alpha = 0.05;
+        control_interval = Des.Time.ms 5;
+        recovery_rate = 0.02;
+      };
+    table_size = 1021;
+    memtier =
+      { Workload.Memtier.default_config with Workload.Memtier.connections = 1 };
+    key_count = 5_000;
+    seed = 0x2b1b;
+  }
+
+type herd_row = {
+  n_lbs : int;
+  coord : Coordination.policy;
+  law : Inband.Control_law.kind;
+  p95_before_us : float;
+  p95_after_us : float;
+  total_actions : int;
+  per_lb_actions : int list;
+  victim_flips : int;
+  victim_weight_mean : float;
+  converged_ms : float;
+  msgs : int;
+  suppressed : int;
+  imposed : int;
+  pcc_checked : int;
+  pcc_violations : int;
+}
+
+let herd_victim = 1
+
+let controllers s =
+  Array.to_list (Scenario.balancers s)
+  |> List.filter_map Inband.Balancer.controller
+
+(* Mean of the victim's weight across the fleet, read live. *)
+let fleet_victim_weight s =
+  match controllers s with
+  | [] -> nan
+  | cs ->
+      List.fold_left
+        (fun acc c -> acc +. (Inband.Controller.weights c).(herd_victim))
+        0.0 cs
+      /. float_of_int (List.length cs)
+
+(* Controller actions whose victim differs from that controller's
+   previous victim — a proxy for hunting. *)
+let flips_of c =
+  let rec count prev acc = function
+    | [] -> acc
+    | a :: rest ->
+        let v = a.Inband.Controller.victim in
+        let acc =
+          match prev with Some p when p <> v -> acc + 1 | Some _ | None -> acc
+        in
+        count (Some v) acc rest
+  in
+  count None 0 (Inband.Controller.actions c)
+
+let herd_one ?(coord = Coordination.Uncoordinated)
+    ?(law = Inband.Control_law.Shift_worst) ?(remap = Inband.Remap.Preserve)
+    ~n_lbs ~duration ~inject_at () =
+  let s =
+    Scenario.build
+      {
+        fleet_scenario with
+        Scenario.n_lbs;
+        coord = { Coordination.default_config with Coordination.policy = coord };
+        lb = { fleet_scenario.Scenario.lb with Inband.Config.law; remap };
+      }
+  in
+  let oracles = Scenario.attach_pcc s in
+  Scenario.inject_server_delay s ~server:herd_victim ~at:inject_at
+    ~delay:(Des.Time.ms 1);
+  (* Convergence probe: the first instant at which the fleet-mean victim
+     weight has fallen to <= 0.1 — how long the whole fleet takes to
+     concentrate traffic away from the victim (sampled every 50 ms).
+     Coordination trades churn against this: gossip is fleet-epoch
+     limited, leader mode waits on snapshot propagation. *)
+  let converged_at = ref None in
+  let engine = Scenario.engine s in
+  ignore
+    (Des.Timer.every engine ~period:(Des.Time.ms 50) (fun () ->
+         if !converged_at = None && fleet_victim_weight s <= 0.1 then
+           converged_at := Some (Des.Engine.now engine)));
+  Scenario.run s ~until:duration;
+  let rows =
+    match Scenario.series s "client.latency.get" with
+    | Some ts -> Stats.Timeseries.rows ts ~q:0.95
+    | None -> []
+  in
+  let per_lb_actions =
+    List.map Inband.Controller.action_count (controllers s)
+  in
+  let coord_count f =
+    match Scenario.coordination s with Some c -> f c | None -> 0
+  in
+  let sum_oracles f = Array.fold_left (fun acc o -> acc + f o) 0 oracles in
+  let row =
+    {
+      n_lbs;
+      coord;
+      law;
+      p95_before_us =
+        Samples.windowed_quantile_us rows ~lo:(Des.Time.sec 1) ~hi:inject_at;
+      p95_after_us =
+        Samples.windowed_quantile_us rows
+          ~lo:(inject_at + Des.Time.sec 1)
+          ~hi:duration;
+      total_actions = List.fold_left ( + ) 0 per_lb_actions;
+      per_lb_actions;
+      victim_flips =
+        List.fold_left (fun acc c -> acc + flips_of c) 0 (controllers s);
+      victim_weight_mean = fleet_victim_weight s;
+      converged_ms =
+        (match !converged_at with
+        | Some at -> Des.Time.to_float_s at *. 1e3
+        | None -> nan);
+      msgs = coord_count Coordination.messages_sent;
+      suppressed = coord_count Coordination.suppressed;
+      imposed = coord_count Coordination.imposed;
+      pcc_checked = sum_oracles Oracle.checked;
+      pcc_violations = sum_oracles Oracle.violation_count;
+    }
+  in
+  Scenario.shutdown s;
+  row
+
+let coord_sweep ?jobs ?law ?remap
+    ?(policies = Coordination.[ Uncoordinated; Gossip_average; Leader ])
+    ?(lb_counts = [ 1; 2; 4 ]) ?(duration = Des.Time.sec 12)
+    ?(inject_at = Des.Time.sec 4) () =
+  let cases =
+    List.concat_map
+      (fun policy -> List.map (fun n_lbs -> (policy, n_lbs)) lb_counts)
+      policies
+  in
+  Parallel.map ?jobs
+    (fun (coord, n_lbs) ->
+      herd_one ~coord ?law ?remap ~n_lbs ~duration ~inject_at ())
+    cases
+
+(* A8: every law at every fleet size, uncoordinated — the paper's
+   shift-worst as baseline — plus the gradient law under gossip, the
+   composition arXiv 2504.10693 suggests (each LB descends on the merged
+   fleet estimates; fleet-epoch hysteresis bounds churn). *)
+let law_sweep ?jobs ?(laws = Inband.Control_law.all) ?(lb_counts = [ 1; 2; 4 ])
+    ?(duration = Des.Time.sec 12) ?(inject_at = Des.Time.sec 4) () =
+  let cases =
+    List.concat_map
+      (fun law ->
+        List.map
+          (fun n_lbs -> (law, Coordination.Uncoordinated, n_lbs))
+          lb_counts)
+      laws
+    @
+    if List.mem Inband.Control_law.Gradient laws then
+      List.map
+        (fun n_lbs ->
+          (Inband.Control_law.Gradient, Coordination.Gossip_average, n_lbs))
+        lb_counts
+    else []
+  in
+  Parallel.map ?jobs
+    (fun (law, coord, n_lbs) ->
+      herd_one ~coord ~law ~n_lbs ~duration ~inject_at ())
+    cases
+
+let fleet_headers =
+  [
+    "coord";
+    "LBs";
+    "p95 pre";
+    "p95 post";
+    "actions";
+    "per-LB";
+    "flips";
+    "victim w";
+    "converged";
+  ]
+
+let fleet_cells r =
+  [
+    Coordination.policy_to_string r.coord;
+    string_of_int r.n_lbs;
+    Fmt.str "%.1fus" r.p95_before_us;
+    Fmt.str "%.1fus" r.p95_after_us;
+    string_of_int r.total_actions;
+    String.concat "+" (List.map string_of_int r.per_lb_actions);
+    string_of_int r.victim_flips;
+    Fmt.str "%.3f" r.victim_weight_mean;
+    (if Float.is_nan r.converged_ms then "-"
+     else Fmt.str "%.0fms" r.converged_ms);
+  ]
+
+let pcc_cell r =
+  if r.pcc_checked = 0 then "-"
+  else if r.pcc_violations = 0 then "ok"
+  else Fmt.str "%d VIOLATIONS" r.pcc_violations
+
+let print_coord rows =
+  print_endline
+    (Report.section
+       "Ablation A7 (extended): LB fleet coordination — uncoordinated vs \
+        gossip vs leader");
+  print_endline
+    (Report.table
+       ~headers:(fleet_headers @ [ "msgs"; "suppr"; "imposed"; "pcc" ])
+       (List.map
+          (fun r ->
+            fleet_cells r
+            @ [
+                string_of_int r.msgs;
+                string_of_int r.suppressed;
+                string_of_int r.imposed;
+                pcc_cell r;
+              ])
+          rows))
+
+let print_laws rows =
+  print_endline
+    (Report.section
+       "Ablation A8: control-law zoo — shift-worst (paper) vs knapsack vs \
+        gradient, across fleet sizes");
+  print_endline
+    (Report.table
+       ~headers:(("law" :: fleet_headers) @ [ "pcc" ])
+       (List.map
+          (fun r ->
+            (Inband.Control_law.to_string r.law :: fleet_cells r)
+            @ [ pcc_cell r ])
+          rows))
 
 
 (* --- A6: far, non-equidistant clients ---------------------------------- *)

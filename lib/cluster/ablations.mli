@@ -4,11 +4,13 @@
     - A3: ensemble epoch length E,
     - A4: client/server packet-timing assumption violations (§5 Q2),
     - A5: routing-policy comparison under the Fig. 3 injection,
+    - A7: LB fleet coordination (uncoordinated/gossip/leader) across
+      fleet sizes (§5 Q4),
     - A8: control-law comparison (shift-worst/knapsack/gradient) across
-      fleet sizes.
+      fleet sizes,
+    - A6, A9, A10: far clients, robust estimation, measurement source.
 
-    (A1, the fixed-δ sweep, is part of the Fig. 2 output itself; A7,
-    the fleet/coordination sweep, lives in {!Multi_lb}.) *)
+    (A1, the fixed-δ sweep, is part of the Fig. 2 output itself.) *)
 
 (** {1 A2 — shift fraction α} *)
 
@@ -83,7 +85,74 @@ val policy_comparison :
     shift-worst); the other policies run no controller and ignore
     it. *)
 
-(** {1 A8 — control-law zoo (law x fleet size)} *)
+(** {1 A7/A8 — LB fleets (§5 Q4)}
+
+    Several LBs over one server pool, each with its own VIP, estimator
+    and controller, under the Fig. 3 injection on server 1. Total
+    offered load is fixed while the fleet grows. Uncoordinated, every
+    controller shifts away from the victim on its partial view and the
+    fleet over-shifts (the thundering herd); a {!Coordination} policy
+    shares snapshots over a simulated control plane. *)
+
+val fleet_scenario : Scenario.config
+(** 2 LBs, 2 servers, 4 single-connection clients, latency-aware with a
+    stabilised controller (threshold 1.5, EWMA 0.05, 5 ms interval,
+    0.02/s recovery), 1021-slot tables, uncoordinated. *)
+
+type herd_row = {
+  n_lbs : int;
+  coord : Coordination.policy;
+  law : Inband.Control_law.kind;  (** The control law every LB ran. *)
+  p95_before_us : float;
+  p95_after_us : float;
+  total_actions : int;
+      (** Fleet-total [ctl.actions]: local shifts plus leader-imposed
+          weight adoptions — every entry is one Maglev rebuild. *)
+  per_lb_actions : int list;
+      (** Per-LB [ctl.actions], LB order. Sums to [total_actions]. *)
+  victim_flips : int;
+      (** Controller actions whose victim differs from that controller's
+          previous victim — a proxy for hunting/oscillation. *)
+  victim_weight_mean : float;
+      (** Mean over LBs of the degraded server's final weight. *)
+  converged_ms : float;
+      (** Time from the start of the run until the fleet-mean victim
+          weight first reaches 0.1 (50 ms sampling) — how long the
+          whole fleet takes to concentrate traffic away from the victim;
+          [nan] if it never does. *)
+  msgs : int;  (** Control-plane snapshots sent fleet-wide. *)
+  suppressed : int;  (** Hysteresis vetoes + no-change imposes. *)
+  imposed : int;  (** Follower weight adoptions (leader mode). *)
+  pcc_checked : int;
+  pcc_violations : int;
+}
+
+val herd_one :
+  ?coord:Coordination.policy ->
+  ?law:Inband.Control_law.kind ->
+  ?remap:Inband.Remap.t ->
+  n_lbs:int ->
+  duration:Des.Time.t ->
+  inject_at:Des.Time.t ->
+  unit ->
+  herd_row
+(** One {!fleet_scenario} run of [n_lbs] LBs with +1 ms on every LB's
+    link to server 1 at [inject_at]. Every LB carries a (counting) PCC
+    oracle. [coord] defaults to uncoordinated, [law] to the paper's
+    shift-worst, [remap] to preserve. *)
+
+val coord_sweep :
+  ?jobs:int ->
+  ?law:Inband.Control_law.kind ->
+  ?remap:Inband.Remap.t ->
+  ?policies:Coordination.policy list ->
+  ?lb_counts:int list ->
+  ?duration:Des.Time.t ->
+  ?inject_at:Des.Time.t ->
+  unit ->
+  herd_row list
+(** A7: {!herd_one} for every (policy, LB count) pair — defaults
+    [none; gossip; leader] x [1; 2; 4], 12 s runs injected at 4 s. *)
 
 val law_sweep :
   ?jobs:int ->
@@ -92,13 +161,14 @@ val law_sweep :
   ?duration:Des.Time.t ->
   ?inject_at:Des.Time.t ->
   unit ->
-  Multi_lb.row list
-(** {!Multi_lb.law_sweep}: the herd injection under every control law
-    at 1/2/4 LBs (uncoordinated), plus gradient+gossip — convergence
-    time, post-injection p95 and action churn, the paper's shift-worst
-    as baseline. *)
+  herd_row list
+(** A8: {!herd_one} under every control law at 1/2/4 LBs
+    (uncoordinated), plus gradient+gossip — convergence time,
+    post-injection p95 and action churn, the paper's shift-worst as
+    baseline. *)
 
-val print_laws : Multi_lb.row list -> unit
+val print_coord : herd_row list -> unit
+val print_laws : herd_row list -> unit
 
 (** {1 A6 — far, non-equidistant clients (§5 Q1)} *)
 

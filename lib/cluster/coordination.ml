@@ -43,8 +43,6 @@ let policy_of_string = function
   | "leader" -> Ok Leader
   | s -> Error (Fmt.str "unknown coordination policy %S (none|gossip|leader)" s)
 
-let pp_policy ppf p = Fmt.string ppf (policy_to_string p)
-
 type config = {
   policy : policy;
   period : Des.Time.t;
@@ -82,8 +80,6 @@ type snapshot = {
   last_action_at : Des.Time.t;  (* -1 = never acted *)
 }
 
-type delivery = { to_lb : int; snapshot : snapshot }
-
 type member = {
   id : int;
   controller : Inband.Controller.t;
@@ -102,7 +98,6 @@ type t = {
   config : config;
   members : member array;
   n_servers : int;
-  bus : delivery Telemetry.Bus.t;
   timers : Des.Timer.t array;
 }
 
@@ -185,7 +180,6 @@ let deliver t member snapshot =
   let now = Des.Engine.now t.engine in
   member.inbox.(snapshot.from_lb) <- Some snapshot;
   Telemetry.Registry.Counter.incr member.m_recv;
-  Telemetry.Bus.publish t.bus { to_lb = member.id; snapshot };
   match t.config.policy with
   | Leader when member.id <> 0 && snapshot.from_lb = 0 ->
       (* Follower: adopt the leader's weights, bounded-staleness. *)
@@ -262,7 +256,6 @@ let create ~engine ~config ~controllers ?registries ?rng () =
       config;
       members;
       n_servers;
-      bus = Telemetry.Bus.create ();
       timers = [||];
     }
   in
@@ -317,9 +310,6 @@ let create ~engine ~config ~controllers ?registries ?rng () =
   { t with timers }
 
 let stop t = Array.iter Des.Timer.stop t.timers
-let config t = t.config
-let bus t = t.bus
-let member_count t = Array.length t.members
 
 let sum t f =
   Array.fold_left (fun acc m -> acc + counter_value (f m)) 0 t.members

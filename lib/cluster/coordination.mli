@@ -25,8 +25,6 @@ val policy_to_string : policy -> string
 (** ["none"], ["gossip"], ["leader"]. *)
 
 val policy_of_string : string -> (policy, string) result
-val pp_policy : Format.formatter -> policy -> unit
-
 type config = {
   policy : policy;
   period : Des.Time.t;  (** Snapshot publish period. *)
@@ -45,16 +43,6 @@ val default_config : config
     epoch, 500 ms staleness bound. *)
 
 val validate : config -> (unit, string) result
-
-type snapshot = {
-  from_lb : int;
-  sent_at : Des.Time.t;
-  estimates : float array;  (** Per server; [nan] = no estimate yet. *)
-  weights : float array;
-  last_action_at : Des.Time.t;  (** [-1] = never acted. *)
-}
-
-type delivery = { to_lb : int; snapshot : snapshot }
 
 type t
 
@@ -78,13 +66,6 @@ val create :
 
 val stop : t -> unit
 (** Stop the publish timers. In-flight snapshots still deliver. *)
-
-val config : t -> config
-val member_count : t -> int
-
-val bus : t -> delivery Telemetry.Bus.t
-(** Fires on every snapshot delivery (after inbox update and any
-    follow-the-leader action), for tests and tracing. *)
 
 (** {1 Fleet-total metric reads} (sums over members) *)
 

@@ -12,13 +12,11 @@ val fig2_samples : Fig2.result -> string
 val fig3_series : Fig3.result -> string
 (** Schema: [policy,t_s,count,p95_us,mean_us]. *)
 
-val metrics_rows : runs:(string * Telemetry.Snapshot.row list) list -> string
-(** Telemetry snapshot streams as long-form CSV. Schema:
-    [label,t_s,metric,index,value] — one row per (snapshot, metric)
-    reading; [index] is empty for scalar metrics. *)
-
 val fig3_metrics : Fig3.result -> string
-(** {!metrics_rows} over a Fig. 3 result, labelled by policy. *)
+(** A Fig. 3 result's telemetry snapshot streams as long-form CSV,
+    labelled by policy. Schema: [label,t_s,metric,index,value] — one
+    row per (snapshot, metric) reading; [index] is empty for scalar
+    metrics. *)
 
 val churn_faults : Churn.result -> string
 (** Schema: [fault,applied_s,cleared_s,detection_ms,recovery_ms,recovered]
@@ -26,7 +24,7 @@ val churn_faults : Churn.result -> string
     timeline spec of the event. Empty cells mean "never". *)
 
 val churn_metrics : Churn.result -> string
-(** {!metrics_rows} over a churn run, labelled ["churn"]. *)
+(** {!fig3_metrics}' schema over a churn run, labelled ["churn"]. *)
 
 val write_file : path:string -> string -> unit
 (** Write (truncate) [path]. Raises [Sys_error] on failure. *)

@@ -22,11 +22,6 @@ let label_of = function
   | Private_backends -> "private backends (shift helps)"
   | Shared_backend -> "shared backend (shift cannot help)"
 
-let median_float values =
-  match List.sort Float.compare values with
-  | [] -> nan
-  | sorted -> List.nth sorted (List.length sorted / 2)
-
 let run_one ~wiring ~duration ~inject_at =
   let engine = Des.Engine.create () in
   let fabric = Netsim.Fabric.create engine in
@@ -142,15 +137,7 @@ let run_one ~wiring ~duration ~inject_at =
   Workload.Memtier.stop client;
   (* Metrics. *)
   let rows = Workload.Latency_log.series log ~op:Workload.Latency_log.Get ~q:0.95 in
-  let p95_in lo hi =
-    rows
-    |> List.filter_map (fun r ->
-           let at = r.Stats.Timeseries.t_start in
-           if at >= lo && at < hi then
-             Some (float_of_int r.Stats.Timeseries.quantile /. 1e3)
-           else None)
-    |> median_float
-  in
+  let p95_in lo hi = Samples.windowed_quantile_us rows ~lo ~hi in
   let actions_before, actions_after, victim_weight =
     match Inband.Balancer.controller balancer with
     | Some c ->

@@ -25,11 +25,6 @@ type result = {
 
 val run : ?config:Bulk_flow.config -> unit -> result
 
-val summary_cells : result -> string list list
-(** The Fig. 2(a) table body: one row of rendered cells per estimator
-    (truth, each fixed δ, ensemble) — what {!print} tabulates, exposed
-    for the golden regression test. *)
-
 val summary_table : result -> string
 (** The Fig. 2(a) table exactly as {!print} renders it. *)
 

@@ -27,11 +27,6 @@ type result = {
 
 let victim = 1
 
-let median_float values =
-  match List.sort Float.compare values with
-  | [] -> nan
-  | sorted -> List.nth sorted (List.length sorted / 2)
-
 let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
     ~recovery_factor ~injection =
   let config = { scenario with Scenario.policy } in
@@ -88,8 +83,12 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
       (fun r -> r.t_s >= Des.Time.to_float_s inject_at +. 1.0)
       series
   in
-  let baseline = median_float (List.map (fun r -> r.p95_us) before_buckets) in
-  let p95_after = median_float (List.map (fun r -> r.p95_us) after_buckets) in
+  let baseline =
+    Samples.median_float (List.map (fun r -> r.p95_us) before_buckets)
+  in
+  let p95_after =
+    Samples.median_float (List.map (fun r -> r.p95_us) after_buckets)
+  in
   let recovery_ms =
     let threshold = recovery_factor *. baseline in
     List.find_opt

@@ -79,13 +79,6 @@ let default_policies =
 
 let default_intensities = [ ("light", 2.0); ("medium", 4.0); ("heavy", 8.0) ]
 
-let median = function
-  | [] -> nan
-  | l ->
-      let a = Array.of_list l in
-      Array.sort compare a;
-      a.(Array.length a / 2)
-
 let run_one ~scenario ~duration ~fault_at ~fault_dur ~slack ~sustain
     ~(remap : Inband.Remap.t) ~(intensity : string) ~(slow_factor : float) =
   let scenario =
@@ -95,7 +88,7 @@ let run_one ~scenario ~duration ~fault_at ~fault_dur ~slack ~sustain
     }
   in
   let s = Scenario.build scenario in
-  let oracle = Scenario.attach_pcc s in
+  let oracle = (Scenario.attach_pcc s).(0) in
   let injector =
     Scenario.install_faults s
       [
@@ -120,10 +113,12 @@ let run_one ~scenario ~duration ~fault_at ~fault_dur ~slack ~sustain
   let during (r : Stats.Timeseries.row) =
     r.t_start >= fault_at && r.t_start < fault_at + fault_dur
   in
-  let pre_p95_us = median (List.map quant_us pre) in
-  let post_p95_us = median (List.map quant_us (List.filter during post)) in
+  let pre_p95_us = Samples.median_float (List.map quant_us pre) in
+  let post_p95_us =
+    Samples.median_float (List.map quant_us (List.filter during post))
+  in
   let post_p99_us =
-    median
+    Samples.median_float
       (List.filter_map
          (fun (r : Stats.Timeseries.row) ->
            if during r && r.count > 0 then Some (quant_us r) else None)
@@ -215,14 +210,6 @@ let run ?(scenario = default_scenario) ?(duration = Des.Time.sec 10)
       grid
   in
   { duration; fault_at; fault_dur; cells }
-
-let cells_for result remap =
-  List.filter (fun c -> c.remap = remap) result.cells
-
-let find_cell result remap intensity =
-  List.find_opt
-    (fun c -> c.remap = remap && c.intensity = intensity)
-    result.cells
 
 let opt_ms = function None -> "-" | Some ms -> Fmt.str "%.0fms" ms
 

@@ -40,18 +40,6 @@ type result = {
   cells : cell list;  (** Policy-major, intensities inner. *)
 }
 
-val default_scenario : Scenario.config
-(** {!Churn.default_scenario} with 8 client hosts, persistent
-    connections ([requests_per_conn = 0]) except for two churning
-    clients that keep every backend's in-band estimate fresh, and a
-    50 ms latency bucket. *)
-
-val default_policies : Inband.Remap.t list
-(** [preserve; ttl:300us; hot_k:8; immediate]. *)
-
-val default_intensities : (string * float) list
-(** [light x2, medium x4, heavy x8] service-time slowdowns. *)
-
 val run :
   ?scenario:Scenario.config ->
   ?duration:Des.Time.t ->
@@ -68,8 +56,5 @@ val run :
     2 s attribution slack, 400 ms recovery sustain window). Each cell
     is an independent scenario run; [jobs] parallelises cells without
     changing any result. *)
-
-val cells_for : result -> Inband.Remap.t -> cell list
-val find_cell : result -> Inband.Remap.t -> string -> cell option
 
 val print : result -> unit

@@ -192,7 +192,6 @@ let violation_rate t =
   if t.checked = 0 then 0.0
   else float_of_int t.violation_count /. float_of_int t.checked
 
-let window_rate t = t.last_rate
 
 (* Ground-truth attribution: which violations fall inside a fault's
    [lo, hi] window (hi [None] = still active / permanent). The caller

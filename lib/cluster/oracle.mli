@@ -69,10 +69,6 @@ val ok : t -> bool
 val violation_rate : t -> float
 (** Cumulative violations per checked packet (0 when nothing checked). *)
 
-val window_rate : t -> float
-(** The last completed window's violations per checked packet — what
-    the ["pcc.violation_rate"] gauge reports. *)
-
 val attribute : t -> (Des.Time.t * Des.Time.t option) list -> attribution
 (** Split the violation count by a list of ground-truth fault windows
     [(applied_at, reverted_at)] ([None] = never reverted) — e.g.

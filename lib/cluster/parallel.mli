@@ -7,14 +7,11 @@
     mapped list (and any figure or CSV rendered from it) is
     byte-identical whether it ran on one domain or many. *)
 
-val available : unit -> int
-(** The runtime's recommended domain count for this machine. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] is [List.map f items] computed by up to [jobs]
     domains pulling items off a shared queue. Output order is input
     order. [jobs = 1] (the default) runs sequentially in the calling
-    domain; [jobs = 0] means {!available}. If any [f] raises, the pool
+    domain; [jobs = 0] means the runtime's recommended domain count. If any [f] raises, the pool
     aborts: no further items are started (in-flight items run to
     completion), and the exception of the earliest failing item — by
     input order, among those that ran — is re-raised after all domains

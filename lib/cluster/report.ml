@@ -35,7 +35,6 @@ let ns v =
   else if a < 1e9 then Fmt.str "%.3fms" (v /. 1e6)
   else Fmt.str "%.3fs" (v /. 1e9)
 
-let ns_int v = ns (float_of_int v)
 let pct f = Fmt.str "%.1f%%" (100.0 *. f)
 
 let registry reg =

@@ -5,18 +5,13 @@ val table : headers:string list -> string list list -> string
 (** Render an aligned table with a header rule. Rows shorter than the
     header are padded with empty cells. *)
 
-val ns : float -> string
-(** Format a nanosecond quantity with an adaptive unit ("187.3us"). *)
-
-val ns_int : int -> string
-
 val pct : float -> string
 (** Format a fraction as a percentage ("12.5%"). *)
 
 val registry : Telemetry.Registry.t -> string
 (** Render a registry's current readings as a table (one row per
     metric, in registration order; [_ns]-suffixed metrics formatted
-    with {!ns}). *)
+    with an adaptive unit, e.g. "187.3us"). *)
 
 val section : string -> string
 (** A banner line for experiment output. *)

@@ -24,3 +24,16 @@ let median_relative_error ~estimates ~truth =
     | [] -> nan
     | _ -> Float.abs (median estimates -. truth) /. truth
   end
+
+let median_float values =
+  match List.sort Float.compare values with
+  | [] -> nan
+  | sorted -> List.nth sorted (List.length sorted / 2)
+
+let windowed_quantile_us rows ~lo ~hi =
+  rows
+  |> List.filter_map (fun (r : Stats.Timeseries.row) ->
+         if r.t_start >= lo && r.t_start < hi then
+           Some (float_of_int r.quantile /. 1e3)
+         else None)
+  |> median_float

@@ -12,3 +12,12 @@ val median : int list -> float
 val median_relative_error : estimates:int list -> truth:float -> float
 (** [|median estimates - truth| / truth]; [nan] if inputs are empty or
     [truth <= 0]. *)
+
+val median_float : float list -> float
+(** Upper median — the [n/2]-th smallest value; [nan] on empty
+    input. *)
+
+val windowed_quantile_us :
+  Stats.Timeseries.row list -> lo:Des.Time.t -> hi:Des.Time.t -> float
+(** {!median_float}, in µs, of the per-bucket quantiles of the rows
+    starting in [\[lo, hi)] — a windowed p95 over p95 rows. *)

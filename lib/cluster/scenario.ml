@@ -1,8 +1,10 @@
 type config = {
+  n_lbs : int;
   n_servers : int;
   n_clients : int;
   policy : Inband.Policy.t;
   lb : Inband.Config.t;
+  coord : Coordination.config;
   table_size : int;
   client_lb_delay : Des.Time.t;
   client_delay_overrides : (int * Des.Time.t) list;
@@ -26,10 +28,12 @@ type config = {
 
 let default_config =
   {
+    n_lbs = 1;
     n_servers = 2;
     n_clients = 1;
     policy = Inband.Policy.Static_maglev;
     lb = Inband.Config.default;
+    coord = Coordination.default_config;
     table_size = 4099;
     client_lb_delay = Des.Time.us 30;
     client_delay_overrides = [];
@@ -55,22 +59,36 @@ type t = {
   runtime : Des.Shard.t;
   engines : Des.Engine.t array;
   fabrics : Netsim.Fabric.t array;
-  balancer : Inband.Balancer.t;
+  balancers : Inband.Balancer.t array;
+  coordination : Coordination.t option;
   servers : Memcache.Server.t array;
   clients : Workload.Memtier.t array;
   logs : Workload.Latency_log.t option array;  (* indexed by shard *)
-  vip : Netsim.Addr.t;
   config : config;
   client_lb_links : Netsim.Link.t array;
-  lb_server_links : Netsim.Link.t array;
+  lb_server_links : Netsim.Link.t array array;  (* .(l).(i): LB l → server i *)
   registries : Telemetry.Registry.t array;
-  snapshotters : Telemetry.Snapshot.t array;
+      (* one per shard, then one per LB after the first *)
+  snapshotters : Telemetry.Snapshot.t array;  (* one per registry *)
 }
 
-(* IP plan: VIP = 1, servers = 10, 11, …; clients = 100, 101, … *)
-let vip_ip = 1
+(* IP plan: VIPs = 1, 2, … (one per LB); servers = 10, 11, …; clients =
+   100, 101, … *)
+let vip_ip l = 1 + l
 let server_ip i = 10 + i
 let client_ip j = 100 + j
+let service_port = 11211
+let vip_addr l = Netsim.Addr.v (vip_ip l) service_port
+let max_lbs = server_ip 0 - vip_ip 0
+
+(* Registries beyond the shards' belong to the extra LBs, which live on
+   shard 0: that is the engine their snapshotters run on. *)
+let registry_engine engines k =
+  engines.(if k < Array.length engines then k else 0)
+
+(* LB 0 keeps the historical rng labels, so a one-LB build is exactly
+   the single-balancer cluster; further LBs get suffixed streams. *)
+let lb_label l name = if l = 0 then name else Fmt.str "%s-l%d" name l
 
 (* Placement (DESIGN.md §15): the balancer, servers, fault injector and
    controller share shard 0 — every control-plane mutation stays on one
@@ -83,6 +101,8 @@ let shard_of_client config j =
 
 let build config =
   if config.shards < 1 then invalid_arg "Scenario.build: shards must be >= 1";
+  if config.n_lbs < 1 || config.n_lbs > max_lbs then
+    invalid_arg (Fmt.str "Scenario.build: n_lbs must be in 1..%d" max_lbs);
   let shards = config.shards in
   (* The lookahead bound is derived from the cross-shard link set while
      wiring, below; create with a placeholder and tighten before [run]. *)
@@ -99,7 +119,6 @@ let build config =
           Netsim.Fabric.deliver fab ~ip (Obj.obj payload : Netsim.Packet.t)))
     fabrics;
   let root_rng = Des.Rng.create ~seed:config.seed in
-  let vip = Netsim.Addr.v vip_ip 11211 in
   let server_ips = Array.init config.n_servers server_ip in
   (* One registry per shard: a component registers its metrics with its
      owning shard's registry, and that shard's snapshotter samples them
@@ -128,22 +147,50 @@ let build config =
      high-water) only exists under real sharding; K=1 keeps the
      historical metric set. *)
   if shards > 1 then Sharded.install_metrics runtime telemetry;
-  (* The balancer registers the VIP host, so build it first. *)
-  let balancer =
-    Inband.Balancer.create fabric ~vip ~server_ips ~policy:config.policy
-      ~config:config.lb ~table_size:config.table_size
-      ~rng:(Des.Rng.split root_rng ~label:"p2c")
-      ~telemetry ()
+  (* Every LB lives on shard 0 with its own VIP. LB 0 reports into
+     shard 0's registry; each further LB registers the same [lb.*],
+     [ctl.*] and [link.lb_server.*] names, so it gets a registry of its
+     own (summed by the merged readers). *)
+  let lb_registries =
+    Array.init config.n_lbs (fun l ->
+        if l = 0 then telemetry else Telemetry.Registry.create ())
+  in
+  (* The balancers register their VIP hosts, so build them first. *)
+  let balancers =
+    Array.init config.n_lbs (fun l ->
+        Inband.Balancer.create fabric ~vip:(vip_addr l) ~server_ips
+          ~policy:config.policy ~config:config.lb
+          ~table_size:config.table_size
+          ~rng:(Des.Rng.split root_rng ~label:(lb_label l "p2c"))
+          ~telemetry:lb_registries.(l) ())
+  in
+  let coordination =
+    if config.coord.Coordination.policy = Coordination.Uncoordinated then None
+    else
+      let controllers =
+        Array.map
+          (fun b ->
+            match Inband.Balancer.controller b with
+            | Some c -> c
+            | None ->
+                invalid_arg
+                  "Scenario.build: coordination needs the latency-aware policy")
+          balancers
+      in
+      Some
+        (Coordination.create ~engine ~config:config.coord ~controllers
+           ~registries:lb_registries
+           ~rng:(Des.Rng.split root_rng ~label:"coord")
+           ())
   in
   (* Forward-path links carry an rng so the fault layer can turn on
      loss bursts; each gets its own label-split stream, so unused rngs
      don't perturb any other stream. A link lives on its *source* host's
      shard: transit timers run on the sending engine, and a remote
      receiving end hands the packet across the shard boundary. *)
-  let plain_link ?metric ?index ?rng ~shard:k delay =
+  let plain_link ?telemetry ?metric ?index ?rng ~shard:k delay =
     Netsim.Link.create engines.(k) ~delay ~rate_bps:config.link_rate_bps
-      ?telemetry:(if metric = None then None else Some registries.(k))
-      ?metric ?index ?rng ()
+      ?telemetry ?metric ?index ?rng ()
   in
   let return_link ~shard:k delay ~rng =
     match config.return_jitter with
@@ -167,7 +214,9 @@ let build config =
         link
     end
   in
-  (* Servers: endpoint at its own IP, listening on the VIP (DSR). *)
+  (* Servers: endpoint at its own IP, listening on the service port of
+     any destination (DSR; a wildcard bind, like VIPs on loopback), so
+     every LB's VIP reaches them. *)
   let servers =
     Array.init config.n_servers (fun i ->
         let rng =
@@ -185,7 +234,8 @@ let build config =
           | Some c -> c
           | None -> config.server
         in
-        Memcache.Server.create fabric ~host_ip:(server_ip i) ~listen_addr:vip
+        Memcache.Server.create fabric ~host_ip:(server_ip i)
+          ~listen_addr:(Netsim.Addr.v 0 service_port)
           ~config:server_config ?interference ~telemetry ~index:i ~rng ())
   in
   (* Preload every server's store so GETs hit immediately. *)
@@ -238,13 +288,14 @@ let build config =
           | Some c -> c
           | None -> config.memtier
         in
-        Workload.Memtier.create fabrics.(k) ~host_ip:(client_ip j) ~vip
+        Workload.Memtier.create fabrics.(k) ~host_ip:(client_ip j)
+          ~vip:(vip_addr (j mod config.n_lbs))
           ~keyspace
           ~log:(Option.get logs.(k))
           ~config:mconfig ~telemetry:registries.(k) ~index:j ~rng ())
   in
-  (* Links. Request path: client→VIP, VIP→server. Return path (DSR):
-     server→client directly. *)
+  (* Links. Request path: client→VIP (client j uses LB j mod n_lbs),
+     VIP→server. Return path (DSR): server→client directly. *)
   let client_delay j =
     match List.assoc_opt j config.client_delay_overrides with
     | Some d -> d
@@ -254,23 +305,30 @@ let build config =
     Array.init config.n_clients (fun j ->
         let k = shard_of_client config j in
         let link =
-          plain_link ~shard:k ~metric:"link.client_lb" ~index:j
+          plain_link ~shard:k ~telemetry:registries.(k)
+            ~metric:"link.client_lb" ~index:j
             ~rng:(Des.Rng.split root_rng ~label:(Fmt.str "link-c%d" j))
             (client_delay j)
         in
         wire fabrics.(k) ~src_shard:k ~dst_shard:0 ~src:(client_ip j)
-          ~dst:vip_ip ~delay:(client_delay j) link;
+          ~dst:(vip_ip (j mod config.n_lbs))
+          ~delay:(client_delay j) link;
         link)
   in
   let lb_server_links =
-    Array.init config.n_servers (fun i ->
-        let link =
-          plain_link ~shard:0 ~metric:"link.lb_server" ~index:i
-            ~rng:(Des.Rng.split root_rng ~label:(Fmt.str "link-s%d" i))
-            config.lb_server_delay
-        in
-        Netsim.Fabric.add_link fabric ~src:vip_ip ~dst:(server_ip i) link;
-        link)
+    Array.init config.n_lbs (fun l ->
+        Array.init config.n_servers (fun i ->
+            let link =
+              plain_link ~shard:0 ~telemetry:lb_registries.(l)
+                ~metric:"link.lb_server" ~index:i
+                ~rng:
+                  (Des.Rng.split root_rng
+                     ~label:(lb_label l (Fmt.str "link-s%d" i)))
+                config.lb_server_delay
+            in
+            Netsim.Fabric.add_link fabric ~src:(vip_ip l) ~dst:(server_ip i)
+              link;
+            link))
   in
   for i = 0 to config.n_servers - 1 do
     for j = 0 to config.n_clients - 1 do
@@ -291,20 +349,25 @@ let build config =
         "Scenario.build: cross-shard link with non-positive base delay";
     Des.Shard.set_lookahead runtime !min_cut
   end;
+  let registries =
+    Array.append registries (Array.sub lb_registries 1 (config.n_lbs - 1))
+  in
   let snapshotters =
-    Array.init shards (fun k ->
-        Telemetry.Snapshot.start engines.(k) registries.(k)
+    Array.mapi
+      (fun k reg ->
+        Telemetry.Snapshot.start (registry_engine engines k) reg
           ~interval:config.metrics_interval)
+      registries
   in
   {
     runtime;
     engines;
     fabrics;
-    balancer;
+    balancers;
+    coordination;
     servers;
     clients;
     logs;
-    vip;
     config;
     client_lb_links;
     lb_server_links;
@@ -314,7 +377,9 @@ let build config =
 
 let engine t = t.engines.(0)
 let fabric t = t.fabrics.(0)
-let balancer t = t.balancer
+let balancer t = t.balancers.(0)
+let balancers t = t.balancers
+let coordination t = t.coordination
 let servers t = t.servers
 let clients t = t.clients
 
@@ -326,15 +391,38 @@ let log t =
   in
   find 0
 
-let vip t = t.vip
-let config t = t.config
-let lb_server_link t i = t.lb_server_links.(i)
+let check_lb t lb =
+  if lb < 0 || lb >= Array.length t.balancers then
+    invalid_arg (Fmt.str "Scenario: no LB %d" lb)
+
+let vip ?(lb = 0) t =
+  check_lb t lb;
+  vip_addr lb
+
+let lb_server_link t i = t.lb_server_links.(0).(i)
 let client_lb_link t j = t.client_lb_links.(j)
 let telemetry t = t.registries.(0)
-let snapshots t = t.snapshotters.(0)
 let shards t = t.config.shards
 let shard_stats t = Des.Shard.stats t.runtime
 let shutdown t = Des.Shard.shutdown t.runtime
+
+(* LB 0 reports into shard 0's registry, LB l > 0 into the l-th one
+   after the shards'. *)
+let lb_registry t l = t.registries.(if l = 0 then 0 else shards t + l - 1)
+
+let events_fired t =
+  Array.fold_left (fun acc e -> acc + Des.Engine.events_fired e) 0 t.engines
+
+let retained_words t =
+  Array.fold_left
+    (fun acc s -> acc + Telemetry.Snapshot.retained_words s)
+    0 t.snapshotters
+  + Array.fold_left
+      (fun acc log ->
+        match log with
+        | Some l -> acc + Workload.Latency_log.retained_words l
+        | None -> acc)
+      0 t.logs
 
 (* --- Merged telemetry reads (shard-order deterministic) --------------- *)
 
@@ -402,7 +490,7 @@ let schedule_snap t ~at =
   Array.iteri
     (fun k snaps ->
       ignore
-        (Des.Engine.schedule t.engines.(k) ~at (fun () ->
+        (Des.Engine.schedule (registry_engine t.engines k) ~at (fun () ->
              Telemetry.Snapshot.snap snaps)))
     t.snapshotters
 
@@ -410,13 +498,14 @@ let schedule_snap t ~at =
    client) into the DSR topology: host→VIP request link plus one
    server→host return link per server. The host must already be
    registered on the fabric (creating its endpoint does that). Such
-   hosts always live on shard 0, next to the VIP and the servers, so
+   hosts always live on shard 0, next to the VIPs and the servers, so
    every leg is shard-local at any K. *)
-let wire_client_host t ~host_ip =
+let wire_client_host ?(lb = 0) t ~host_ip =
+  check_lb t lb;
   let link delay =
     Netsim.Link.create (engine t) ~delay ~rate_bps:t.config.link_rate_bps ()
   in
-  Netsim.Fabric.add_link (fabric t) ~src:host_ip ~dst:vip_ip
+  Netsim.Fabric.add_link (fabric t) ~src:host_ip ~dst:(vip_ip lb)
     (link t.config.client_lb_delay);
   Array.iteri
     (fun i _ ->
@@ -424,25 +513,28 @@ let wire_client_host t ~host_ip =
         (link t.config.server_client_delay))
     t.servers
 
+(* The server is slow from every LB's point of view: one event delays
+   each LB's link to it. *)
 let inject_server_delay t ~server ~at ~delay =
-  let link = t.lb_server_links.(server) in
+  let links = Array.map (fun links -> links.(server)) t.lb_server_links in
   ignore
     (Des.Engine.schedule (engine t) ~at (fun () ->
-         Netsim.Link.set_extra_delay link delay))
+         Array.iter (fun link -> Netsim.Link.set_extra_delay link delay) links))
 
-(* Timeline link names follow the topology: "lb->sN" is the LB→server
-   request link, "cN->lb" the client→LB one. Under sharding the
-   client→LB links belong to other shards' domains — the injector runs
-   on shard 0 and cannot mutate them, so they don't resolve. *)
+(* Timeline link names follow the topology: "lb->sN" is every LB's
+   link to server N, "cN->lb" client N's request link. Under sharding
+   the client→LB links belong to other shards' domains — the injector
+   runs on shard 0 and cannot mutate them, so they don't resolve. *)
 let resolve_link t name =
-  let array_get a i = if i >= 0 && i < Array.length a then Some a.(i) else None in
-  match Scanf.sscanf_opt name "lb->s%d%!" (fun i -> i) with
-  | Some i -> array_get t.lb_server_links i
+  let nth a i = if i >= 0 && i < Array.length a then [ a.(i) ] else [] in
+  match Scanf.sscanf_opt name "lb->s%d%!" Fun.id with
+  | Some i ->
+      List.concat_map (fun links -> nth links i)
+        (Array.to_list t.lb_server_links)
   | None -> begin
-      match Scanf.sscanf_opt name "c%d->lb%!" (fun j -> j) with
-      | Some j when Array.length t.engines = 1 ->
-          array_get t.client_lb_links j
-      | Some _ | None -> None
+      match Scanf.sscanf_opt name "c%d->lb%!" Fun.id with
+      | Some j when Array.length t.engines = 1 -> nth t.client_lb_links j
+      | Some _ | None -> []
     end
 
 let fault_env t =
@@ -455,7 +547,7 @@ let fault_env t =
     controller =
       (fun i ->
         if i >= 0 && i < Array.length t.servers then
-          Inband.Balancer.controller t.balancer
+          Inband.Balancer.controller (balancer t)
         else None);
   }
 
@@ -463,9 +555,13 @@ let install_faults t timeline =
   Faults.Injector.install (engine t) ~env:(fault_env t)
     ~telemetry:(telemetry t) timeline
 
-let attach_pcc t = Oracle.attach ~telemetry:(telemetry t) t.balancer
+let attach_pcc t =
+  Array.mapi (fun l b -> Oracle.attach ~telemetry:(lb_registry t l) b)
+    t.balancers
+
+let advance t ~until = Des.Shard.run t.runtime ~until
 
 let run t ~until =
   Array.iter Workload.Memtier.start t.clients;
-  Des.Shard.run t.runtime ~until;
+  advance t ~until;
   Array.iter Workload.Memtier.stop t.clients

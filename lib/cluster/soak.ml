@@ -12,7 +12,7 @@ type config = {
   pathologies : (Workload.Pathology.kind * int) list;
 }
 
-(* The churn cluster (3 latency-aware backends) with a coarser metric
+(* The churn cluster (3 latency-aware backends, one LB) with a coarser metric
    cadence: a soak holds thousands of snapshots, and the snapshot store
    itself is heap the flatness check must not mistake for a leak. *)
 let default_scenario =
@@ -64,6 +64,9 @@ let default_watched =
     ("lb.flow_capacity", Some 65536.0);
     ("soak.tombstone_ratio", Some 0.80);
     ("des.pending", None);
+    (* A fleet's control plane: snapshots sent but neither received nor
+       dropped. Growth is a lost-wakeup bug in the plane; 0 without one. *)
+    ("coord.backlog", None);
   ]
 
 let default_pathologies =
@@ -225,6 +228,10 @@ type result = {
   responses : int;
   p95_us : float;
   events_fired : int;
+  coord_msgs : int;
+  coord_suppressed : int;
+  coord_imposed : int;
+  coord_stale : int;
   rows : Telemetry.Snapshot.row list;
 }
 
@@ -242,21 +249,25 @@ let run ?(config = default_config) () =
   let s = Scenario.build config.scenario in
   let engine = Scenario.engine s in
   let registry = Scenario.telemetry s in
-  let balancer = Scenario.balancer s in
+  let balancers = Scenario.balancers s in
+  (* Fleet gauges sum over the balancers; with one LB they are that
+     LB's own. *)
+  let sum_balancers f = Array.fold_left (fun acc b -> acc + f b) 0 balancers in
   (* Engine health gauges (des.pending and friends) are registered by
      [Scenario.build] itself. *)
   (* The headline soak metric: live heap words, absolute and per
      tracked flow. [Gc.stat] (unlike [quick_stat]) runs a full major
      collection first, so this reads memory actually retained rather
      than floating garbage the pacer has not reclaimed yet. The
-     snapshot store's own history is subtracted: collecting rows every
-     interval is inherently O(duration), and the monitor must not fail
-     its own flatness verdict. The same correction applies to
-     [soak.heap_words] (total heap chunks): the raw [gc.heap_words]
-     necessarily ratchets up as the monitor's live history grows —
-     OCaml rarely returns chunks to the OS — so only the history-
-     corrected figure can be growth-checked. Cached per instant so all
-     gauges share one collection. *)
+     monitor's own history (snapshot rows, latency series) is
+     subtracted: collecting rows every interval is inherently
+     O(duration), and the monitor must not fail its own flatness
+     verdict. The same correction applies to [soak.heap_words] (total
+     heap chunks): the raw [gc.heap_words] necessarily ratchets up as
+     the monitor's live history grows — OCaml rarely returns chunks to
+     the OS — so only the history-corrected figure can be
+     growth-checked. Cached per instant so all gauges share one
+     collection. *)
   let gc_sample =
     let cache = ref (-1, 0, 0) in
     fun () ->
@@ -264,10 +275,7 @@ let run ?(config = default_config) () =
       let cached_at, _, _ = !cache in
       if cached_at <> now then begin
         let st = Gc.stat () in
-        let monitor =
-          Telemetry.Snapshot.retained_words (Scenario.snapshots s)
-          + Workload.Latency_log.retained_words (Scenario.log s)
-        in
+        let monitor = Scenario.retained_words s in
         cache := (now, st.Gc.live_words - monitor, st.Gc.heap_words - monitor)
       end;
       !cache
@@ -283,22 +291,35 @@ let run ?(config = default_config) () =
       float_of_int heap);
   Telemetry.Registry.gauge_fn registry "soak.words_per_flow" (fun () ->
       float_of_int (live_words ())
-      /. float_of_int (Stdlib.max 1 (Inband.Balancer.active_flows balancer)));
+      /. float_of_int
+           (Stdlib.max 1 (sum_balancers Inband.Balancer.active_flows)));
   Telemetry.Registry.gauge_fn registry "soak.tombstone_ratio" (fun () ->
-      float_of_int (Inband.Balancer.flow_tombstones balancer)
-      /. float_of_int (Stdlib.max 1 (Inband.Balancer.flow_capacity balancer)));
+      float_of_int (sum_balancers Inband.Balancer.flow_tombstones)
+      /. float_of_int
+           (Stdlib.max 1 (sum_balancers Inband.Balancer.flow_capacity)));
+  let coord_count f =
+    match Scenario.coordination s with Some c -> f c | None -> 0
+  in
+  Telemetry.Registry.gauge_fn registry "coord.backlog" (fun () ->
+      float_of_int
+        (coord_count Coordination.messages_sent
+        - coord_count Coordination.messages_received
+        - coord_count Coordination.dropped));
   let injector =
     Scenario.install_faults s
       (repeat_timeline config.timeline ~period:config.fault_period
          ~until:config.duration)
   in
-  let oracle = Scenario.attach_pcc s in
+  let oracles = Scenario.attach_pcc s in
+  (* Adversaries round-robin over the fleet's VIPs: every LB gets
+     attacked, not just the first. *)
   let pathologies =
     List.mapi
       (fun j (kind, connections) ->
+        let lb = j mod Array.length balancers in
         let p =
           Workload.Pathology.create (Scenario.fabric s)
-            ~host_ip:(pathology_ip j) ~vip:(Scenario.vip s)
+            ~host_ip:(pathology_ip j) ~vip:(Scenario.vip ~lb s)
             ~config:{ kind; connections; tcp = Tcpsim.Conn.default_config }
             ~telemetry:registry ~index:j
             ~rng:
@@ -306,19 +327,19 @@ let run ?(config = default_config) () =
                  ~seed:(config.scenario.Scenario.seed + 7919 + j))
             ()
         in
-        Scenario.wire_client_host s ~host_ip:(pathology_ip j);
+        Scenario.wire_client_host ~lb s ~host_ip:(pathology_ip j);
         p)
       config.pathologies
   in
   List.iter Workload.Pathology.start pathologies;
   Scenario.run s ~until:config.duration;
-  (* Quiesce: stop the attackers, then run on so FINs complete, RTO
-     timers die out and the idle sweep reaps every flow. Anything still
-     alive afterwards is stuck. *)
+  (* Quiesce: stop the attackers, then run every shard on so FINs
+     complete, RTO timers die out and the idle sweep reaps every flow.
+     Anything still alive afterwards is stuck. *)
   List.iter Workload.Pathology.stop pathologies;
-  Des.Engine.run ~until:(config.duration + config.drain) engine;
-  Telemetry.Snapshot.snap (Scenario.snapshots s);
-  let rows = Telemetry.Snapshot.rows (Scenario.snapshots s) in
+  Scenario.advance s ~until:(config.duration + config.drain);
+  Scenario.snap_all s;
+  let rows = Scenario.snap_rows s in
   let verdicts =
     List.map
       (fun (metric, bound) ->
@@ -329,7 +350,7 @@ let run ?(config = default_config) () =
       config.watched
   in
   let estimator_ok =
-    match Inband.Balancer.controller balancer with
+    match Inband.Balancer.controller (Scenario.balancer s) with
     | None -> true
     | Some _ -> estimator_healthy rows ~after:config.warmup
   in
@@ -364,346 +385,59 @@ let run ?(config = default_config) () =
       [] (Scenario.servers s)
   in
   let sum_path f = List.fold_left (fun acc p -> acc + f p) 0 pathologies in
+  let sum_oracles f = Array.fold_left (fun acc o -> acc + f o) 0 oracles in
   let p95_us =
-    match
-      Telemetry.Registry.find_histogram registry "client.latency_get_ns"
-    with
+    match Scenario.histogram s "client.latency_get_ns" with
     | Some h -> float_of_int (Stats.Histogram.quantile h 0.95) /. 1e3
     | None -> Float.nan
   in
   let responses =
-    match Telemetry.Registry.value registry "client.responses" with
+    match Scenario.metric_sum s "client.responses" with
     | Some v -> int_of_float v
     | None -> 0
   in
-  {
-    duration = config.duration;
-    sim_minutes = Des.Time.to_float_s config.duration /. 60.0;
-    verdicts;
-    stuck_flows = Inband.Balancer.active_flows balancer;
-    stuck_conns = sum_servers Tcpsim.Endpoint.active_connections;
-    stuck_states;
-    estimator_ok;
-    pcc_checked = Oracle.checked oracle;
-    pcc_violations = Oracle.violation_count oracle;
-    reasm_drops = sum_servers Tcpsim.Endpoint.reasm_drops;
-    send_drops = sum_servers Tcpsim.Endpoint.send_drops;
-    fault_intervals = List.length (Faults.Injector.intervals injector);
-    pathology_conns = sum_path Workload.Pathology.conns_opened;
-    gap_segments = sum_path Workload.Pathology.gap_segments;
-    rsts_sent = sum_path Workload.Pathology.rsts_sent;
-    responses;
-    p95_us;
-    events_fired = Des.Engine.events_fired engine;
-    rows;
-  }
-
-(* --- Coordinated multi-LB soak ---------------------------------------- *)
-
-(* The ROADMAP leftover from the coordination PR: the multi-LB control
-   plane (gossip or leader) under hours-scale adversarial load. Reuses
-   the fleet topology of {!Multi_lb} (each LB its own VIP, estimator and
-   controller; wildcard-bound servers) and this module's monitoring
-   harness: a dedicated monitor registry sums fleet-wide gauges, a
-   snapshotter samples them, and the same flatness/stuck-census/PCC
-   verdicts apply. Server-delay pulses replace the single-LB fault
-   timeline — every pulse makes the whole fleet re-converge, which is
-   exactly the control-plane traffic (gossip merges, leader imposes,
-   hysteresis vetoes) the soak must show to be leak-free and stable. *)
-type coord_config = {
-  fleet : Multi_lb.config;
-  coord_duration : Des.Time.t;
-  coord_warmup : Des.Time.t;
-  coord_drain : Des.Time.t;
-  coord_windows : int;
-  coord_growth_tolerance : float;
-  coord_monotonic_tolerance : float;
-  coord_watched : (string * float option) list;
-  coord_pathologies : (Workload.Pathology.kind * int) list;
-  pulse_period : Des.Time.t;  (* server-delay pulse pitch *)
-  pulse_delay : Des.Time.t;  (* injected delay during a pulse *)
-  pulse_victim : int;
-}
-
-let default_coord_watched =
-  [
-    ("soak.live_words", None);
-    ("fleet.active_flows", None);
-    ("fleet.tombstone_ratio", Some 0.80);
-    ("coord.backlog", None);
-    ("des.pending", None);
-  ]
-
-let default_coord_config =
-  {
-    fleet =
-      {
-        Multi_lb.default_config with
-        Multi_lb.n_lbs = 2;
-        n_servers = 3;
-        n_clients = 4;
-        (* Reap idle server conns and LB flows well inside the drain
-           window, as in the single-LB soak. *)
-        lb =
-          {
-            Multi_lb.default_config.Multi_lb.lb with
-            Inband.Config.flow_idle_timeout = Des.Time.sec 2;
-            sweep_interval = Des.Time.ms 500;
-          };
-        server =
-          {
-            Memcache.Server.default_config with
-            Memcache.Server.idle_timeout = Des.Time.sec 10;
-          };
-        coord = Multi_lb.coord_config_of Coordination.Gossip_average;
-        pcc = true;
-      };
-    coord_duration = Des.Time.sec (10 * 60);
-    coord_warmup = Des.Time.sec 60;
-    coord_drain = Des.Time.sec 20;
-    coord_windows = 6;
-    coord_growth_tolerance = 0.35;
-    coord_monotonic_tolerance = 0.10;
-    coord_watched = default_coord_watched;
-    coord_pathologies =
-      [
-        (Workload.Pathology.Slowloris { drip = Des.Time.ms 5 }, 2);
-        (Workload.Pathology.Reconnect_storm { hold = Des.Time.ms 50 }, 2);
-        (Workload.Pathology.Rst_flood { rate = Des.Time.ms 1 }, 1);
-      ];
-    pulse_period = Des.Time.sec 40;
-    pulse_delay = Des.Time.ms 1;
-    pulse_victim = 1;
-  }
-
-type coord_result = {
-  c_n_lbs : int;
-  c_policy : Coordination.policy;
-  c_sim_minutes : float;
-  c_verdicts : verdict list;
-  c_stuck_flows : int;
-  c_stuck_conns : int;
-  c_pulses : int;
-  c_msgs : int;
-  c_suppressed : int;
-  c_imposed : int;
-  c_stale : int;
-  c_pcc_checked : int;
-  c_pcc_violations : int;
-  c_pathology_conns : int;
-  c_rsts_sent : int;
-  c_events_fired : int;
-  c_rows : Telemetry.Snapshot.row list;
-}
-
-let coord_flat r = List.for_all (fun v -> v.flat) r.c_verdicts
-
-let coord_ok r =
-  coord_flat r && r.c_stuck_flows = 0 && r.c_stuck_conns = 0
-  && r.c_pcc_violations = 0
-
-let run_coordinated ?(config = default_coord_config) () =
-  let fleet = Multi_lb.build config.fleet in
-  let engine = Multi_lb.engine fleet in
-  let balancers = Multi_lb.balancers fleet in
-  let n_lbs = Array.length balancers in
-  (* Fleet-wide monitor: its own registry (the per-LB ones stay
-     per-LB), summing across the fleet so one flatness verdict covers
-     every replica. *)
-  let monitor = Telemetry.Registry.create () in
-  Telemetry.Registry.install_gc_metrics monitor;
-  let engine_gauge name f =
-    Telemetry.Registry.gauge_fn monitor name (fun () ->
-        float_of_int (f engine))
+  let result =
+    {
+      duration = config.duration;
+      sim_minutes = Des.Time.to_float_s config.duration /. 60.0;
+      verdicts;
+      stuck_flows = sum_balancers Inband.Balancer.active_flows;
+      stuck_conns = sum_servers Tcpsim.Endpoint.active_connections;
+      stuck_states;
+      estimator_ok;
+      pcc_checked = sum_oracles Oracle.checked;
+      pcc_violations = sum_oracles Oracle.violation_count;
+      reasm_drops = sum_servers Tcpsim.Endpoint.reasm_drops;
+      send_drops = sum_servers Tcpsim.Endpoint.send_drops;
+      fault_intervals = List.length (Faults.Injector.intervals injector);
+      pathology_conns = sum_path Workload.Pathology.conns_opened;
+      gap_segments = sum_path Workload.Pathology.gap_segments;
+      rsts_sent = sum_path Workload.Pathology.rsts_sent;
+      responses;
+      p95_us;
+      events_fired = Scenario.events_fired s;
+      coord_msgs = coord_count Coordination.messages_sent;
+      coord_suppressed = coord_count Coordination.suppressed;
+      coord_imposed = coord_count Coordination.imposed;
+      coord_stale = coord_count Coordination.stale;
+      rows;
+    }
   in
-  engine_gauge "des.pending" Des.Engine.pending;
-  engine_gauge "des.queue_length" Des.Engine.queue_length;
-  engine_gauge "des.wheel_size" Des.Engine.wheel_size;
-  let sum_balancers f () =
-    float_of_int (Array.fold_left (fun acc b -> acc + f b) 0 balancers)
-  in
-  Telemetry.Registry.gauge_fn monitor "fleet.active_flows"
-    (sum_balancers Inband.Balancer.active_flows);
-  Telemetry.Registry.gauge_fn monitor "fleet.flow_capacity"
-    (sum_balancers Inband.Balancer.flow_capacity);
-  Telemetry.Registry.gauge_fn monitor "fleet.tombstone_ratio" (fun () ->
-      sum_balancers Inband.Balancer.flow_tombstones ()
-      /. Stdlib.max 1.0 (sum_balancers Inband.Balancer.flow_capacity ()));
-  (match Multi_lb.coordination fleet with
-  | Some coord ->
-      (* Control-plane health: sent minus received is the in-flight
-         backlog — a leak here is a lost-wakeup bug in the plane. *)
-      Telemetry.Registry.gauge_fn monitor "coord.backlog" (fun () ->
-          float_of_int
-            (Coordination.messages_sent coord
-            - Coordination.messages_received coord
-            - Coordination.dropped coord))
-  | None ->
-      Telemetry.Registry.gauge_fn monitor "coord.backlog" (fun () -> 0.0));
-  let snapshots = ref None in
-  let gc_sample =
-    let cache = ref (-1, 0) in
-    fun () ->
-      let now = Des.Engine.now engine in
-      let cached_at, _ = !cache in
-      if cached_at <> now then begin
-        let st = Gc.stat () in
-        (* As in {!run}: the monitor's own snapshot history and the
-           fleet latency log are O(duration) by design and must not
-           fail their own flatness verdict. *)
-        let retained =
-          (match !snapshots with
-          | Some s -> Telemetry.Snapshot.retained_words s
-          | None -> 0)
-          + Workload.Latency_log.retained_words (Multi_lb.log fleet)
-        in
-        cache := (now, st.Gc.live_words - retained)
-      end;
-      snd !cache
-  in
-  Telemetry.Registry.gauge_fn monitor "soak.live_words" (fun () ->
-      float_of_int (gc_sample ()));
-  snapshots :=
-    Some (Telemetry.Snapshot.start engine monitor ~interval:(Des.Time.sec 5));
-  let snaps = Option.get !snapshots in
-  (* Adversaries: pathology clients round-robin across the fleet's
-     VIPs — every LB gets attacked, not just the first. *)
-  let pathologies =
-    List.mapi
-      (fun j (kind, connections) ->
-        let lb = j mod n_lbs in
-        let p =
-          Workload.Pathology.create (Multi_lb.fabric fleet)
-            ~host_ip:(pathology_ip j) ~vip:(Multi_lb.vip_addr lb)
-            ~config:{ kind; connections; tcp = Tcpsim.Conn.default_config }
-            ~telemetry:monitor ~index:j
-            ~rng:
-              (Des.Rng.create ~seed:(config.fleet.Multi_lb.seed + 7919 + j))
-            ()
-        in
-        Multi_lb.wire_client_host fleet ~host_ip:(pathology_ip j) ~lb;
-        p)
-      config.coord_pathologies
-  in
-  List.iter Workload.Pathology.start pathologies;
-  (* Delay pulses on the victim server: inject for half a period, lift
-     for the other half; the fleet must shift away and re-converge every
-     time, round after round. *)
-  let pulses = ref 0 in
-  let rec pulse_at base =
-    if base + config.pulse_period <= config.coord_duration then begin
-      Multi_lb.inject_server_delay fleet ~server:config.pulse_victim
-        ~at:(base + (config.pulse_period / 4))
-        ~delay:config.pulse_delay;
-      Multi_lb.inject_server_delay fleet ~server:config.pulse_victim
-        ~at:(base + (3 * config.pulse_period / 4))
-        ~delay:0;
-      incr pulses;
-      pulse_at (base + config.pulse_period)
-    end
-  in
-  pulse_at 0;
-  Multi_lb.run fleet ~until:config.coord_duration;
-  List.iter Workload.Pathology.stop pathologies;
-  Des.Engine.run ~until:(config.coord_duration + config.coord_drain) engine;
-  Telemetry.Snapshot.snap snaps;
-  let rows = Telemetry.Snapshot.rows snaps in
-  let verdicts =
-    List.map
-      (fun (metric, bound) ->
-        flatness ?bound rows ~metric ~from_:config.coord_warmup
-          ~until:config.coord_duration ~windows:config.coord_windows
-          ~growth_tolerance:config.coord_growth_tolerance
-          ~monotonic_tolerance:config.coord_monotonic_tolerance)
-      config.coord_watched
-  in
-  let sum_path f = List.fold_left (fun acc p -> acc + f p) 0 pathologies in
-  let msgs, suppressed, imposed, stale =
-    match Multi_lb.coordination fleet with
-    | Some c ->
-        ( Coordination.messages_sent c,
-          Coordination.suppressed c,
-          Coordination.imposed c,
-          Coordination.stale c )
-    | None -> (0, 0, 0, 0)
-  in
-  {
-    c_n_lbs = n_lbs;
-    c_policy = config.fleet.Multi_lb.coord.Coordination.policy;
-    c_sim_minutes = Des.Time.to_float_s config.coord_duration /. 60.0;
-    c_verdicts = verdicts;
-    c_stuck_flows =
-      Array.fold_left
-        (fun acc b -> acc + Inband.Balancer.active_flows b)
-        0 balancers;
-    c_stuck_conns =
-      Array.fold_left
-        (fun acc srv -> acc + Tcpsim.Endpoint.active_connections
-                                (Memcache.Server.endpoint srv))
-        0 (Multi_lb.servers fleet);
-    c_pulses = !pulses;
-    c_msgs = msgs;
-    c_suppressed = suppressed;
-    c_imposed = imposed;
-    c_stale = stale;
-    c_pcc_checked = Multi_lb.pcc_checked fleet;
-    c_pcc_violations = Multi_lb.pcc_violations fleet;
-    c_pathology_conns = sum_path Workload.Pathology.conns_opened;
-    c_rsts_sent = sum_path Workload.Pathology.rsts_sent;
-    c_events_fired = Des.Engine.events_fired engine;
-    c_rows = rows;
-  }
-
-let print_coordinated result =
-  print_endline
-    (Report.section
-       (Fmt.str "Coordinated soak: %d LBs (%s), %.1f simulated minutes, %d \
-                 delay pulses"
-          result.c_n_lbs
-          (Coordination.policy_to_string result.c_policy)
-          result.c_sim_minutes result.c_pulses));
-  let headers = [ "metric"; "first"; "last"; "growth"; "verdict" ] in
-  let first_last means =
-    let filled =
-      Array.to_list means |> List.filter (fun m -> not (Float.is_nan m))
-    in
-    match filled with
-    | [] -> (Float.nan, Float.nan)
-    | first :: _ -> (first, List.nth filled (List.length filled - 1))
-  in
-  let table_rows =
-    List.map
-      (fun v ->
-        let first, last = first_last v.means in
-        [
-          v.metric;
-          Fmt.str "%.1f" first;
-          Fmt.str "%.1f" last;
-          (match v.bound with
-          | Some b -> Fmt.str "bound %.2f" b
-          | None ->
-              Fmt.str "%+.1f%%%s" (100.0 *. v.growth)
-                (if v.monotonic then " (monotonic)" else ""));
-          (if v.flat then "flat" else "FAIL");
-        ])
-      result.c_verdicts
-  in
-  print_endline (Report.table ~headers table_rows);
-  Fmt.pr
-    "control plane: %d msgs, %d suppressed, %d imposed, %d stale@."
-    result.c_msgs result.c_suppressed result.c_imposed result.c_stale;
-  Fmt.pr
-    "stuck: flows=%d conns=%d  pcc: %d checked, %d violations  adversaries: \
-     %d conns, %d RSTs@."
-    result.c_stuck_flows result.c_stuck_conns result.c_pcc_checked
-    result.c_pcc_violations result.c_pathology_conns result.c_rsts_sent;
-  Fmt.pr "events=%d  verdict=%s@." result.c_events_fired
-    (if coord_ok result then "PASS" else "FAIL")
+  Scenario.shutdown s;
+  result
 
 let print ?(config = default_config) result =
+  let scenario = config.scenario in
+  let fleet =
+    if scenario.Scenario.n_lbs = 1 then ""
+    else
+      Fmt.str "%d LBs (%s), " scenario.Scenario.n_lbs
+        (Coordination.policy_to_string
+           scenario.Scenario.coord.Coordination.policy)
+  in
   print_endline
     (Report.section
-       (Fmt.str "Soak: %.1f simulated minutes, %d fault intervals, %s"
+       (Fmt.str "Soak: %s%.1f simulated minutes, %d fault intervals, %s" fleet
           result.sim_minutes result.fault_intervals
           (String.concat "+"
              (List.map (fun (k, _) -> kind_label k) config.pathologies))));
@@ -734,6 +468,11 @@ let print ?(config = default_config) result =
       result.verdicts
   in
   print_endline (Report.table ~headers rows);
+  if scenario.Scenario.coord.Coordination.policy <> Coordination.Uncoordinated
+  then
+    Fmt.pr "control plane: %d msgs, %d suppressed, %d imposed, %d stale@."
+      result.coord_msgs result.coord_suppressed result.coord_imposed
+      result.coord_stale;
   Fmt.pr
     "stuck: flows=%d conns=%d%s  estimator=%s  pcc: %d checked, %d \
      violations@."

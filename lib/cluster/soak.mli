@@ -18,7 +18,16 @@
       or infinite;
     - {b PCC} — zero per-connection-consistency violations.
 
-    [bench soak] wires this to the command line and CI. *)
+    A fleet soak is the same run over a fleet scenario ([n_lbs > 1],
+    usually coordinated): gauges sum over the balancers, adversaries
+    round-robin over the VIPs, PCC oracles watch every LB, and the
+    control plane's backlog ([coord.backlog]) is growth-checked too.
+    Runs shard like any {!Scenario}: every reading merges over shards
+    and the drain advances all of them, so the outcome does not depend
+    on [scenario.shards].
+
+    [bench soak] and [lbsim soak] wire this to the command line and
+    CI. *)
 
 type config = {
   scenario : Scenario.config;
@@ -48,9 +57,6 @@ val default_config : config
     60 s warmup, 6 windows at 35%/10% tolerances, all five pathologies
     attacking throughout. *)
 
-val default_watched : (string * float option) list
-val default_pathologies : (Workload.Pathology.kind * int) list
-
 type verdict = {
   metric : string;
   means : float array;  (** Per-window means; NaN = empty window. *)
@@ -75,9 +81,6 @@ val flatness :
 
     @raise Invalid_argument if [windows < 2] or the span is empty. *)
 
-val estimator_healthy : Telemetry.Snapshot.row list -> after:Des.Time.t -> bool
-(** No [lb.est_latency_ns] row at or after [after] is NaN or infinite. *)
-
 val repeat_timeline :
   Faults.Timeline.t ->
   period:Des.Time.t ->
@@ -90,7 +93,7 @@ type result = {
   duration : Des.Time.t;
   sim_minutes : float;
   verdicts : verdict list;
-  stuck_flows : int;  (** Balancer flow-table entries after drain. *)
+  stuck_flows : int;  (** Flow-table entries after drain, all LBs. *)
   stuck_conns : int;  (** Server-side connections after drain. *)
   stuck_states : (string * int) list;
       (** TCP-state census of the stuck connections. *)
@@ -105,7 +108,11 @@ type result = {
   rsts_sent : int;
   responses : int;
   p95_us : float;
-  events_fired : int;
+  events_fired : int;  (** Summed over shards. *)
+  coord_msgs : int;  (** Control-plane snapshots sent fleet-wide. *)
+  coord_suppressed : int;  (** Hysteresis vetoes + no-change imposes. *)
+  coord_imposed : int;  (** Follower weight adoptions (leader mode). *)
+  coord_stale : int;  (** Leader snapshots ignored as too old. *)
   rows : Telemetry.Snapshot.row list;
 }
 
@@ -119,65 +126,3 @@ val ok : result -> bool
     violations. *)
 
 val print : ?config:config -> result -> unit
-
-(** {1 Coordinated multi-LB soak}
-
-    The same memory-flatness discipline applied to a whole {!Multi_lb}
-    fleet running a {!Coordination} control plane (gossip or leader).
-    Server-delay pulses force the fleet to re-converge round after
-    round; adversarial clients attack every VIP; the run must end with
-    empty flow/connection tables, zero PCC violations, and flat
-    fleet-wide gauges — including the control plane's own send/receive
-    backlog. [lbsim soak --lbs N --coord gossip|leader] wires this to
-    the command line. *)
-
-type coord_config = {
-  fleet : Multi_lb.config;
-  coord_duration : Des.Time.t;
-  coord_warmup : Des.Time.t;
-  coord_drain : Des.Time.t;
-  coord_windows : int;
-  coord_growth_tolerance : float;
-  coord_monotonic_tolerance : float;
-  coord_watched : (string * float option) list;
-  coord_pathologies : (Workload.Pathology.kind * int) list;
-  pulse_period : Des.Time.t;  (** Server-delay pulse pitch. *)
-  pulse_delay : Des.Time.t;  (** Injected delay while a pulse holds. *)
-  pulse_victim : int;  (** Server index the pulses degrade. *)
-}
-
-val default_coord_config : coord_config
-(** 10 simulated minutes, 2 LBs under gossip with PCC oracles, 3
-    servers, pulses every 40 s on server 1, three pathology clients. *)
-
-val default_coord_watched : (string * float option) list
-
-type coord_result = {
-  c_n_lbs : int;
-  c_policy : Coordination.policy;
-  c_sim_minutes : float;
-  c_verdicts : verdict list;
-  c_stuck_flows : int;  (** Fleet-total flow-table entries after drain. *)
-  c_stuck_conns : int;  (** Server-side connections after drain. *)
-  c_pulses : int;
-  c_msgs : int;  (** Control-plane snapshots sent fleet-wide. *)
-  c_suppressed : int;
-  c_imposed : int;
-  c_stale : int;
-  c_pcc_checked : int;
-  c_pcc_violations : int;
-  c_pathology_conns : int;
-  c_rsts_sent : int;
-  c_events_fired : int;
-  c_rows : Telemetry.Snapshot.row list;
-}
-
-val run_coordinated : ?config:coord_config -> unit -> coord_result
-
-val coord_flat : coord_result -> bool
-
-val coord_ok : coord_result -> bool
-(** {!coord_flat} plus zero stuck flows/conns and zero PCC
-    violations. *)
-
-val print_coordinated : coord_result -> unit

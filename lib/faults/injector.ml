@@ -1,5 +1,5 @@
 type env = {
-  link : string -> Netsim.Link.t option;
+  link : string -> Netsim.Link.t list;
   server : int -> Memcache.Server.t option;
   controller : int -> Inband.Controller.t option;
 }
@@ -50,10 +50,10 @@ let resolve env (e : Timeline.event) =
   | Ok () -> ()
   | Error msg ->
       invalid_arg (Fmt.str "Faults.Injector: %s: %s" (Timeline.to_spec e) msg));
-  let link name =
+  let links name =
     match env.link name with
-    | Some l -> l
-    | None -> invalid_arg ("Faults.Injector: unknown link " ^ name)
+    | [] -> invalid_arg ("Faults.Injector: unknown link " ^ name)
+    | ls -> ls
   in
   let server i =
     match env.server i with
@@ -72,34 +72,49 @@ let resolve env (e : Timeline.event) =
   in
   match (e.target, e.fault) with
   | Timeline.Link name, (Timeline.Delay d | Timeline.Spike d) ->
-      let l = link name in
+      let ls = links name in
       fun _engine ->
-        let prev = Netsim.Link.extra_delay l in
-        Netsim.Link.set_extra_delay l d;
-        fun () -> Netsim.Link.set_extra_delay l prev
+        let undo =
+          List.map
+            (fun l ->
+              let prev = Netsim.Link.extra_delay l in
+              Netsim.Link.set_extra_delay l d;
+              fun () -> Netsim.Link.set_extra_delay l prev)
+            ls
+        in
+        fun () -> List.iter (fun f -> f ()) undo
   | Timeline.Link name, Timeline.Ramp target ->
-      let l = link name in
+      let ls = links name in
       let duration = Option.get e.duration in
       fun engine ->
-        let prev = Netsim.Link.extra_delay l in
-        for k = 1 to ramp_steps do
-          ignore
-            (Des.Engine.schedule_after engine ~delay:(k * duration / ramp_steps)
-               (fun () ->
-                 Netsim.Link.set_extra_delay l
-                   (prev + ((target - prev) * k / ramp_steps))))
-        done;
+        List.iter
+          (fun l ->
+            let prev = Netsim.Link.extra_delay l in
+            for k = 1 to ramp_steps do
+              ignore
+                (Des.Engine.schedule_after engine
+                   ~delay:(k * duration / ramp_steps) (fun () ->
+                     Netsim.Link.set_extra_delay l
+                       (prev + ((target - prev) * k / ramp_steps))))
+            done)
+          ls;
         fun () -> ()
   | Timeline.Link name, Timeline.Loss p ->
-      let l = link name in
-      if p > 0.0 && not (Netsim.Link.has_rng l) then
+      let ls = links name in
+      if p > 0.0 && not (List.for_all Netsim.Link.has_rng ls) then
         invalid_arg
           (Fmt.str
              "Faults.Injector: link %s has no rng (loss faults need one)" name);
       fun _engine ->
-        let prev = Netsim.Link.loss_prob l in
-        Netsim.Link.set_loss_prob l p;
-        fun () -> Netsim.Link.set_loss_prob l prev
+        let undo =
+          List.map
+            (fun l ->
+              let prev = Netsim.Link.loss_prob l in
+              Netsim.Link.set_loss_prob l p;
+              fun () -> Netsim.Link.set_loss_prob l prev)
+            ls
+        in
+        fun () -> List.iter (fun f -> f ()) undo
   | Timeline.Server i, Timeline.Slow f ->
       let s = server i in
       fun _engine ->

@@ -13,8 +13,10 @@
     so reports can compute per-fault detection and recovery latency. *)
 
 type env = {
-  link : string -> Netsim.Link.t option;
-      (** Resolve a timeline link name, e.g. ["lb->s1"]. *)
+  link : string -> Netsim.Link.t list;
+      (** Resolve a timeline link name, e.g. ["lb->s1"], to every link
+          it names (one per balancer in a fleet); [[]] = unknown. A
+          fault applies to, and reverts, all of them together. *)
   server : int -> Memcache.Server.t option;
   controller : int -> Inband.Controller.t option;
       (** Controller owning the given backend index; [None] when the

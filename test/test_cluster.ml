@@ -162,13 +162,13 @@ let fig3_victim_share_drops () =
 (* --- Multi-LB / far clients / CSV ----------------------------------------------- *)
 
 let multi_lb_builds_and_converges () =
-  let t = Cluster.Multi_lb.build Cluster.Multi_lb.default_config in
-  Cluster.Multi_lb.inject_server_delay t ~server:1 ~at:(Des.Time.sec 2)
+  let t = Cluster.Scenario.build Cluster.Ablations.fleet_scenario in
+  Cluster.Scenario.inject_server_delay t ~server:1 ~at:(Des.Time.sec 2)
     ~delay:(Des.Time.ms 1);
-  Cluster.Multi_lb.run t ~until:(Des.Time.sec 5);
-  check_int "two balancers" 2 (Array.length (Cluster.Multi_lb.balancers t));
+  Cluster.Scenario.run t ~until:(Des.Time.sec 5);
+  check_int "two balancers" 2 (Array.length (Cluster.Scenario.balancers t));
   check_bool "traffic flowed" true
-    (Workload.Latency_log.count (Cluster.Multi_lb.log t) > 10_000);
+    (Workload.Latency_log.count (Cluster.Scenario.log t) > 10_000);
   Array.iter
     (fun balancer ->
       match Inband.Balancer.controller balancer with
@@ -176,21 +176,23 @@ let multi_lb_builds_and_converges () =
           check_bool "each LB starves the victim" true
             ((Inband.Controller.weights c).(1) < 0.2)
       | None -> Alcotest.fail "expected a controller")
-    (Cluster.Multi_lb.balancers t)
+    (Cluster.Scenario.balancers t)
 
 let herd_actions_scale_with_fleet () =
   let rows =
-    Cluster.Multi_lb.herd_sweep ~lb_counts:[ 1; 2 ]
-      ~duration:(Des.Time.sec 6) ~inject_at:(Des.Time.sec 2) ()
+    Cluster.Ablations.coord_sweep
+      ~policies:[ Cluster.Coordination.Uncoordinated ]
+      ~lb_counts:[ 1; 2 ] ~duration:(Des.Time.sec 6)
+      ~inject_at:(Des.Time.sec 2) ()
   in
   match rows with
   | [ one; two ] ->
       check_bool "2 LBs do more control work" true
-        (two.Cluster.Multi_lb.total_actions
-        > one.Cluster.Multi_lb.total_actions);
+        (two.Cluster.Ablations.total_actions
+        > one.Cluster.Ablations.total_actions);
       check_bool "both fleets starve the victim" true
-        (one.Cluster.Multi_lb.victim_weight_mean < 0.1
-        && two.Cluster.Multi_lb.victim_weight_mean < 0.1)
+        (one.Cluster.Ablations.victim_weight_mean < 0.1
+        && two.Cluster.Ablations.victim_weight_mean < 0.1)
   | _ -> Alcotest.fail "expected two rows"
 
 let far_client_contaminates_estimates () =
@@ -521,6 +523,86 @@ let soak_short_run_is_clean () =
   check_int "pcc clean" 0 r.Cluster.Soak.pcc_violations;
   check_bool "served traffic" true (r.Cluster.Soak.responses > 10_000)
 
+(* One harness soaks fleets too: the churn cluster as a 2-LB gossip
+   fleet for one sim-minute, its fault timeline hitting every LB's
+   links. *)
+let soak_fleet_is_clean () =
+  let base = Cluster.Soak.default_config in
+  let config =
+    {
+      base with
+      Cluster.Soak.duration = Des.Time.sec 60;
+      warmup = Des.Time.sec 15;
+      drain = Des.Time.sec 15;
+      windows = 3;
+      scenario =
+        {
+          base.Cluster.Soak.scenario with
+          Cluster.Scenario.n_lbs = 2;
+          n_clients = 4;
+          coord =
+            {
+              Cluster.Coordination.default_config with
+              Cluster.Coordination.policy = Cluster.Coordination.Gossip_average;
+            };
+        };
+      pathologies =
+        [
+          (Workload.Pathology.Slowloris { drip = Des.Time.ms 10 }, 2);
+          (Workload.Pathology.Rst_flood { rate = Des.Time.ms 20 }, 2);
+        ];
+    }
+  in
+  let r = Cluster.Soak.run ~config () in
+  check_bool "fleet soak ok" true (Cluster.Soak.ok r);
+  check_bool "control plane ran" true (r.Cluster.Soak.coord_msgs > 0);
+  check_int "pcc clean" 0 r.Cluster.Soak.pcc_violations;
+  check_bool "served traffic" true (r.Cluster.Soak.responses > 10_000)
+
+(* Soak readings merge over shards and the drain advances every shard,
+   so a sharded soak reports what the single-engine one does. *)
+let soak_shard_invariant () =
+  let run shards =
+    let base = Cluster.Soak.default_config in
+    let config =
+      {
+        base with
+        Cluster.Soak.duration = Des.Time.sec 20;
+        warmup = Des.Time.sec 5;
+        drain = Des.Time.sec 10;
+        windows = 2;
+        scenario = { base.Cluster.Soak.scenario with Cluster.Scenario.shards };
+        pathologies =
+          [
+            (Workload.Pathology.Slowloris { drip = Des.Time.ms 10 }, 2);
+            ( Workload.Pathology.Gap_flood
+                { rate = Des.Time.ms 2; segment = 512 },
+              1 );
+            (Workload.Pathology.Rst_flood { rate = Des.Time.ms 20 }, 1);
+          ];
+      }
+    in
+    let r = Cluster.Soak.run ~config () in
+    Cluster.Soak.
+      [
+        ("responses", float_of_int r.responses);
+        ("p95_us", r.p95_us);
+        ("pcc_checked", float_of_int r.pcc_checked);
+        ("pcc_violations", float_of_int r.pcc_violations);
+        ("stuck_flows", float_of_int r.stuck_flows);
+        ("stuck_conns", float_of_int r.stuck_conns);
+        ("fault_intervals", float_of_int r.fault_intervals);
+        ("pathology_conns", float_of_int r.pathology_conns);
+        ("gap_segments", float_of_int r.gap_segments);
+        ("rsts_sent", float_of_int r.rsts_sent);
+        ("reasm_drops", float_of_int r.reasm_drops);
+      ]
+  in
+  let one = run 1 in
+  check_bool "served traffic" true (List.assoc "responses" one > 1_000.0);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "shards 1 and 2 report the same soak" one (run 2)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -575,6 +657,9 @@ let () =
           Alcotest.test_case "repeat timeline tiles and clips" `Quick
             soak_repeat_timeline_tiles_and_clips;
           Alcotest.test_case "short soak is clean" `Slow soak_short_run_is_clean;
+          Alcotest.test_case "fleet soak is clean" `Slow soak_fleet_is_clean;
+          Alcotest.test_case "soak is shard-invariant" `Slow
+            soak_shard_invariant;
         ] );
       ( "determinism",
         [

@@ -675,37 +675,45 @@ let config_validation () =
 
 (* --- Fleet-level: the short herd run per policy ------------------------ *)
 
-let short_herd coord_policy n_lbs =
-  Cluster.Multi_lb.herd_one
-    ~coord:(Cluster.Multi_lb.coord_config_of coord_policy)
-    ~n_lbs ~duration:(Des.Time.sec 3) ~inject_at:(Des.Time.sec 1) ()
+let short_herd coord n_lbs =
+  Cluster.Ablations.herd_one ~coord ~n_lbs ~duration:(Des.Time.sec 3)
+    ~inject_at:(Des.Time.sec 1) ()
 
 let fleet_gossip_cuts_churn () =
   let none = short_herd Cluster.Coordination.Uncoordinated 2 in
   let gossip = short_herd Cluster.Coordination.Gossip_average 2 in
   check_bool "uncoordinated fleet churns" true
-    (none.Cluster.Multi_lb.total_actions > 0);
+    (none.Cluster.Ablations.total_actions > 0);
   check_bool "gossip cuts fleet churn" true
-    (gossip.Cluster.Multi_lb.total_actions
-    < none.Cluster.Multi_lb.total_actions);
+    (gossip.Cluster.Ablations.total_actions
+    < none.Cluster.Ablations.total_actions);
   check_bool "hysteresis suppressed shifts" true
-    (gossip.Cluster.Multi_lb.suppressed > 0);
+    (gossip.Cluster.Ablations.suppressed > 0);
   check_bool "snapshots were exchanged" true
-    (gossip.Cluster.Multi_lb.msgs > 0);
-  check_int "gossip run is PCC-clean" 0 gossip.Cluster.Multi_lb.pcc_violations;
+    (gossip.Cluster.Ablations.msgs > 0);
+  check_int "gossip run is PCC-clean" 0 gossip.Cluster.Ablations.pcc_violations;
   check_int "uncoordinated run is PCC-clean" 0
-    none.Cluster.Multi_lb.pcc_violations
+    none.Cluster.Ablations.pcc_violations
 
 let fleet_leader_imposes () =
   let leader = short_herd Cluster.Coordination.Leader 2 in
   check_bool "followers adopt leader weights" true
-    (leader.Cluster.Multi_lb.imposed > 0);
-  (match leader.Cluster.Multi_lb.per_lb_actions with
+    (leader.Cluster.Ablations.imposed > 0);
+  (match leader.Cluster.Ablations.per_lb_actions with
   | [ l0; l1 ] ->
       check_bool "follower churns less than the leader" true (l1 < l0)
   | other ->
       Alcotest.failf "expected 2 per-LB counters, got %d" (List.length other));
-  check_int "leader run is PCC-clean" 0 leader.Cluster.Multi_lb.pcc_violations
+  check_int "leader run is PCC-clean" 0 leader.Cluster.Ablations.pcc_violations
+
+let fleet ?(shards = 1) ~policy n_lbs =
+  {
+    Cluster.Ablations.fleet_scenario with
+    Cluster.Scenario.n_lbs;
+    coord =
+      { Cluster.Coordination.default_config with Cluster.Coordination.policy };
+    shards;
+  }
 
 (* Fleet-total ctl.actions must equal the sum of the per-LB telemetry
    counters, for every fleet size and coordination policy. *)
@@ -719,52 +727,92 @@ let churn_accounting () =
               (Cluster.Coordination.policy_to_string policy)
               n_lbs
           in
-          let config =
-            {
-              Cluster.Multi_lb.default_config with
-              Cluster.Multi_lb.n_lbs;
-              coord = Cluster.Multi_lb.coord_config_of policy;
-              pcc = true;
-            }
-          in
-          let t = Cluster.Multi_lb.build config in
-          Cluster.Multi_lb.inject_server_delay t ~server:1 ~at:(Des.Time.sec 1)
+          let t = Cluster.Scenario.build (fleet ~policy n_lbs) in
+          let oracles = Cluster.Scenario.attach_pcc t in
+          Cluster.Scenario.inject_server_delay t ~server:1 ~at:(Des.Time.sec 1)
             ~delay:(Des.Time.ms 1);
-          Cluster.Multi_lb.run t ~until:(Des.Time.sec 3);
+          Cluster.Scenario.run t ~until:(Des.Time.sec 3);
           let per_lb =
-            Array.to_list (Cluster.Multi_lb.balancers t)
+            Array.to_list (Cluster.Scenario.balancers t)
             |> List.map (fun b ->
                    match Inband.Balancer.controller b with
                    | Some c -> Inband.Controller.action_count c
                    | None -> 0)
           in
+          (* Every LB's registry holds its own ctl.actions; the merged
+             reader sums them. *)
           let from_registries =
-            Array.fold_left
-              (fun acc reg ->
-                acc
-                + int_of_float
-                    (Option.value ~default:0.0
-                       (Telemetry.Registry.value reg "ctl.actions")))
-              0
-              (Cluster.Multi_lb.registries t)
+            int_of_float
+              (Option.value ~default:0.0
+                 (Cluster.Scenario.metric_sum t "ctl.actions"))
           in
           check_int
             (label ^ ": fleet total = sum of per-LB ctl.actions")
             (List.fold_left ( + ) 0 per_lb)
             from_registries;
-          check_int (label ^ ": PCC-clean") 0 (Cluster.Multi_lb.pcc_violations t);
+          let pcc f = Array.fold_left (fun acc o -> acc + f o) 0 oracles in
+          check_int (label ^ ": PCC-clean") 0 (pcc Cluster.Oracle.violation_count);
           check_bool (label ^ ": oracle saw traffic") true
-            (Cluster.Multi_lb.pcc_checked t > 0))
+            (pcc Cluster.Oracle.checked > 0))
         [ 1; 2; 4 ])
     Cluster.Coordination.[ Uncoordinated; Gossip_average; Leader ]
 
 let sweep_deterministic_at_any_jobs () =
   let run jobs =
-    Cluster.Multi_lb.coord_sweep ~jobs
+    Cluster.Ablations.coord_sweep ~jobs
       ~policies:[ Cluster.Coordination.Gossip_average ] ~lb_counts:[ 2 ]
       ~duration:(Des.Time.sec 2) ~inject_at:(Des.Time.sec 1) ()
   in
   check_bool "rows identical at -j 1 and -j 2" true (compare (run 1) (run 2) = 0)
+
+(* A coordinated fleet shards like any scenario: all LBs, the control
+   plane and the injection stay on shard 0, clients move to shard 1, and
+   nothing the fleet does may change. *)
+let fleet_k_invariant () =
+  let run shards =
+    let t =
+      Cluster.Scenario.build
+        (fleet ~shards ~policy:Cluster.Coordination.Gossip_average 2)
+    in
+    let oracles = Cluster.Scenario.attach_pcc t in
+    Cluster.Scenario.inject_server_delay t ~server:1 ~at:(Des.Time.sec 1)
+      ~delay:(Des.Time.ms 1);
+    Cluster.Scenario.run t ~until:(Des.Time.sec 3);
+    let actions =
+      Array.to_list (Cluster.Scenario.balancers t)
+      |> List.filter_map Inband.Balancer.controller
+      |> List.map Inband.Controller.action_count
+    in
+    let coord =
+      match Cluster.Scenario.coordination t with
+      | Some c ->
+          Cluster.Coordination.
+            [ messages_sent c; messages_received c; suppressed c; imposed c ]
+      | None -> []
+    in
+    let pcc =
+      Array.to_list oracles
+      |> List.map (fun o ->
+             (Cluster.Oracle.checked o, Cluster.Oracle.violation_count o))
+    in
+    let p95 =
+      match Cluster.Scenario.series t "client.latency.get" with
+      | Some ts ->
+          List.map
+            (fun (r : Stats.Timeseries.row) -> (r.t_start, r.count, r.quantile))
+            (Stats.Timeseries.rows ts ~q:0.95)
+      | None -> []
+    in
+    Cluster.Scenario.shutdown t;
+    (actions, coord, pcc, p95)
+  in
+  let a1, c1, p1, s1 = run 1 and a2, c2, p2, s2 = run 2 in
+  Alcotest.(check (list int)) "per-LB actions" a1 a2;
+  Alcotest.(check (list int)) "coordination counters" c1 c2;
+  Alcotest.(check (list (pair int int))) "PCC counts" p1 p2;
+  Alcotest.(check (list (triple int int int))) "GET p95 series" s1 s2;
+  check_bool "the fleet acted" true (List.fold_left ( + ) 0 a1 > 0);
+  check_bool "snapshots flowed" true (List.hd c1 > 0)
 
 let () =
   Alcotest.run "coord"
@@ -803,5 +851,6 @@ let () =
           Alcotest.test_case "churn accounting" `Slow churn_accounting;
           Alcotest.test_case "jobs-deterministic" `Slow
             sweep_deterministic_at_any_jobs;
+          Alcotest.test_case "K-invariant" `Slow fleet_k_invariant;
         ] );
     ]

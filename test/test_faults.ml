@@ -109,7 +109,7 @@ let mk_link ?(with_rng = true) ?(loss = 0.0) ?(capacity = 1024) ?(rate = 0)
 
 let link_env name link =
   {
-    Faults.Injector.link = (fun n -> if n = name then Some link else None);
+    Faults.Injector.link = (fun n -> if n = name then [ link ] else []);
     server = (fun _ -> None);
     controller = (fun _ -> None);
   }
@@ -249,7 +249,7 @@ let mk_server engine =
 
 let server_env server =
   {
-    Faults.Injector.link = (fun _ -> None);
+    Faults.Injector.link = (fun _ -> []);
     server = (fun i -> if i = 0 then Some server else None);
     controller = (fun _ -> None);
   }
@@ -403,7 +403,7 @@ let injector_drain_via_timeline () =
   let engine = Des.Engine.create () in
   let env =
     {
-      Faults.Injector.link = (fun _ -> None);
+      Faults.Injector.link = (fun _ -> []);
       server = (fun _ -> None);
       controller = (fun i -> if i < 3 then Some c else None);
     }
