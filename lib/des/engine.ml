@@ -1,10 +1,13 @@
-(* The event queue is a monomorphic 4-ary min-heap stored inline in the
-   engine, ordered by (time, seq) with the comparison inlined — no
-   closure-compare indirection on the per-event hot path. The 4-ary
-   layout halves the sift depth of a binary heap and keeps all four
-   children of a node adjacent (usually one cache line), which is where
-   pop — the single hottest operation in the whole simulator — spends
-   its time. Three further disciplines keep the queue lean:
+(* The event queue is a 4-ary min-heap of unboxed int triples (fire
+   time, sequence number, slot) kept in heap order in three flat
+   [int array]s, so the heap holds no pointers. A sift moves a hole and
+   compares (time, seq) as ints: it never dereferences an event record
+   and never runs the write barrier ([caml_modify]) that swapping record
+   pointers in a major-heap array costs. A per-engine [records] table
+   maps each slot to its event record; it is written when an event
+   enters the heap and read when it leaves. The 4-ary layout halves the
+   sift depth of a binary heap and puts a node's four child times in 32
+   contiguous bytes. Three further disciplines keep the queue lean:
 
    - Cancelled events stay in the heap as tombstones but are counted
      exactly ([tombstones] is incremented by [cancel] and decremented
@@ -14,26 +17,30 @@
      event count instead of accumulating garbage until the original
      expiry times come around.
 
-   - [post] / [post_after] serve the dominant schedule-then-fire pattern
-     (link transmissions, service completions, think times): they return
-     no handle, so the event record provably cannot be cancelled or
-     referenced after firing and is recycled through a free list —
-     steady-state fire-and-forget scheduling allocates the callback
-     closure and the 3-word cons cell [recycle] pushes onto the free
-     list. [schedule] still returns a live handle and its record is
-     left to the GC.
+   - [post] / [post_after] / [post_tagged] serve the dominant
+     schedule-then-fire pattern (link transmissions, service
+     completions, think times): they return no handle, so the event
+     record provably cannot be cancelled or referenced after firing.
+     Such pooled records own a permanent slot, and the idle ones are an
+     int stack of slots, so warm fire-and-forget scheduling allocates
+     nothing beyond the caller's closure ([post_tagged]: nothing at
+     all). A [schedule] record is a live handle left to the GC: it
+     borrows a slot when it enters the heap and returns it when it
+     leaves (fired, drained as a tombstone, or compacted away).
 
    - Cancellable events more than one wheel tick in the future park in a
      hierarchical timing wheel ({!Wheel}) instead of the heap: O(1) arm,
      O(1) cancel with no tombstone debt, and a slot flush into the heap
      just before the clock can enter their tick. The heap alone decides
-     firing order — a flushed slot is pushed with its original
+     firing order — a flushed record is pushed with its original
      (time, seq), so wheel-routed timers fire exactly as if they had
      been heap-resident all along. TCP RTO and delayed-ack timers,
      re-armed and cancelled once per packet, never touch the heap at
      all. Events beyond the wheel's span overflow to the heap. *)
 
 type event = {
+  (* [time] and [seq] are what the wheel parks and a flush pushes; the
+     heap keeps its own copy, so pooled records never set them. *)
   mutable time : Time.t;
   mutable seq : int;
   mutable cancelled : bool;
@@ -52,16 +59,27 @@ type event = {
   mutable wslot : int;
 }
 
+(* The six arrays share one capacity, at least [nslots]: a heap entry,
+   an idle pooled slot and a spare slot each name a distinct slot, so
+   only handing out a new slot ever needs to grow them. *)
 and t = {
   mutable now : Time.t;
   mutable next_seq : int;
   mutable fired : int;
-  mutable data : event array;
+  (* Heap entry [i] is ([times.(i)], [seqs.(i)], [slots.(i)]). *)
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable slots : int array;
   mutable len : int;
-  mutable tombstones : int; (* cancelled events still in [data] *)
-  mutable free : event list; (* recyclable pooled records *)
+  mutable tombstones : int; (* cancelled events still in the heap *)
+  mutable records : event array; (* slot -> record; [nil] if unbound *)
+  mutable nslots : int; (* slots handed out so far *)
+  mutable idle : int array; (* stack of slots holding idle pooled records *)
+  mutable nidle : int;
+  mutable spare : int array; (* stack of unbound slots *)
+  mutable nspare : int;
   mutable compactions : int;
-  nil : event; (* wheel list terminator, never queued *)
+  nil : event; (* wheel list terminator and unbound slot, never queued *)
   mutable wheel : event Wheel.t option; (* Some after [create] *)
   mutable emit : event -> unit; (* preallocated wheel->heap push *)
   mutable tagged_sink : int -> Obj.t -> unit; (* shared tagged handler *)
@@ -91,57 +109,125 @@ let wheel_of t =
 
 let now t = t.now
 
-(* a sorts strictly before b: earlier time, or same time scheduled
-   earlier. Inlined int compares; seq never repeats within an engine. *)
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Entry (tm, sq) sorts strictly before heap entry [i]: earlier time,
+   or the same time scheduled earlier. Seq never repeats within an
+   engine, and [seqs] is read only on a time tie. The annotations
+   matter: on values not known to be ints, [<] compiles to the
+   polymorphic [caml_lessthan]. *)
+let[@inline] precedes (tm : int) (sq : int) (times : int array)
+    (seqs : int array) i =
+  let ti = Array.unsafe_get times i in
+  tm < ti || (tm = ti && sq < Array.unsafe_get seqs i)
 
-let grow t x =
-  let cap = Array.length t.data in
-  if t.len >= cap then begin
-    let ncap = if cap = 0 then 256 else cap * 2 in
-    let ndata = Array.make ncap x in
-    Array.blit t.data 0 ndata 0 t.len;
-    t.data <- ndata
+let[@inline] place t i tm sq sl =
+  Array.unsafe_set t.times i tm;
+  Array.unsafe_set t.seqs i sq;
+  Array.unsafe_set t.slots i sl
+
+let[@inline] move t ~src ~dst =
+  place t dst
+    (Array.unsafe_get t.times src)
+    (Array.unsafe_get t.seqs src)
+    (Array.unsafe_get t.slots src)
+
+(* Node [i]'s children are [4i+1 .. 4i+4]; parent is [(i-1)/4]. Both
+   sifts carry the entry (tm, sq, sl) in registers and move a hole at
+   [i], filling it once the entry fits. Indices stay in [0, len). *)
+let rec sift_up t i tm sq sl =
+  let p = (i - 1) asr 2 in
+  if i > 0 && precedes tm sq t.times t.seqs p then begin
+    move t ~src:p ~dst:i;
+    sift_up t p tm sq sl
   end
+  else place t i tm sq sl
 
-(* Node [i]'s children are [4i+1 .. 4i+4]; parent is [(i-1)/4].
-   Indices are in [0, len) by construction throughout the sift loops. *)
-let rec sift_up data i =
-  if i > 0 then begin
-    let parent = (i - 1) lsr 2 in
-    let ev = Array.unsafe_get data i in
-    let pv = Array.unsafe_get data parent in
-    if before ev pv then begin
-      Array.unsafe_set data i pv;
-      Array.unsafe_set data parent ev;
-      sift_up data parent
-    end
-  end
-
-let rec sift_down data len i =
+let rec sift_down t len i tm sq sl =
   let c = (i lsl 2) + 1 in
-  if c < len then begin
+  if c >= len then place t i tm sq sl
+  else begin
+    let times = t.times and seqs = t.seqs in
     let last = if c + 3 < len then c + 3 else len - 1 in
-    let m = ref c in
+    let m = ref c and mt = ref (Array.unsafe_get times c) in
     for j = c + 1 to last do
-      if before (Array.unsafe_get data j) (Array.unsafe_get data !m) then
-        m := j
+      let jt = Array.unsafe_get times j in
+      if
+        jt < !mt
+        || (jt = !mt && Array.unsafe_get seqs j < Array.unsafe_get seqs !m)
+      then begin
+        m := j;
+        mt := jt
+      end
     done;
     let m = !m in
-    let ev = Array.unsafe_get data i in
-    let mv = Array.unsafe_get data m in
-    if before mv ev then begin
-      Array.unsafe_set data i mv;
-      Array.unsafe_set data m ev;
-      sift_down data len m
+    if precedes tm sq times seqs m then place t i tm sq sl
+    else begin
+      move t ~src:m ~dst:i;
+      sift_down t len m tm sq sl
     end
   end
 
-let push t ev =
-  grow t ev;
-  t.data.(t.len) <- ev;
-  t.len <- t.len + 1;
-  sift_up t.data (t.len - 1)
+let push t tm sq sl =
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i tm sq sl
+
+(* Remove the root and return its slot. *)
+let pop t =
+  let sl = Array.unsafe_get t.slots 0 in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then
+    sift_down t n 0
+      (Array.unsafe_get t.times n)
+      (Array.unsafe_get t.seqs n)
+      (Array.unsafe_get t.slots n);
+  sl
+
+let grow t =
+  let cap = Array.length t.records in
+  let ncap = if cap = 0 then 256 else cap * 2 in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.idle <- extend t.idle 0;
+  t.spare <- extend t.spare 0;
+  t.records <- extend t.records t.nil
+
+(* An unbound slot: a spare one if any, else a new one. *)
+let take_slot t =
+  if t.nspare > 0 then begin
+    t.nspare <- t.nspare - 1;
+    Array.unsafe_get t.spare t.nspare
+  end
+  else begin
+    if t.nslots = Array.length t.records then grow t;
+    let s = t.nslots in
+    t.nslots <- s + 1;
+    s
+  end
+
+(* A [schedule] record enters the heap on a borrowed slot... *)
+let enter t ev =
+  let s = take_slot t in
+  t.records.(s) <- ev;
+  push t ev.time ev.seq s
+
+(* ...and gives it back when it leaves, unbinding it so the engine
+   keeps no dead record (or its closure) alive. *)
+let release t s =
+  t.records.(s) <- t.nil;
+  Array.unsafe_set t.spare t.nspare s;
+  t.nspare <- t.nspare + 1
+
+(* A fired pooled record keeps its slot and waits for the next post. *)
+let recycle t s =
+  Array.unsafe_set t.idle t.nidle s;
+  t.nidle <- t.nidle + 1
 
 let create () =
   let rec nil =
@@ -163,10 +249,17 @@ let create () =
       now = Time.zero;
       next_seq = 0;
       fired = 0;
-      data = [||];
+      times = [||];
+      seqs = [||];
+      slots = [||];
       len = 0;
       tombstones = 0;
-      free = [];
+      records = [||];
+      nslots = 0;
+      idle = [||];
+      nidle = 0;
+      spare = [||];
+      nspare = 0;
       compactions = 0;
       nil;
       wheel = None;
@@ -175,35 +268,31 @@ let create () =
     }
   in
   t.wheel <- Some (Wheel.create ~ops:wheel_ops ~nil ());
-  t.emit <- (fun ev -> push t ev);
+  t.emit <- (fun ev -> enter t ev);
   t
 
-(* Drop every tombstone and restore the heap invariant bottom-up
-   (Floyd); stale tail slots are overwritten with a live record so dead
-   events (and the closures they capture) don't outlive the pass. *)
+(* Drop every tombstone, returning its slot, and restore the heap
+   invariant bottom-up (Floyd). *)
 let compact t =
   let j = ref 0 in
   for i = 0 to t.len - 1 do
-    let ev = t.data.(i) in
-    if not ev.cancelled then begin
-      t.data.(!j) <- ev;
+    let s = t.slots.(i) in
+    let ev = t.records.(s) in
+    if ev.cancelled then begin
+      ev.run <- nop;
+      release t s
+    end
+    else begin
+      move t ~src:i ~dst:!j;
       incr j
     end
-    else ev.run <- nop
   done;
-  let old_len = t.len in
   t.len <- !j;
   t.tombstones <- 0;
   t.compactions <- t.compactions + 1;
-  if t.len = 0 then t.data <- [||]
-  else begin
-    for i = t.len to old_len - 1 do
-      t.data.(i) <- t.data.(0)
-    done;
-    for i = (t.len - 2) asr 2 downto 0 do
-      sift_down t.data t.len i
-    done
-  end
+  for i = (t.len - 2) asr 2 downto 0 do
+    sift_down t t.len i t.times.(i) t.seqs.(i) t.slots.(i)
+  done
 
 let maybe_compact t =
   if t.len >= 64 && 2 * t.tombstones > t.len then compact t
@@ -223,31 +312,37 @@ let schedule t ~at f =
       wprev = nil; wslot = -1 }
   in
   t.next_seq <- t.next_seq + 1;
-  if not (Wheel.offer (wheel_of t) ev) then push t ev;
+  if not (Wheel.offer (wheel_of t) ev) then enter t ev;
   ev
 
 let schedule_after t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule t ~at:(t.now + delay) f
 
-let post t ~at f =
+(* Queue an idle pooled record at [at], minting one if none is idle,
+   and return it for the caller to load its payload: the heap never
+   looks at the record, so the order does not matter. *)
+let post_pooled t ~at =
   check_future t at;
-  let ev =
-    match t.free with
-    | ev :: rest ->
-        t.free <- rest;
-        ev.time <- at;
-        ev.seq <- t.next_seq;
-        ev.run <- f;
-        ev
-    | [] ->
-        let nil = t.nil in
-        { time = at; seq = t.next_seq; cancelled = false; pooled = true;
-          run = f; tag = -1; arg = null_arg; owner = t; wnext = nil;
-          wprev = nil; wslot = -1 }
+  let s =
+    if t.nidle > 0 then begin
+      t.nidle <- t.nidle - 1;
+      Array.unsafe_get t.idle t.nidle
+    end
+    else begin
+      let s = take_slot t and nil = t.nil in
+      t.records.(s) <-
+        { time = 0; seq = -1; cancelled = false; pooled = true; run = nop;
+          tag = -1; arg = null_arg; owner = t; wnext = nil; wprev = nil;
+          wslot = -1 };
+      s
+    end
   in
+  push t at t.next_seq s;
   t.next_seq <- t.next_seq + 1;
-  push t ev
+  Array.unsafe_get t.records s
+
+let post t ~at f = (post_pooled t ~at).run <- f
 
 let post_after t ~delay f =
   if delay < 0 then invalid_arg "Engine.post_after: negative delay";
@@ -257,28 +352,12 @@ let set_tagged_sink t f = t.tagged_sink <- f
 
 (* Fire-and-forget like [post], but the callback is the engine-wide
    [tagged_sink] applied to (tag, arg): no closure is built per event,
-   so with a warm free list the post allocates nothing; only [recycle]
-   conses its free-list cell after the event fires. *)
+   so with a warm pool neither the post nor the firing allocates. *)
 let post_tagged t ~at ~tag arg =
   if tag < 0 then invalid_arg "Engine.post_tagged: tag must be >= 0";
-  check_future t at;
-  let ev =
-    match t.free with
-    | ev :: rest ->
-        t.free <- rest;
-        ev.time <- at;
-        ev.seq <- t.next_seq;
-        ev.tag <- tag;
-        ev.arg <- arg;
-        ev
-    | [] ->
-        let nil = t.nil in
-        { time = at; seq = t.next_seq; cancelled = false; pooled = true;
-          run = nop; tag; arg; owner = t; wnext = nil; wprev = nil;
-          wslot = -1 }
-  in
-  t.next_seq <- t.next_seq + 1;
-  push t ev
+  let ev = post_pooled t ~at in
+  ev.tag <- tag;
+  ev.arg <- arg
 
 let cancel (ev : handle) =
   (* Events are marked cancelled when they fire, so late cancels of
@@ -296,30 +375,12 @@ let cancel (ev : handle) =
     end
   end
 
-(* Pop the heap root unconditionally, keeping tombstone accounting and
-   the pooled free list exact regardless of which loop drains it. *)
-let pop_root t =
-  let ev = t.data.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.data.(0) <- t.data.(t.len);
-    t.data.(t.len) <- ev;
-    sift_down t.data t.len 0
-  end;
-  if ev.cancelled then t.tombstones <- t.tombstones - 1;
-  ev
-
-let recycle t ev =
-  ev.run <- nop;
-  ev.tag <- -1;
-  ev.arg <- null_arg;
-  ev.cancelled <- false;
-  t.free <- ev :: t.free
-
+(* Only [schedule] records have handles, so every tombstone holds a
+   borrowed slot. *)
 let rec drain_cancelled_heads t =
-  if t.len > 0 && t.data.(0).cancelled then begin
-    let ev = pop_root t in
-    if ev.pooled then recycle t ev;
+  if t.len > 0 && t.records.(t.slots.(0)).cancelled then begin
+    release t (pop t);
+    t.tombstones <- t.tombstones - 1;
     drain_cancelled_heads t
   end
 
@@ -333,7 +394,7 @@ let settle t =
   drain_cancelled_heads t;
   let w = wheel_of t in
   if Wheel.live w = 0 then Wheel.catch_up w ~upto:t.now
-  else if t.len > 0 then Wheel.advance w ~upto:t.data.(0).time ~emit:t.emit
+  else if t.len > 0 then Wheel.advance w ~upto:t.times.(0) ~emit:t.emit
   else Wheel.advance_next w ~emit:t.emit
 
 (* Bounded variant for [run ~until]: only ticks at or below the limit
@@ -345,27 +406,40 @@ let settle_until t limit =
   if Wheel.live w = 0 then Wheel.catch_up w ~upto:t.now
   else
     let upto =
-      if t.len > 0 && t.data.(0).time <= limit then t.data.(0).time
-      else limit
+      if t.len > 0 && t.times.(0) <= limit then t.times.(0) else limit
     in
     Wheel.advance w ~upto ~emit:t.emit
 
+(* After [settle] the root is live. A fired record's payload is dropped
+   and its slot returned before the callback runs, so the callback may
+   post again straight away. *)
 let step t =
   settle t;
   if t.len = 0 then false
   else begin
-    let ev = pop_root t in
-    t.now <- ev.time;
+    let time = Array.unsafe_get t.times 0 in
+    let s = pop t in
+    let ev = Array.unsafe_get t.records s in
+    t.now <- time;
     t.fired <- t.fired + 1;
     if ev.tag >= 0 then begin
-      let tag = ev.tag and arg = ev.arg in
-      recycle t ev;
       (* tagged events are always pooled *)
+      let tag = ev.tag and arg = ev.arg in
+      ev.tag <- -1;
+      ev.arg <- null_arg;
+      recycle t s;
       t.tagged_sink tag arg
     end
     else begin
       let f = ev.run in
-      if ev.pooled then recycle t ev else ev.cancelled <- true;
+      if ev.pooled then begin
+        ev.run <- nop;
+        recycle t s
+      end
+      else begin
+        ev.cancelled <- true;
+        release t s
+      end;
       f ()
     end;
     true
@@ -378,17 +452,10 @@ let run ?until t =
       let continue = ref true in
       while !continue do
         settle_until t limit;
-        if t.len = 0 then begin
+        if t.len > 0 && t.times.(0) <= limit then ignore (step t)
+        else begin
           t.now <- Time.max t.now limit;
           continue := false
-        end
-        else begin
-          let head = t.data.(0) in
-          if head.time <= limit then ignore (step t)
-          else begin
-            t.now <- Time.max t.now limit;
-            continue := false
-          end
         end
       done
 
@@ -402,7 +469,7 @@ let next_event_time t =
   drain_cancelled_heads t;
   let bound = Wheel.next_time_lower_bound (wheel_of t) in
   let bound =
-    if t.len > 0 && t.data.(0).time < bound then t.data.(0).time else bound
+    if t.len > 0 && t.times.(0) < bound then t.times.(0) else bound
   in
   if bound = max_int then None else Some bound
 

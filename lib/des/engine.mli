@@ -29,16 +29,17 @@ val schedule_after : t -> delay:Time.t -> (unit -> unit) -> handle
 
 val post : t -> at:Time.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule}: no handle is returned, so the event can
-    never be cancelled and its record is recycled through a free list
-    after firing. In steady state the dominant schedule-then-fire
-    pattern (link transmissions, service completions, think times)
-    allocates the callback closure plus the 3-word list cell that
-    returns the fired record to the free list.
+    never be cancelled and its record is reused after firing. Once the
+    engine has held as many posted events at once before, a post and
+    its firing allocate nothing beyond the caller's closure, so the
+    dominant schedule-then-fire pattern (link transmissions, service
+    completions, think times) costs no allocation of its own.
 
     @raise Invalid_argument if [at] is in the past. *)
 
 val post_after : t -> delay:Time.t -> (unit -> unit) -> unit
-(** [post_after t ~delay f] is [post t ~at:(now t + delay) f].
+(** [post_after t ~delay f] is [post t ~at:(now t + delay) f], and
+    likewise allocates nothing beyond the caller's closure once warm.
 
     @raise Invalid_argument if [delay] is negative. *)
 
@@ -50,12 +51,11 @@ val set_tagged_sink : t -> (int -> Obj.t -> unit) -> unit
 
 val post_tagged : t -> at:Time.t -> tag:int -> Obj.t -> unit
 (** Closure-free {!post}: when the event fires, the installed
-    {!set_tagged_sink} handler is applied to [(tag, arg)]. With a warm
-    free list the post itself allocates nothing, not even a callback
-    closure, so the sharded barrier drain allocates nothing; firing
-    conses the same 3-word free-list cell as {!post}. [tag] must be
-    [>= 0] ([-1] marks plain events internally); firing without a sink
-    installed fails loudly.
+    {!set_tagged_sink} handler is applied to [(tag, arg)]. Once warm,
+    neither the post nor the firing allocates anything, not even a
+    callback closure, so the sharded barrier drain and the deliveries it
+    feeds allocate nothing. [tag] must be [>= 0] ([-1] marks plain
+    events internally); firing without a sink installed fails loudly.
 
     @raise Invalid_argument if [at] is in the past or [tag < 0]. *)
 

@@ -25,59 +25,6 @@ let time_pp () =
   Alcotest.(check string) "ms" "2.000ms" (s (Des.Time.ms 2));
   Alcotest.(check string) "s" "3.000s" (s (Des.Time.sec 3))
 
-(* --- Heap -------------------------------------------------------------- *)
-
-let heap_basic () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  check_bool "empty" true (Des.Heap.is_empty h);
-  List.iter (Des.Heap.add h) [ 5; 3; 8; 1; 9; 2 ];
-  check_int "size" 6 (Des.Heap.size h);
-  check_int "peek min" 1 (Option.get (Des.Heap.peek h));
-  check_int "pop min" 1 (Option.get (Des.Heap.pop h));
-  check_int "next min" 2 (Option.get (Des.Heap.pop h));
-  check_int "size after pops" 4 (Des.Heap.size h)
-
-let heap_sorted_drain () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  List.iter (Des.Heap.add h) [ 4; 4; 1; 1; 7 ];
-  Alcotest.(check (list int))
-    "to_sorted_list" [ 1; 1; 4; 4; 7 ]
-    (Des.Heap.to_sorted_list h);
-  check_int "non-destructive" 5 (Des.Heap.size h)
-
-let heap_clear () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  List.iter (Des.Heap.add h) [ 1; 2; 3 ];
-  Des.Heap.clear h;
-  check_bool "cleared" true (Des.Heap.is_empty h);
-  check_bool "pop on empty" true (Des.Heap.pop h = None)
-
-let heap_iter_fold () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  List.iter (Des.Heap.add h) [ 5; 3; 8; 1; 9; 2 ];
-  let seen = ref [] in
-  Des.Heap.iter h (fun x -> seen := x :: !seen);
-  Alcotest.(check (list int))
-    "iter visits every element" [ 1; 2; 3; 5; 8; 9 ]
-    (List.sort Int.compare !seen);
-  check_int "fold sums all" 28 (Des.Heap.fold h ~init:0 ~f:( + ));
-  check_int "fold counts all" 6 (Des.Heap.fold h ~init:0 ~f:(fun n _ -> n + 1));
-  check_int "non-destructive" 6 (Des.Heap.size h);
-  let empty = Des.Heap.create ~cmp:Int.compare in
-  check_int "fold on empty = init" 42
-    (Des.Heap.fold empty ~init:42 ~f:(fun _ _ -> 0))
-
-let heap_qcheck =
-  QCheck.Test.make ~count:300 ~name:"heap drains every input in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Des.Heap.create ~cmp:Int.compare in
-      List.iter (Des.Heap.add h) xs;
-      let drained =
-        List.init (List.length xs) (fun _ -> Option.get (Des.Heap.pop h))
-      in
-      drained = List.sort Int.compare xs && Des.Heap.is_empty h)
-
 (* --- Rng --------------------------------------------------------------- *)
 
 let rng_deterministic () =
@@ -295,6 +242,142 @@ let engine_cancel_heavy_queue_bounded () =
   check_bool "compaction ran" true (Des.Engine.compactions e > 0);
   check_int "exactly one live event" 1 (Des.Engine.pending e)
 
+let engine_post_fire_zero_alloc () =
+  (* Pooled records own a slot and idle ones wait on an int stack, so a
+     warm post + fire allocates nothing beyond the caller's closure (here
+     one closure, built once). *)
+  let e = Des.Engine.create () in
+  let f () = () in
+  let in_flight = 8 in
+  for i = 1 to in_flight do
+    Des.Engine.post e ~at:i f
+  done;
+  let burst () =
+    for _ = 1 to 10_000 do
+      Des.Engine.post_after e ~delay:in_flight f;
+      ignore (Des.Engine.step e)
+    done
+  in
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let delta = Gc.minor_words () -. w0 in
+  if delta > 64.0 then
+    Alcotest.failf "10000 warm post + step allocated %.0f minor words" delta;
+  check_int "in flight" in_flight (Des.Engine.pending e)
+
+let engine_stale_cancel_after_slot_reuse () =
+  (* A fired [schedule] record gives its heap slot back and the next
+     heap-resident event takes it; the old handle must stay inert. *)
+  let e = Des.Engine.create () in
+  let fired = ref [] in
+  let note s () = fired := s :: !fired in
+  let old = Des.Engine.schedule e ~at:10 (note "old") in
+  Des.Engine.run e;
+  ignore (Des.Engine.schedule e ~at:20 (note "new"));
+  check_int "heap-resident" 1 (Des.Engine.queue_length e);
+  Des.Engine.cancel old;
+  check_int "stale cancel is a no-op" 1 (Des.Engine.pending e);
+  Des.Engine.run e;
+  Alcotest.(check (list string))
+    "both fired" [ "old"; "new" ] (List.rev !fired)
+
+let engine_compaction_then_slot_reuse () =
+  (* 100 heap-resident events with ties, 60 cancelled: compaction runs
+     and frees their slots, then 60 posts take them. Cancelling the old
+     handles again must not touch the posts, and everything live fires
+     in (time, seq) order. *)
+  let far = Des.Wheel.span_ns * 2 in
+  let e = Des.Engine.create () in
+  let fired = ref [] in
+  let note i () = fired := i :: !fired in
+  let at i = far + (i * 7 mod 13) in
+  let handles =
+    Array.init 100 (fun i -> Des.Engine.schedule e ~at:(at i) (note i))
+  in
+  let cancelled i = i mod 5 <> 0 && i mod 5 <> 3 in
+  Array.iteri (fun i h -> if cancelled i then Des.Engine.cancel h) handles;
+  check_bool "compaction ran" true (Des.Engine.compactions e > 0);
+  for i = 100 to 159 do
+    Des.Engine.post e ~at:(at i) (note i)
+  done;
+  Array.iteri (fun i h -> if cancelled i then Des.Engine.cancel h) handles;
+  let p = Des.Engine.pending e and q = Des.Engine.queue_length e in
+  check_int "pending is exact" 100 p;
+  if q > Stdlib.max 64 (2 * p) then
+    Alcotest.failf "queue_length %d not bounded by pending %d" q p;
+  Des.Engine.run e;
+  let expected =
+    List.init 160 Fun.id
+    |> List.filter (fun i -> i >= 100 || not (cancelled i))
+    |> List.stable_sort (fun a b -> Int.compare (at a) (at b))
+  in
+  Alcotest.(check (list int)) "(time, seq) order" expected (List.rev !fired);
+  check_int "drained" 0 (Des.Engine.pending e)
+
+let engine_qcheck_exact_order_interleaved =
+  (* Exact (time, seq) order over interleaved operations: schedules near
+     (ties) or, two times in three, beyond the wheel span (heap-resident),
+     posts, cancels of any earlier handle (pending, fired or already
+     cancelled) and [run ~until] pauses. Slots of fired, drained and
+     compacted events are reused throughout (about a quarter of the cases
+     compact), so a stale handle must never reach a newer event. *)
+  let far = Des.Wheel.span_ns * 2 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map2
+              (fun k d -> `Schedule (if k = 0 then d else far + d))
+              (int_bound 2) (int_bound 50) );
+          (1, map (fun d -> `Post d) (int_bound 50));
+          (3, map (fun k -> `Cancel k) nat);
+          (1, map (fun d -> `Pause d) (int_bound 60));
+        ])
+  in
+  let print = function
+    | `Schedule d -> Fmt.str "schedule+%d" d
+    | `Post d -> Fmt.str "post+%d" d
+    | `Cancel k -> Fmt.str "cancel#%d" k
+    | `Pause d -> Fmt.str "pause+%d" d
+  in
+  QCheck.Test.make ~count:300
+    ~name:"exact (time, seq) order under stale cancels and pauses"
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_bound 400) op))
+    (fun ops ->
+      let e = Des.Engine.create () in
+      let fired = ref [] and events = ref [] and handles = ref [] in
+      let dead = Hashtbl.create 16 and done_ = Hashtbl.create 16 in
+      let fresh d =
+        let i = List.length !events and at = Des.Engine.now e + d in
+        events := (at, i) :: !events;
+        (i, at, fun () -> Hashtbl.replace done_ i (); fired := i :: !fired)
+      in
+      List.iter
+        (function
+          | `Schedule d ->
+              let i, at, f = fresh d in
+              handles := (i, Des.Engine.schedule e ~at f) :: !handles
+          | `Post d ->
+              let _, at, f = fresh d in
+              Des.Engine.post e ~at f
+          | `Cancel k -> (
+              match !handles with
+              | [] -> ()
+              | hs ->
+                  let i, h = List.nth hs (k mod List.length hs) in
+                  if not (Hashtbl.mem done_ i) then Hashtbl.replace dead i ();
+                  Des.Engine.cancel h)
+          | `Pause d -> Des.Engine.run ~until:(Des.Engine.now e + d) e)
+        ops;
+      Des.Engine.run e;
+      let expected =
+        List.filter (fun (_, i) -> not (Hashtbl.mem dead i)) !events
+        |> List.sort compare |> List.map snd
+      in
+      List.rev !fired = expected && Des.Engine.pending e = 0)
+
 (* --- Timing wheel ------------------------------------------------------- *)
 
 let wheel_cancel_heavy_no_tombstones () =
@@ -501,14 +584,6 @@ let () =
           Alcotest.test_case "float roundtrip" `Quick time_float_roundtrip;
           Alcotest.test_case "pp" `Quick time_pp;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick heap_basic;
-          Alcotest.test_case "sorted drain" `Quick heap_sorted_drain;
-          Alcotest.test_case "clear" `Quick heap_clear;
-          Alcotest.test_case "iter and fold" `Quick heap_iter_fold;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest [ heap_qcheck ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick rng_deterministic;
@@ -532,9 +607,19 @@ let () =
           Alcotest.test_case "step" `Quick engine_step;
           Alcotest.test_case "cancel-heavy queue bounded" `Quick
             engine_cancel_heavy_queue_bounded;
+          Alcotest.test_case "post and fire allocate nothing warm" `Quick
+            engine_post_fire_zero_alloc;
+          Alcotest.test_case "stale cancel after slot reuse" `Quick
+            engine_stale_cancel_after_slot_reuse;
+          Alcotest.test_case "compaction then slot reuse" `Quick
+            engine_compaction_then_slot_reuse;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ engine_qcheck_order; engine_qcheck_exact_order ] );
+            [
+              engine_qcheck_order;
+              engine_qcheck_exact_order;
+              engine_qcheck_exact_order_interleaved;
+            ] );
       ( "wheel",
         [
           Alcotest.test_case "cancel-heavy leaves heap clean" `Quick

@@ -137,34 +137,55 @@ let post_remote_tagged_zero_alloc () =
   let t = Des.Shard.create ~shards:2 ~lookahead:(us 100) () in
   let e0 = Des.Shard.engine t 0 in
   let delivered = ref 0 in
-  Des.Shard.set_sink t ~dst:1 (fun _tag _arg -> incr delivered);
-  let payload = Obj.repr 0 in
+  (* Firing side: the sink runs on shard 1's domain, so the
+     minor-allocation counter (per domain) is read there, from the first
+     delivery of the measured burst to its last. *)
   let burst = 10_000 in
+  let fire_w0 = ref 0.0 and fire_delta = ref infinity in
+  Des.Shard.set_sink t ~dst:1 (fun _tag _arg ->
+      incr delivered;
+      if !delivered = burst + 1 then fire_w0 := Gc.minor_words ()
+      else if !delivered = 2 * burst then
+        fire_delta := Gc.minor_words () -. !fire_w0);
+  let payload = Obj.repr 0 in
   let post at =
     for _ = 1 to burst do
       Des.Shard.post_remote_tagged t ~src:0 ~dst:1 ~at ~tag:7 payload
     done
   in
-  (* Warm-up grows the (0, 1) lanes to the burst size; the barrier drain
-     keeps that capacity (occupancy matched it, so no shrink). *)
+  (* Warm-up grows the (0, 1) lanes to the burst size and shard 1's
+     engine to the burst's pooled records; the barrier drain keeps that
+     capacity (occupancy matched it, so no shrink). *)
   ignore (Des.Engine.schedule e0 ~at:(us 10) (fun () -> post (us 200)));
   Des.Shard.run t ~until:(us 500);
   Alcotest.(check int) "warm-up delivered" burst !delivered;
-  (* Same burst again on warm lanes, with the minor-allocation counter
-     read around it (on shard 0's own domain, where the posts run). *)
-  let delta = ref infinity in
+  (* Same burst again on warm lanes. On shard 0's domain the counter is
+     read around the posts, and from their end to an event in the next
+     window, which spans the barrier drain into shard 1's engine. *)
+  let post_delta = ref infinity and drain_w0 = ref 0.0 in
+  let drain_delta = ref infinity in
   ignore
     (Des.Engine.schedule e0 ~at:(us 600) (fun () ->
          let w0 = Gc.minor_words () in
          post (us 800);
-         delta := Gc.minor_words () -. w0));
+         drain_w0 := Gc.minor_words ();
+         post_delta := !drain_w0 -. w0));
+  ignore
+    (Des.Engine.schedule e0 ~at:(us 850) (fun () ->
+         drain_delta := Gc.minor_words () -. !drain_w0));
   Des.Shard.run t ~until:(ms 1);
   Des.Shard.shutdown t;
   Alcotest.(check int) "all delivered" (2 * burst) !delivered;
-  if !delta > 64.0 then
-    Alcotest.failf "post_remote_tagged allocated %.0f minor words over %d \
-                    warm posts"
-      !delta burst;
+  List.iter
+    (fun (what, delta) ->
+      if delta > 64.0 then
+        Alcotest.failf "%s allocated %.0f minor words over %d warm events"
+          what delta burst)
+    [
+      ("post_remote_tagged", !post_delta);
+      ("barrier drain", !drain_delta);
+      ("firing", !fire_delta);
+    ];
   let stats = Des.Shard.stats t in
   (* The satellite gauge: the burst's lane high-water mark is recorded. *)
   if stats.Des.Shard.inbox_peak_bytes < burst * 3 * 8 then
