@@ -9,8 +9,8 @@
    ablation-policy ablation-far ablation-herd [--check]
    ablation-law [--check] ablation-dependency ablation-estimator
    ablation-source micro e2e [--check] flows [-n N] [--shards K]
-   [--check] soak [--minutes N] [--check] frontier [--check]
-   fig3-shards history all
+   [--check] soak [--minutes N] [--check] frontier [--check] history
+   all
 
    [-j N] runs the independent simulations inside each target on N
    domains (Cluster.Parallel); N = 0 picks the runtime's recommended
@@ -568,28 +568,20 @@ let run_soak ~minutes ~check () =
 let flows_clients = Cluster.Sharded.clients
 let flows_rounds = Cluster.Sharded.rounds
 
-(* --shards 0 = one shard per core, capped at the client count (more
-   shards than clients would leave empty engines spinning in the
-   barrier for nothing). *)
-let resolve_shards shards =
-  if shards > 0 then shards
-  else Stdlib.min flows_clients (Domain.recommended_domain_count ())
-
-(* Both [flows] and [fig3-shards] record into this PR's file; each
-   rewrite drops only its own fields (by prefix) and keeps the other
-   target's, so running the two in either order loses nothing. *)
+(* [flows] rewrites only its own [flows_*] fields of this file and keeps
+   the rest, such as the historical [fig3_shards_*] record. *)
 let bench_pr9 = "BENCH_pr9.json"
 
-let bench_pr9_merge ~prefix fields =
+let bench_pr9_merge fields =
   let kept =
     List.filter
-      (fun (k, _) -> not (String.starts_with ~prefix k))
+      (fun (k, _) -> not (String.starts_with ~prefix:"flows_" k))
       (bench_json_read bench_pr9)
   in
   bench_json_write bench_pr9 ~bench:"adaptive-shards" (kept @ fields)
 
 let run_flows ~n ~shards ~check () =
-  let shards = resolve_shards shards in
+  let shards = Cluster.Sharded.resolve_shards shards in
   print_endline
     (Cluster.Report.section
        (Fmt.str "Flow-scale churn (%d concurrent flows, %d sends, %d shards)"
@@ -664,7 +656,7 @@ let run_flows ~n ~shards ~check () =
   (* Results land in this PR's file; the baseline fields carried forward
      from the newest file that had them keep discovery working. *)
   let out = bench_pr9 in
-  bench_pr9_merge ~prefix:"flows_"
+  bench_pr9_merge
     (baseline
     @ [
         ("flows_n", float_of_int r.n);
@@ -773,127 +765,6 @@ let run_flows ~n ~shards ~check () =
           shards
           (Domain.recommended_domain_count ())
   end
-
-(* --- Sharded Fig 3: K-invariance of the full experiment --------------- *)
-
-(* Every field the figure renders from, serialized exactly (hex floats):
-   two runs of the same seed must produce the same signature regardless
-   of how the scenario was sharded. [metrics] and [shard_stats] are
-   deliberately excluded — the snapshot row stream interleaves per-shard
-   registries and the barrier counters depend on K by definition. *)
-let fig3_signature (result : Cluster.Fig3.result) =
-  let buf = Buffer.create 4096 in
-  let f v = Buffer.add_string buf (Fmt.str "%h;" v) in
-  let i v = Buffer.add_string buf (Fmt.str "%d;" v) in
-  let opt = function None -> Buffer.add_string buf "-;" | Some v -> f v in
-  List.iter
-    (fun (r : Cluster.Fig3.run_result) ->
-      Buffer.add_string buf (Inband.Policy.to_string r.policy);
-      Buffer.add_char buf '|';
-      f r.p95_before_us;
-      f r.p95_after_us;
-      i r.responses;
-      f r.throughput_rps;
-      opt r.reaction_ms;
-      opt r.recovery_ms;
-      i r.actions;
-      (match r.weights_final with
-      | None -> Buffer.add_string buf "-;"
-      | Some w -> Array.iter f w);
-      f r.pool_disruption;
-      f r.victim_share_before;
-      f r.victim_share_after;
-      List.iter
-        (fun (row : Cluster.Fig3.series_row) ->
-          f row.t_s;
-          i row.count;
-          f row.p95_us;
-          f row.mean_us)
-        r.series;
-      Buffer.add_char buf '\n')
-    result.runs;
-  Buffer.contents buf
-
-(* A compressed Fig 3 (6 s, injection at 2 s) at K in {1, 2, 4} scenario
-   shards. The published result must be byte-identical across K — the
-   end-to-end form of the determinism contract, covering the sharded
-   scenario wiring, merged telemetry reads and adaptive widening all at
-   once — and the largest K's window accounting lands in BENCH_pr9.json.
-   Always a gate: a mismatch fails the run with or without --check. *)
-let fig3_shards_ks = [ 1; 2; 4 ]
-
-let run_fig3_shards ~jobs () =
-  print_endline
-    (Cluster.Report.section
-       "Sharded Fig 3: byte-equality across shard counts");
-  let duration = Des.Time.sec 6 and inject_at = Des.Time.sec 2 in
-  let runs =
-    List.map
-      (fun shards ->
-        let scenario =
-          { Cluster.Fig3.default_scenario with Cluster.Scenario.shards }
-        in
-        let t0 = Unix.gettimeofday () in
-        let r = Cluster.Fig3.run ~scenario ~jobs ~duration ~inject_at () in
-        (shards, r, Unix.gettimeofday () -. t0))
-      fig3_shards_ks
-  in
-  let sum field (result : Cluster.Fig3.result) =
-    List.fold_left (fun acc r -> acc + field r.Cluster.Fig3.shard_stats) 0
-      result.runs
-  in
-  let max_stall (result : Cluster.Fig3.result) =
-    List.fold_left
-      (fun acc r ->
-        Array.fold_left Stdlib.max acc
-          r.Cluster.Fig3.shard_stats.Des.Shard.stall_seconds)
-      0.0 result.runs
-  in
-  let headers =
-    [ "shards"; "wall s"; "windows"; "skipped"; "remote posts"; "stall s" ]
-  in
-  let rows =
-    List.map
-      (fun (k, r, wall) ->
-        [
-          string_of_int k;
-          Fmt.str "%.2f" wall;
-          string_of_int (sum (fun s -> s.Des.Shard.windows) r);
-          string_of_int (sum (fun s -> s.Des.Shard.skipped_windows) r);
-          string_of_int (sum (fun s -> s.Des.Shard.remote_posts) r);
-          Fmt.str "%.3f" (max_stall r);
-        ])
-      runs
-  in
-  print_endline (Cluster.Report.table ~headers rows);
-  let reference =
-    match runs with
-    | (_, r, _) :: _ -> fig3_signature r
-    | [] -> assert false
-  in
-  List.iter
-    (fun (k, r, _) ->
-      if not (String.equal (fig3_signature r) reference) then
-        tripwire_fail ~smoke:"shard-smoke" ~tripwire:"fig3-determinism"
-          "fig3 result at shards=%d differs from shards=1" k;
-      if k > 1 then
-        Fmt.pr "determinism: shards=%d result byte-identical to shards=1@." k)
-    runs;
-  (match List.rev runs with
-  | (k, r, _) :: _ ->
-      bench_pr9_merge ~prefix:"fig3_shards_"
-        [
-          ("fig3_shards_k", float_of_int k);
-          ( "fig3_shards_windows",
-            float_of_int (sum (fun s -> s.Des.Shard.windows) r) );
-          ( "fig3_shards_skipped_windows",
-            float_of_int (sum (fun s -> s.Des.Shard.skipped_windows) r) );
-          ( "fig3_shards_remote_posts",
-            float_of_int (sum (fun s -> s.Des.Shard.remote_posts) r) );
-          ("fig3_shards_stall_s", max_stall r);
-        ];
-      Fmt.pr "wrote %s (fig3_shards_* fields, k=%d)@." bench_pr9 k
-  | [] -> ())
 
 (* --- bench history: the cross-PR perf trajectory ----------------------- *)
 
@@ -1091,7 +962,6 @@ let targets =
     ("micro", fun ~jobs:_ ~check:_ () -> run_micro ());
     ("e2e", fun ~jobs:_ ~check () -> run_e2e ~check ());
     ("frontier", fun ~jobs ~check () -> run_frontier ~jobs ~check ());
-    ("fig3-shards", fun ~jobs ~check:_ () -> run_fig3_shards ~jobs ());
     ("history", fun ~jobs:_ ~check:_ () -> run_history ());
   ]
 (* [flows] is dispatched separately: it is the only target taking -n. *)

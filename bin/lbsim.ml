@@ -178,7 +178,7 @@ let fig2_cmd =
 
 let fig3_cmd =
   let run duration inject_at inject_ms policies servers connections alpha law
-      remap seed shards csv metrics_csv metrics_interval jobs =
+      remap seed csv metrics_csv metrics_interval jobs =
     let scenario =
       {
         Cluster.Scenario.default_config with
@@ -187,7 +187,6 @@ let fig3_cmd =
         memtier =
           { Workload.Memtier.default_config with Workload.Memtier.connections };
         seed;
-        shards;
       }
     in
     let result =
@@ -233,20 +232,12 @@ let fig3_cmd =
     Arg.(value & opt float 0.10 & info [ "alpha" ] ~doc:"Controller shift fraction.")
   in
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Engine shards per simulation (results are invariant in \
-             this; tables are byte-identical at any value).")
-  in
   Cmd.v
     (Cmd.info "fig3"
        ~doc:"Tail latency under a server delay injection (Fig 3).")
     Term.(
       const run $ duration $ inject_at $ inject_ms $ policies $ servers
-      $ connections $ alpha $ law_arg $ remap_arg $ seed $ shards $ csv_arg
+      $ connections $ alpha $ law_arg $ remap_arg $ seed $ csv_arg
       $ metrics_csv_arg $ metrics_interval_arg $ jobs_arg)
 
 (* --- sweeps ------------------------------------------------------------ *)
@@ -633,14 +624,14 @@ let run_cmd =
 (* --- churn: multi-fault timeline with per-fault latencies --------------- *)
 
 let churn_cmd =
-  let run duration seed shards remap faults assert_recovery csv metrics_csv =
+  let run duration seed remap faults assert_recovery csv metrics_csv =
     let timeline =
       match load_faults faults with
       | Some timeline -> timeline
       | None -> Cluster.Churn.default_timeline
     in
     let scenario =
-      { Cluster.Churn.default_scenario with Cluster.Scenario.seed; shards }
+      { Cluster.Churn.default_scenario with Cluster.Scenario.seed }
     in
     let scenario =
       {
@@ -673,14 +664,6 @@ let churn_cmd =
       & info [ "duration" ] ~doc:"Run length, seconds.")
   in
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Engine shards (results are invariant in this; tables are \
-             byte-identical at any value).")
-  in
   let assert_recovery =
     Arg.(
       value & flag
@@ -695,7 +678,7 @@ let churn_cmd =
          "Replay a multi-fault timeline against the latency-aware LB and \
           report per-fault detection/recovery latency.")
     Term.(
-      const run $ duration $ seed $ shards $ remap_arg $ faults_arg
+      const run $ duration $ seed $ remap_arg $ faults_arg
       $ assert_recovery $ csv_arg $ metrics_csv_arg)
 
 (* --- soak: long-horizon churn + adversarial clients -------------------- *)
@@ -820,10 +803,7 @@ let soak_cmd =
 
 let flows_cmd =
   let run n shards seed csv =
-    let shards =
-      if shards > 0 then shards
-      else Stdlib.min Cluster.Sharded.clients (Domain.recommended_domain_count ())
-    in
+    let shards = Cluster.Sharded.resolve_shards shards in
     let r = Cluster.Sharded.flows ~shards ~seed ~n () in
     let s = r.Cluster.Sharded.stats in
     Fmt.pr "flows: n=%d shards=%d events=%d responses=%d active_peak=%d@." r.n

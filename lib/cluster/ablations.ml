@@ -286,11 +286,7 @@ let herd_one ?(coord = Coordination.Uncoordinated)
          if !converged_at = None && fleet_victim_weight s <= 0.1 then
            converged_at := Some (Des.Engine.now engine)));
   Scenario.run s ~until:duration;
-  let rows =
-    match Scenario.series s "client.latency.get" with
-    | Some ts -> Stats.Timeseries.rows ts ~q:0.95
-    | None -> []
-  in
+  let rows = Workload.Latency_log.(series (Scenario.log s) ~op:Get ~q:0.95) in
   let per_lb_actions =
     List.map Inband.Controller.action_count (controllers s)
   in

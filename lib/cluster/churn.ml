@@ -113,16 +113,11 @@ let run ?(scenario = default_scenario) ?(duration = Des.Time.sec 14)
         { interval; detection_ms; recovery_ms; recovered = recovery_ms <> None })
       (Faults.Injector.intervals injector)
   in
+  let get_latency = Workload.Latency_log.(hist (Scenario.log s) Get) in
   let p95_us =
-    match Scenario.histogram s "client.latency_get_ns" with
-    | Some h -> float_of_int (Stats.Histogram.quantile h 0.95) /. 1e3
-    | None -> nan
+    float_of_int (Stats.Histogram.quantile get_latency 0.95) /. 1e3
   in
-  let responses =
-    match Scenario.metric_sum s "client.responses" with
-    | Some v -> int_of_float v
-    | None -> 0
-  in
+  let responses = Workload.Latency_log.count (Scenario.log s) in
   Scenario.shutdown s;
   {
     duration;

@@ -15,7 +15,6 @@ type run_result = {
   victim_share_before : float;
   victim_share_after : float;
   metrics : Telemetry.Snapshot.row list;
-  shard_stats : Des.Shard.stats;
 }
 
 type result = {
@@ -49,18 +48,13 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
            ]));
   (* An out-of-cadence snapshot at injection time captures the exact
      per-server flow assignment, splitting the victim's share into
-     before/after; a final one closes the run. (Every shard snaps at the
-     same instants, so the merged row stream is K-agnostic.) *)
+     before/after; a final one closes the run. *)
   Scenario.schedule_snap s ~at:inject_at;
   Scenario.run s ~until:duration;
   Scenario.snap_all s;
   let balancer = Scenario.balancer s in
   let metrics = Scenario.snap_rows s in
-  let rows =
-    match Scenario.series s "client.latency.get" with
-    | Some ts -> Stats.Timeseries.rows ts ~q:0.95
-    | None -> []
-  in
+  let rows = Workload.Latency_log.(series (Scenario.log s) ~op:Get ~q:0.95) in
   let series =
     List.map
       (fun r ->
@@ -124,24 +118,14 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
       metrics;
     latest
   in
-  let flows_end =
-    Array.init n (fun i ->
-        match Scenario.metric_value s ~index:i "lb.flows_to" with
-        | Some v -> int_of_float v
-        | None -> 0)
-  in
+  let flows_end = Array.init n (Inband.Balancer.flows_assigned_to balancer) in
   let flows_delta = Array.init n (fun i -> flows_end.(i) - flows_before.(i)) in
   let share snap =
     let total = total_flows snap in
     if total = 0 then nan
     else float_of_int snap.(victim) /. float_of_int total
   in
-  let responses =
-    match Scenario.metric_sum s "client.responses" with
-    | Some v -> int_of_float v
-    | None -> 0
-  in
-  let shard_stats = Scenario.shard_stats s in
+  let responses = Workload.Latency_log.count (Scenario.log s) in
   Scenario.shutdown s;
   {
     policy;
@@ -158,7 +142,6 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
     victim_share_before = share flows_before;
     victim_share_after = share flows_delta;
     metrics;
-    shard_stats;
   }
 
 (* The default profile adds one stabiliser over the paper's always-act

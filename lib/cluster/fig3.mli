@@ -31,10 +31,6 @@ type run_result = {
       (** The full telemetry snapshot stream of the run: every
           registered metric sampled each [metrics_interval], plus
           out-of-cadence snapshots at injection time and at the end. *)
-  shard_stats : Des.Shard.stats;
-      (** The DES runner's barrier health for this run — windows,
-          adaptively skipped windows, remote posts, stalls. At
-          [scenario.shards = 1] windows just counts run phases. *)
 }
 
 type result = {
@@ -47,7 +43,7 @@ type result = {
 val default_scenario : Scenario.config
 (** {!Scenario.default_config} with [relative_threshold = 1.3] — the
     stabilised profile {!run} uses by default. Exposed so callers can
-    override single fields (e.g. [shards]) without re-deriving it. *)
+    override single fields (e.g. [seed]) without re-deriving it. *)
 
 val run :
   ?scenario:Scenario.config ->

@@ -165,11 +165,7 @@ let run_one ~scenario ~duration ~fault_at ~fault_dur ~slack ~sustain
     | Some c -> Inband.Controller.action_count c
     | None -> 0
   in
-  let responses =
-    match Scenario.metric_sum s "client.responses" with
-    | Some v -> int_of_float v
-    | None -> 0
-  in
+  let responses = Workload.Latency_log.count (Scenario.log s) in
   let cell =
     {
       remap;

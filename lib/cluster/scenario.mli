@@ -14,17 +14,12 @@
     controllers over a simulated {!Coordination} plane. At [n_lbs = 1]
     the build is the single-balancer cluster.
 
-    With [shards > 1] the cluster is partitioned across K engine shards
-    run by {!Des.Shard}: the balancers, servers, controllers, control
-    plane and fault injector stay together on shard 0, clients spread
-    round-robin over shards 1..K-1, and the lookahead bound is derived
-    from the cut link set (client→LB and server→client legs). Fleets
-    shard like any other cluster. Simulation outcomes are
-    invariant in [shards] — figure tables are byte-identical at any K —
-    because cross-shard packet legs preserve exact arrival times
-    (DESIGN.md §14–15). Telemetry is per-shard; use the merged readers
-    ({!metric_value}, {!metric_sum}, {!series}, {!histogram},
-    {!snap_rows}) instead of poking a single registry. *)
+    The whole cluster runs on one engine and one fabric. The paper's
+    mechanism keeps the LB, servers, controller and fault injector
+    together, so sharding the cluster could only move the clients, and
+    that made every run slower (DESIGN.md §15). Each further LB keeps
+    its own registry; {!metric_sum} and {!snap_rows} read all of
+    them. *)
 
 type config = {
   n_lbs : int;
@@ -70,10 +65,6 @@ type config = {
   metrics_interval : Des.Time.t;
       (** Telemetry snapshot period (default 500 ms). *)
   seed : int;
-  shards : int;
-      (** Engine shards (default 1, the historical single-engine run).
-          Results are invariant in this; only wall-clock and the
-          [shard.*] health metrics change. *)
 }
 
 val max_lbs : int
@@ -81,24 +72,21 @@ val max_lbs : int
 
 val default_config : config
 (** One LB, two servers (the paper's setup), one client host, static
-    Maglev, ~170 µs network RTT, ~50 µs service times, one shard. *)
+    Maglev, ~170 µs network RTT, ~50 µs service times. *)
 
 type t
 
 val build : config -> t
-(** Construct the whole cluster, partitioned over [config.shards]
-    engines. Clients are not started yet.
+(** Construct the whole cluster. Clients are not started yet.
 
-    @raise Invalid_argument if [shards < 1], [n_lbs] is outside
-    1..{!max_lbs},
-    or a coordination policy is set without a controller. *)
+    @raise Invalid_argument if [n_lbs] is outside 1..{!max_lbs}, or a
+    coordination policy is set without a controller. *)
 
 val engine : t -> Des.Engine.t
-(** Shard 0's engine — the one owning the balancers, servers and fault
-    injector. Under sharding, schedule onto it only between runs. *)
+(** The cluster's engine. *)
 
 val fabric : t -> Netsim.Fabric.t
-(** Shard 0's fabric (VIP and server endpoints). *)
+(** The cluster's fabric (VIP, server and client endpoints). *)
 
 val balancer : t -> Inband.Balancer.t
 (** LB 0 — the cluster's only balancer unless [n_lbs > 1]. *)
@@ -113,97 +101,69 @@ val servers : t -> Memcache.Server.t array
 val clients : t -> Workload.Memtier.t array
 
 val log : t -> Workload.Latency_log.t
-(** The first client-hosting shard's latency log. At [shards = 1] this
-    is the single cluster-wide log; under sharding each client-hosting
-    shard has its own and cross-shard readers should prefer {!series} /
-    {!histogram}.
-
-    @raise Invalid_argument if no shard hosts a client. *)
+(** The latency log every client records into. *)
 
 val vip : ?lb:int -> t -> Netsim.Addr.t
 (** LB [lb]'s VIP (default LB 0). *)
 
-val shards : t -> int
-(** The shard count the cluster was built with. *)
-
 val shard_stats : t -> Des.Shard.stats
-(** Barrier-captured runner health: windows, skipped (adaptively
-    subsumed) windows, remote posts, inbox high-water, per-shard stalls.
-    Meaningful after {!run}; at [shards = 1] windows counts run phases. *)
+(** The one-shard {!Des.Shard} runner's counters: [windows] counts run
+    phases ({!advance} calls), [events_fired] the engine's events.
+    Meaningful after {!run}. *)
 
 val events_fired : t -> int
-(** DES events executed so far, summed over every shard. *)
+(** DES events executed so far. *)
 
 val retained_words : t -> int
 (** Heap words held by measurement history — every snapshotter's rows
-    and every latency log's series. It grows with run length by design,
+    and the latency log's series. It grows with run length by design,
     so the soak battery subtracts it from live-memory verdicts. *)
 
 val shutdown : t -> unit
-(** Join the worker domain team ({!Des.Shard.shutdown}). Call when done
-    with a sharded scenario; no-op at [shards = 1]. No {!run} after. *)
+(** Release the runner ({!Des.Shard.shutdown}, a no-op for one shard).
+    No {!run} after. *)
 
 val lb_server_link : t -> int -> Netsim.Link.t
 (** LB 0's link to one server. *)
 
 val client_lb_link : t -> int -> Netsim.Link.t
-(** The client→LB link of one client. Under sharding it is owned by the
-    client's shard — don't mutate it from shard 0. *)
+(** The client→LB link of one client. *)
 
 val telemetry : t -> Telemetry.Registry.t
-(** Shard 0's metric registry: LB 0 ([lb.*], [ctl.*], [coord.*]),
-    servers ([server.*], indexed), LB 0's forward links
-    ([link.lb_server.*]) and, under sharding, the runner's [shard.*]
-    gauges. Each further LB has a registry of its own with the same
-    names. Client-side metrics ([client.*], [link.client_lb.*]) live in
-    the owning shard's registry — read them through {!metric_value},
-    {!metric_sum}, {!series} or {!histogram}, which cover every
-    registry. *)
-
-val metric_value : t -> ?index:int -> string -> float option
-(** First reading of a scalar metric, scanning registries in shard
-    order and then LB order — for metrics registered in exactly one
-    registry (everything on shard 0 of a single-LB cluster; any client
-    metric when one shard hosts all clients). *)
+(** The cluster registry: LB 0 ([lb.*], [ctl.*], [coord.*]), servers
+    ([server.*], indexed), clients ([client.*], [link.client_lb.*]), LB
+    0's forward links ([link.lb_server.*]) and the engine's [des.*]
+    gauges. Each further LB has a registry of its own with LB 0's
+    names. *)
 
 val metric_sum : t -> ?index:int -> string -> float option
 (** Sum of a scalar metric over every registry that has it ([None] if
     none do) — e.g. fleet-total [ctl.actions]. Exact for integer
-    counters; equals {!metric_value} when the metric lives in one
-    registry. *)
-
-val series : t -> ?index:int -> string -> Stats.Timeseries.t option
-(** Merged view of an attached time series (e.g.
-    ["client.latency.get"]). A single-shard hit is returned as-is —
-    bit-identical to the K=1 read; multiple hits are folded into a
-    fresh series with {!Stats.Timeseries.merge_into}. *)
+    counters. *)
 
 val histogram : t -> ?index:int -> string -> Stats.Histogram.t option
-(** Merged view of a registered histogram (e.g.
-    ["client.latency_get_ns"]); single-shard hits returned as-is. *)
+(** A histogram registered with the cluster registry (e.g.
+    ["client.latency_get_ns"]). *)
 
 val snap_rows : t -> Telemetry.Snapshot.row list
 (** Every registry's snapshot rows, stably sorted by snapshot time:
-    rows of any one metric keep their chronological order, and at
-    [shards = 1] with one LB the list is exactly the single
-    snapshotter's. *)
+    rows of any one metric keep their chronological order, and with one
+    LB the list is exactly the single snapshotter's. *)
 
 val snap_all : t -> unit
-(** Take an immediate out-of-cadence snapshot on every shard (e.g. the
-    final sample after {!run} returns; the engines are parked, so the
-    reads are race-free). *)
+(** Take an immediate out-of-cadence snapshot of every registry (e.g.
+    the final sample after {!run} returns). *)
 
 val schedule_snap : t -> at:Des.Time.t -> unit
-(** Schedule an out-of-cadence snapshot at simulation time [at] on
-    every shard — each shard's snap runs on its own engine. *)
+(** Schedule an out-of-cadence snapshot of every registry at
+    simulation time [at]. *)
 
 val wire_client_host : ?lb:int -> t -> host_ip:int -> unit
 (** Wire an extra client host (built after {!build}, e.g. a
     {!Workload.Pathology} client) into the DSR topology: a request link
     to LB [lb]'s VIP (default LB 0) and a server→host return link per
-    server, all at the default delays. The host must already be registered on shard 0's
-    fabric — create its TCP endpoint there first; such hosts always run
-    on shard 0, so this works at any [shards].
+    server, all at the default delays. The host must already be
+    registered on the fabric — create its TCP endpoint there first.
 
     @raise Invalid_argument if [lb] is out of range, the host is
     unregistered or links already exist. *)
@@ -215,13 +175,11 @@ val inject_server_delay :
 
 val install_faults : t -> Faults.Timeline.t -> Faults.Injector.t
 (** {!Faults.Injector.install} against the cluster's fault targets,
-    publishing [fault.*] metrics into shard 0's registry. Link
+    publishing [fault.*] metrics into the cluster registry. Link
     ["lb->sN"] is every LB's link to server N, ["cN->lb"] client N's
     request link; servers and backends are indexed as built, and a
-    backend drain acts on LB 0's controller (latency-aware policy
-    only). Under sharding ["cN->lb"] does not resolve: those links
-    belong to other shards' domains and the injector runs on shard 0.
-    Call before {!run}. *)
+    backend drain acts on every LB's controller (latency-aware policy
+    only). Call before {!run}. *)
 
 val attach_pcc : t -> Oracle.t array
 (** Attach a per-connection-consistency {!Oracle} to every LB, in LB
@@ -229,9 +187,8 @@ val attach_pcc : t -> Oracle.t array
     before {!run}; inspect after — the [--assert-pcc] scenario flag. *)
 
 val advance : t -> until:Des.Time.t -> unit
-(** Advance every shard to [until] (synchronized windows under
-    sharding, a plain engine run at [shards = 1]) without starting or
-    stopping clients — e.g. a post-run drain. *)
+(** Run the engine to [until] without starting or stopping clients —
+    e.g. a post-run drain. *)
 
 val run : t -> until:Des.Time.t -> unit
 (** Start all clients, {!advance} to [until], then stop clients. May be

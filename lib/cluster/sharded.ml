@@ -53,36 +53,16 @@ type result = {
   stats : Des.Shard.stats;
 }
 
-let install_metrics shard registry =
-  let k = Des.Shard.shards shard in
-  let stat f = f (Des.Shard.stats shard) in
-  for i = 0 to k - 1 do
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.pending" (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.pending.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.wheel_size" (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.wheel_size.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.queue_length"
-      (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.queue_length.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.events_fired"
-      (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.events_fired.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.stall_s" (fun () ->
-        stat (fun s -> s.Des.Shard.stall_seconds.(i)))
-  done;
-  Telemetry.Registry.gauge_fn registry "shard.windows" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.windows)));
-  Telemetry.Registry.gauge_fn registry "shard.skipped_windows" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.skipped_windows)));
-  Telemetry.Registry.gauge_fn registry "shard.remote_posts" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.remote_posts)));
-  Telemetry.Registry.gauge_fn registry "shard.inbox_peak_bytes" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.inbox_peak_bytes)))
+(* More shards than clients would leave empty engines spinning in the
+   barrier for nothing. *)
+let resolve_shards shards =
+  if shards > 0 then shards
+  else Stdlib.min clients (Domain.recommended_domain_count ())
 
 (* One balancer replica + its shard's clients and servers, plus every
    link whose *source* host lives on this shard (a link is owned by the
    sending engine; its receiving end may be remote). *)
-let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ?telemetry ~n () =
+let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ~n () =
   if shards < 1 then invalid_arg "Sharded.flows: shards must be >= 1";
   if n < 1 then invalid_arg "Sharded.flows: n must be >= 1";
   if seed < 0 then invalid_arg "Sharded.flows: seed must be >= 0";
@@ -216,9 +196,6 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ?telemetry ~n () =
     in
     Des.Engine.post_after engine ~delay:(Des.Time.us 1) pacer
   done;
-  (match telemetry with
-  | Some registry -> install_metrics shard registry
-  | None -> ());
   let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   (* Phase 1: drive all sends plus in-flight drain, then measure live

@@ -22,6 +22,11 @@ val servers : int
 val rounds : int
 (** Sends per flow over the whole run (12). *)
 
+val resolve_shards : int -> int
+(** A [--shards] value: [k > 0] is [k]; [0] means one shard per
+    available core ([Domain.recommended_domain_count]), capped at
+    {!clients}. *)
+
 type result = {
   n : int;
   shards : int;
@@ -46,7 +51,6 @@ val flows :
   ?shards:int ->
   ?seed:int ->
   ?adaptive:bool ->
-  ?telemetry:Telemetry.Registry.t ->
   n:int ->
   unit ->
   result
@@ -58,18 +62,7 @@ val flows :
     port space — a different simulation whose results are still
     invariant in [shards]. [adaptive] (default [true]) selects
     event-horizon window widening; the [csv] is byte-identical either
-    way, only window counts and wall time differ. When [telemetry] is
-    given, per-shard engine health gauges are installed into it via
-    {!install_metrics}.
+    way, only window counts and wall time differ.
 
     @raise Invalid_argument if [shards < 1], [n < 1] or [seed < 0].
     @raise Failure if any flow survives the idle-expiry drain. *)
-
-val install_metrics : Des.Shard.t -> Telemetry.Registry.t -> unit
-(** Register per-shard DES health gauges — [shard.pending],
-    [shard.wheel_size], [shard.queue_length], [shard.events_fired],
-    [shard.stall_s] (indexed by shard) plus [shard.windows],
-    [shard.skipped_windows], [shard.remote_posts] and
-    [shard.inbox_peak_bytes] — all reading the barrier-captured snapshot
-    in {!Des.Shard.stats}, so polling them never races a running
-    window. *)

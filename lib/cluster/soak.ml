@@ -333,9 +333,9 @@ let run ?(config = default_config) () =
   in
   List.iter Workload.Pathology.start pathologies;
   Scenario.run s ~until:config.duration;
-  (* Quiesce: stop the attackers, then run every shard on so FINs
-     complete, RTO timers die out and the idle sweep reaps every flow.
-     Anything still alive afterwards is stuck. *)
+  (* Quiesce: stop the attackers, then run on so FINs complete, RTO
+     timers die out and the idle sweep reaps every flow. Anything still
+     alive afterwards is stuck. *)
   List.iter Workload.Pathology.stop pathologies;
   Scenario.advance s ~until:(config.duration + config.drain);
   Scenario.snap_all s;
@@ -386,16 +386,11 @@ let run ?(config = default_config) () =
   in
   let sum_path f = List.fold_left (fun acc p -> acc + f p) 0 pathologies in
   let sum_oracles f = Array.fold_left (fun acc o -> acc + f o) 0 oracles in
+  let get_latency = Workload.Latency_log.(hist (Scenario.log s) Get) in
   let p95_us =
-    match Scenario.histogram s "client.latency_get_ns" with
-    | Some h -> float_of_int (Stats.Histogram.quantile h 0.95) /. 1e3
-    | None -> Float.nan
+    float_of_int (Stats.Histogram.quantile get_latency 0.95) /. 1e3
   in
-  let responses =
-    match Scenario.metric_sum s "client.responses" with
-    | Some v -> int_of_float v
-    | None -> 0
-  in
+  let responses = Workload.Latency_log.count (Scenario.log s) in
   let result =
     {
       duration = config.duration;

@@ -22,9 +22,6 @@
     usually coordinated): gauges sum over the balancers, adversaries
     round-robin over the VIPs, PCC oracles watch every LB, and the
     control plane's backlog ([coord.backlog]) is growth-checked too.
-    Runs shard like any {!Scenario}: every reading merges over shards
-    and the drain advances all of them, so the outcome does not depend
-    on [scenario.shards].
 
     [bench soak] and [lbsim soak] wire this to the command line and
     CI. *)
@@ -108,7 +105,7 @@ type result = {
   rsts_sent : int;
   responses : int;
   p95_us : float;
-  events_fired : int;  (** Summed over shards. *)
+  events_fired : int;
   coord_msgs : int;  (** Control-plane snapshots sent fleet-wide. *)
   coord_suppressed : int;  (** Hysteresis vetoes + no-change imposes. *)
   coord_imposed : int;  (** Follower weight adoptions (leader mode). *)

@@ -73,7 +73,7 @@ let inbox_grow b = inbox_realloc b (Stdlib.max 64 (2 * inbox_capacity b))
 
 type t = {
   shards : int;
-  mutable lookahead : Time.t;
+  lookahead : Time.t;
   adaptive : bool;
   engines : Engine.t array;
   inboxes : inbox array array; (* [src].(dst) *)
@@ -118,11 +118,6 @@ let shards (t : t) = t.shards
 let lookahead (t : t) = t.lookahead
 let adaptive (t : t) = t.adaptive
 let engine (t : t) k = t.engines.(k)
-
-let set_lookahead (t : t) lookahead =
-  if t.shards > 1 && lookahead <= 0 then
-    invalid_arg "Shard.set_lookahead: lookahead must be positive";
-  t.lookahead <- lookahead
 
 let post_remote (t : t) ~src ~dst ~at run =
   let b = t.inboxes.(src).(dst) in

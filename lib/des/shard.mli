@@ -52,16 +52,6 @@ val lookahead : t -> Time.t
 val adaptive : t -> bool
 (** Whether event-horizon widening is enabled. *)
 
-val set_lookahead : t -> Time.t -> unit
-(** Replace the lookahead bound. Scenarios that derive the bound from
-    their cross-shard link set call this after wiring (links need the
-    engines, which need [create], which needs {e a} lookahead): create
-    with a placeholder, wire, then tighten. Only call between {!run}
-    phases (or before the first), and only with a value that still
-    lower-bounds every cross-shard link's base delay.
-
-    @raise Invalid_argument if non-positive while [shards > 1]. *)
-
 val engine : t -> int -> Engine.t
 (** The engine owned by shard [k]. Scenario construction registers each
     host's timers and callbacks on its owning shard's engine; during

@@ -1,7 +1,7 @@
 type env = {
   link : string -> Netsim.Link.t list;
   server : int -> Memcache.Server.t option;
-  controller : int -> Inband.Controller.t option;
+  controller : int -> Inband.Controller.t list;
 }
 
 type phase = Applied | Reverted
@@ -60,15 +60,15 @@ let resolve env (e : Timeline.event) =
     | Some s -> s
     | None -> invalid_arg (Fmt.str "Faults.Injector: unknown server %d" i)
   in
-  let controller i =
+  let controllers i =
     match env.controller i with
-    | Some c -> c
-    | None ->
+    | [] ->
         invalid_arg
           (Fmt.str
              "Faults.Injector: no controller for backend %d (drain needs the \
               latency-aware policy)"
              i)
+    | cs -> cs
   in
   match (e.target, e.fault) with
   | Timeline.Link name, (Timeline.Delay d | Timeline.Spike d) ->
@@ -128,11 +128,18 @@ let resolve env (e : Timeline.event) =
         Memcache.Server.pause s ~until:(Des.Engine.now engine + duration);
         fun () -> Memcache.Server.resume s
   | Timeline.Backend i, Timeline.Drain ->
-      let c = controller i in
+      let cs = controllers i in
       fun engine ->
-        Inband.Controller.drain c ~now:(Des.Engine.now engine) ~server:i;
+        List.iter
+          (fun c ->
+            Inband.Controller.drain c ~now:(Des.Engine.now engine) ~server:i)
+          cs;
         fun () ->
-          Inband.Controller.restore c ~now:(Des.Engine.now engine) ~server:i
+          List.iter
+            (fun c ->
+              Inband.Controller.restore c ~now:(Des.Engine.now engine)
+                ~server:i)
+            cs
   | (Timeline.Link _ | Timeline.Server _ | Timeline.Backend _), _ ->
       (* validate above rejects every fault/target mismatch *)
       assert false

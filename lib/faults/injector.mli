@@ -18,9 +18,11 @@ type env = {
           it names (one per balancer in a fleet); [[]] = unknown. A
           fault applies to, and reverts, all of them together. *)
   server : int -> Memcache.Server.t option;
-  controller : int -> Inband.Controller.t option;
-      (** Controller owning the given backend index; [None] when the
-          scenario runs without feedback control (drain unsupported). *)
+  controller : int -> Inband.Controller.t list;
+      (** Every controller balancing the given backend index (one per
+          balancer in a fleet); [[]] when the scenario runs without
+          feedback control (drain unsupported). A drain pins, and
+          restores, all of them together. *)
 }
 
 type phase = Applied | Reverted

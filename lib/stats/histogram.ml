@@ -99,19 +99,6 @@ let quantile t q =
     walk 0 0
   end
 
-let merge_into ~dst src =
-  if dst.sub_bucket_bits <> src.sub_bucket_bits then
-    invalid_arg "Histogram.merge_into: sub_bucket_bits mismatch";
-  Array.iteri
-    (fun i c -> if c > 0 then dst.counts.(i) <- dst.counts.(i) + c)
-    src.counts;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
-  if src.total > 0 then begin
-    if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-    if src.max_v > dst.max_v then dst.max_v <- src.max_v
-  end
-
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;

@@ -35,12 +35,6 @@ val quantile : t -> float -> int
 (** [quantile t q] is an estimate of the [q]-quantile (0 <= q <= 1),
     accurate to the bucket width (~3 % by default). Returns 0 if empty. *)
 
-val merge_into : dst:t -> t -> unit
-(** [merge_into ~dst src] adds all of [src]'s observations to [dst].
-    The histograms must have the same [sub_bucket_bits].
-
-    @raise Invalid_argument on a configuration mismatch. *)
-
 val clear : t -> unit
 (** Drop all recorded observations. *)
 

@@ -52,40 +52,3 @@ let rows t ~q =
            mean = Histogram.mean hist;
            quantile = Histogram.quantile hist q;
          })
-
-let merge_into ~dst src =
-  if dst.bucket <> src.bucket then
-    invalid_arg "Timeseries.merge_into: bucket widths differ";
-  Hashtbl.iter
-    (fun idx cell ->
-      match Hashtbl.find_opt dst.table idx with
-      | None ->
-          (* Deep-copy so later records into [dst] don't mutate [src]. *)
-          let copy =
-            match !cell with
-            | Single v -> Single v
-            | Hist h ->
-                let h' = Histogram.create () in
-                Histogram.merge_into ~dst:h' h;
-                Hist h'
-          in
-          Hashtbl.add dst.table idx (ref copy)
-      | Some ({ contents = Single v0 } as dcell) -> (
-          match !cell with
-          | Single v ->
-              let h = Histogram.create () in
-              Histogram.record h v0;
-              Histogram.record h v;
-              dcell := Hist h
-          | Hist h ->
-              let h' = Histogram.create () in
-              Histogram.record h' v0;
-              Histogram.merge_into ~dst:h' h;
-              dcell := Hist h')
-      | Some { contents = Hist dh } -> (
-          match !cell with
-          | Single v -> Histogram.record dh v
-          | Hist h -> Histogram.merge_into ~dst:dh h))
-    src.table
-
-let bucket_width t = t.bucket

@@ -33,15 +33,3 @@ type row = {
 val rows : t -> q:float -> row list
 (** [rows t ~q] is the series in time order, one row per non-empty
     bucket, with [quantile] the per-bucket [q]-quantile. *)
-
-val merge_into : dst:t -> t -> unit
-(** [merge_into ~dst src] folds every bucket of [src] into [dst]
-    (bucket counts add exactly; quantiles over the merged series are
-    identical to a single-series run because the underlying histograms
-    are mergeable). [src] is not mutated and absent buckets are
-    deep-copied. Used to aggregate per-shard client series into one
-    figure table.
-
-    @raise Invalid_argument if the bucket widths differ. *)
-
-val bucket_width : t -> Des.Time.t

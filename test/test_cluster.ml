@@ -351,6 +351,65 @@ let churn_reports_detection_and_recovery () =
       check_bool "run produced traffic" true (r.Cluster.Churn.responses > 1000)
   | l -> Alcotest.failf "expected one report, got %d" (List.length l)
 
+(* A backend drain is fleet-wide: every LB's controller pins the
+   backend for the interval and releases it afterwards, the way a link
+   fault on "lb->sN" delays every LB's link. *)
+let fleet_drain_reaches_every_lb () =
+  let s =
+    Cluster.Scenario.build
+      { Cluster.Churn.default_scenario with Cluster.Scenario.n_lbs = 2 }
+  in
+  let timeline =
+    match Faults.Timeline.parse "100ms backend:1 drain for 1s" with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  ignore (Cluster.Scenario.install_faults s timeline);
+  let drained () =
+    Array.to_list (Cluster.Scenario.balancers s)
+    |> List.map (fun b ->
+           match Inband.Balancer.controller b with
+           | Some c -> Inband.Controller.is_drained c 1
+           | None -> Alcotest.fail "churn scenario has no controller")
+  in
+  Cluster.Scenario.run s ~until:(Des.Time.ms 500);
+  Alcotest.(check (list bool)) "both LBs drained" [ true; true ] (drained ());
+  Cluster.Scenario.run s ~until:(Des.Time.ms 1500);
+  Alcotest.(check (list bool)) "both restored" [ false; false ] (drained ());
+  Cluster.Scenario.shutdown s
+
+(* "cN->lb" names client N's request link on any scenario: a fault on
+   it touches that link alone and reverts when its interval ends. *)
+let client_link_fault_reverts () =
+  let s =
+    Cluster.Scenario.build
+      { Cluster.Churn.default_scenario with Cluster.Scenario.n_clients = 2 }
+  in
+  let timeline =
+    match
+      Faults.Timeline.parse
+        "100ms link:c0->lb delay+1ms for 200ms\n\
+         100ms link:c0->lb loss=0.25 for 200ms"
+    with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  ignore (Cluster.Scenario.install_faults s timeline);
+  let state j =
+    let link = Cluster.Scenario.client_lb_link s j in
+    (Netsim.Link.extra_delay link, Netsim.Link.loss_prob link)
+  in
+  let check label j expected =
+    Alcotest.(check (pair int (float 0.0))) label expected (state j)
+  in
+  Cluster.Scenario.run s ~until:(Des.Time.ms 200);
+  check "client 0 faulted" 0 (Des.Time.ms 1, 0.25);
+  check "client 1 untouched" 1 (0, 0.0);
+  Cluster.Scenario.run s ~until:(Des.Time.ms 400);
+  check "client 0 reverted" 0 (0, 0.0);
+  check "client 1 still untouched" 1 (0, 0.0);
+  Cluster.Scenario.shutdown s
+
 (* --- Determinism --------------------------------------------------------------- *)
 
 let simulation_deterministic () =
@@ -559,50 +618,6 @@ let soak_fleet_is_clean () =
   check_int "pcc clean" 0 r.Cluster.Soak.pcc_violations;
   check_bool "served traffic" true (r.Cluster.Soak.responses > 10_000)
 
-(* Soak readings merge over shards and the drain advances every shard,
-   so a sharded soak reports what the single-engine one does. *)
-let soak_shard_invariant () =
-  let run shards =
-    let base = Cluster.Soak.default_config in
-    let config =
-      {
-        base with
-        Cluster.Soak.duration = Des.Time.sec 20;
-        warmup = Des.Time.sec 5;
-        drain = Des.Time.sec 10;
-        windows = 2;
-        scenario = { base.Cluster.Soak.scenario with Cluster.Scenario.shards };
-        pathologies =
-          [
-            (Workload.Pathology.Slowloris { drip = Des.Time.ms 10 }, 2);
-            ( Workload.Pathology.Gap_flood
-                { rate = Des.Time.ms 2; segment = 512 },
-              1 );
-            (Workload.Pathology.Rst_flood { rate = Des.Time.ms 20 }, 1);
-          ];
-      }
-    in
-    let r = Cluster.Soak.run ~config () in
-    Cluster.Soak.
-      [
-        ("responses", float_of_int r.responses);
-        ("p95_us", r.p95_us);
-        ("pcc_checked", float_of_int r.pcc_checked);
-        ("pcc_violations", float_of_int r.pcc_violations);
-        ("stuck_flows", float_of_int r.stuck_flows);
-        ("stuck_conns", float_of_int r.stuck_conns);
-        ("fault_intervals", float_of_int r.fault_intervals);
-        ("pathology_conns", float_of_int r.pathology_conns);
-        ("gap_segments", float_of_int r.gap_segments);
-        ("rsts_sent", float_of_int r.rsts_sent);
-        ("reasm_drops", float_of_int r.reasm_drops);
-      ]
-  in
-  let one = run 1 in
-  check_bool "served traffic" true (List.assoc "responses" one > 1_000.0);
-  Alcotest.(check (list (pair string (float 0.0))))
-    "shards 1 and 2 report the same soak" one (run 2)
-
 let () =
   Alcotest.run "cluster"
     [
@@ -646,6 +661,10 @@ let () =
             fig3_timeline_matches_direct_injection;
           Alcotest.test_case "churn reports detection and recovery" `Slow
             churn_reports_detection_and_recovery;
+          Alcotest.test_case "fleet drain reaches every LB" `Quick
+            fleet_drain_reaches_every_lb;
+          Alcotest.test_case "client link fault reverts" `Quick
+            client_link_fault_reverts;
         ] );
       ( "soak",
         [
@@ -658,8 +677,6 @@ let () =
             soak_repeat_timeline_tiles_and_clips;
           Alcotest.test_case "short soak is clean" `Slow soak_short_run_is_clean;
           Alcotest.test_case "fleet soak is clean" `Slow soak_fleet_is_clean;
-          Alcotest.test_case "soak is shard-invariant" `Slow
-            soak_shard_invariant;
         ] );
       ( "determinism",
         [

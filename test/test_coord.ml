@@ -706,13 +706,12 @@ let fleet_leader_imposes () =
       Alcotest.failf "expected 2 per-LB counters, got %d" (List.length other));
   check_int "leader run is PCC-clean" 0 leader.Cluster.Ablations.pcc_violations
 
-let fleet ?(shards = 1) ~policy n_lbs =
+let fleet ~policy n_lbs =
   {
     Cluster.Ablations.fleet_scenario with
     Cluster.Scenario.n_lbs;
     coord =
       { Cluster.Coordination.default_config with Cluster.Coordination.policy };
-    shards;
   }
 
 (* Fleet-total ctl.actions must equal the sum of the per-LB telemetry
@@ -739,8 +738,8 @@ let churn_accounting () =
                    | Some c -> Inband.Controller.action_count c
                    | None -> 0)
           in
-          (* Every LB's registry holds its own ctl.actions; the merged
-             reader sums them. *)
+          (* Every LB's registry holds its own ctl.actions;
+             [metric_sum] adds them up. *)
           let from_registries =
             int_of_float
               (Option.value ~default:0.0
@@ -764,55 +763,6 @@ let sweep_deterministic_at_any_jobs () =
       ~duration:(Des.Time.sec 2) ~inject_at:(Des.Time.sec 1) ()
   in
   check_bool "rows identical at -j 1 and -j 2" true (compare (run 1) (run 2) = 0)
-
-(* A coordinated fleet shards like any scenario: all LBs, the control
-   plane and the injection stay on shard 0, clients move to shard 1, and
-   nothing the fleet does may change. *)
-let fleet_k_invariant () =
-  let run shards =
-    let t =
-      Cluster.Scenario.build
-        (fleet ~shards ~policy:Cluster.Coordination.Gossip_average 2)
-    in
-    let oracles = Cluster.Scenario.attach_pcc t in
-    Cluster.Scenario.inject_server_delay t ~server:1 ~at:(Des.Time.sec 1)
-      ~delay:(Des.Time.ms 1);
-    Cluster.Scenario.run t ~until:(Des.Time.sec 3);
-    let actions =
-      Array.to_list (Cluster.Scenario.balancers t)
-      |> List.filter_map Inband.Balancer.controller
-      |> List.map Inband.Controller.action_count
-    in
-    let coord =
-      match Cluster.Scenario.coordination t with
-      | Some c ->
-          Cluster.Coordination.
-            [ messages_sent c; messages_received c; suppressed c; imposed c ]
-      | None -> []
-    in
-    let pcc =
-      Array.to_list oracles
-      |> List.map (fun o ->
-             (Cluster.Oracle.checked o, Cluster.Oracle.violation_count o))
-    in
-    let p95 =
-      match Cluster.Scenario.series t "client.latency.get" with
-      | Some ts ->
-          List.map
-            (fun (r : Stats.Timeseries.row) -> (r.t_start, r.count, r.quantile))
-            (Stats.Timeseries.rows ts ~q:0.95)
-      | None -> []
-    in
-    Cluster.Scenario.shutdown t;
-    (actions, coord, pcc, p95)
-  in
-  let a1, c1, p1, s1 = run 1 and a2, c2, p2, s2 = run 2 in
-  Alcotest.(check (list int)) "per-LB actions" a1 a2;
-  Alcotest.(check (list int)) "coordination counters" c1 c2;
-  Alcotest.(check (list (pair int int))) "PCC counts" p1 p2;
-  Alcotest.(check (list (triple int int int))) "GET p95 series" s1 s2;
-  check_bool "the fleet acted" true (List.fold_left ( + ) 0 a1 > 0);
-  check_bool "snapshots flowed" true (List.hd c1 > 0)
 
 let () =
   Alcotest.run "coord"
@@ -851,6 +801,5 @@ let () =
           Alcotest.test_case "churn accounting" `Slow churn_accounting;
           Alcotest.test_case "jobs-deterministic" `Slow
             sweep_deterministic_at_any_jobs;
-          Alcotest.test_case "K-invariant" `Slow fleet_k_invariant;
         ] );
     ]

@@ -111,7 +111,7 @@ let link_env name link =
   {
     Faults.Injector.link = (fun n -> if n = name then [ link ] else []);
     server = (fun _ -> None);
-    controller = (fun _ -> None);
+    controller = (fun _ -> []);
   }
 
 let injector_spike_applies_and_reverts () =
@@ -251,7 +251,7 @@ let server_env server =
   {
     Faults.Injector.link = (fun _ -> []);
     server = (fun i -> if i = 0 then Some server else None);
-    controller = (fun _ -> None);
+    controller = (fun _ -> []);
   }
 
 let injector_slow_applies_and_reverts () =
@@ -405,7 +405,7 @@ let injector_drain_via_timeline () =
     {
       Faults.Injector.link = (fun _ -> []);
       server = (fun _ -> None);
-      controller = (fun i -> if i < 3 then Some c else None);
+      controller = (fun i -> if i < 3 then [ c ] else []);
     }
   in
   let timeline =

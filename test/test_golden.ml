@@ -36,23 +36,21 @@ let fig2b () =
 
 (* The remap layer must be invisible under its default: an explicit
    [--remap preserve] Fig 3 CSV is byte-identical to the pre-remap
-   default, at any --jobs and --shards combination. (Fig 2 exercises no
-   balancer, so the fig2a/fig2b goldens above already pin its tables
-   against the remap plumbing by construction.) A compressed 6 s
-   timeline keeps the grid affordable; byte-equality is scale-free. *)
+   default, at any --jobs. (Fig 2 exercises no balancer, so the
+   fig2a/fig2b goldens above already pin its tables against the remap
+   plumbing by construction.) A compressed 6 s timeline keeps the grid
+   affordable; byte-equality is scale-free. *)
 let fig3_remap_preserve () =
-  let run ~explicit ~shards ~jobs =
+  let run ~explicit ~jobs =
+    let base = Cluster.Fig3.default_scenario in
     let scenario =
-      { Cluster.Fig3.default_scenario with Cluster.Scenario.shards }
-    in
-    let scenario =
-      if not explicit then scenario
+      if not explicit then base
       else
         {
-          scenario with
+          base with
           Cluster.Scenario.lb =
             {
-              scenario.Cluster.Scenario.lb with
+              base.Cluster.Scenario.lb with
               Inband.Config.remap =
                 (match Inband.Remap.of_string "preserve" with
                 | Ok r -> r
@@ -64,18 +62,16 @@ let fig3_remap_preserve () =
       (Cluster.Fig3.run ~scenario ~jobs ~duration:(Des.Time.sec 6)
          ~inject_at:(Des.Time.sec 2) ())
   in
-  let reference = run ~explicit:false ~shards:1 ~jobs:1 in
+  let reference = run ~explicit:false ~jobs:1 in
   Alcotest.(check bool) "reference CSV is non-trivial" true
     (String.length reference > 100);
   List.iter
-    (fun (explicit, shards, jobs) ->
+    (fun jobs ->
       Alcotest.(check string)
-        (Fmt.str "fig3 CSV (%s, shards=%d, jobs=%d)"
-           (if explicit then "explicit preserve" else "default")
-           shards jobs)
+        (Fmt.str "fig3 CSV (explicit preserve, jobs=%d)" jobs)
         reference
-        (run ~explicit ~shards ~jobs))
-    [ (true, 1, 1); (true, 2, 2); (false, 2, 1) ]
+        (run ~explicit:true ~jobs))
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "golden"

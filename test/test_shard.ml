@@ -286,32 +286,6 @@ let sharded_flows_two_equals_three () =
   in
   Alcotest.(check string) "K=2 vs K=3" (csv 2) (csv 3)
 
-(* The sharded scenario end to end: a compressed Fig 3 must produce the
-   same published numbers at K=1 and K=2 (the bench [fig3-shards] target
-   and CI check {1, 2, 4} at full length and the golden tables). *)
-let fig3_sharded_equal () =
-  let run shards =
-    let scenario =
-      { Cluster.Fig3.default_scenario with Cluster.Scenario.shards }
-    in
-    let r =
-      Cluster.Fig3.run ~scenario ~duration:(Des.Time.sec 3)
-        ~inject_at:(Des.Time.sec 1) ()
-    in
-    List.map
-      (fun (rr : Cluster.Fig3.run_result) ->
-        ( rr.responses,
-          rr.actions,
-          rr.weights_final,
-          List.map
-            (fun (s : Cluster.Fig3.series_row) ->
-              (s.t_s, s.count, s.p95_us, s.mean_us))
-            rr.series ))
-      r.runs
-  in
-  if run 1 <> run 2 then
-    Alcotest.fail "fig3 results diverged between shards=1 and shards=2"
-
 let () =
   Alcotest.run "shard"
     [
@@ -339,8 +313,6 @@ let () =
         [
           Alcotest.test_case "K=2 equals K=3 (uneven partition)" `Slow
             sharded_flows_two_equals_three;
-          Alcotest.test_case "fig3 equal at K=1 and K=2" `Slow
-            fig3_sharded_equal;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ sharded_flows_k_invariant; sharded_flows_adaptivity_invariant ]

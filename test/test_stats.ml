@@ -142,16 +142,6 @@ let hist_quantile_relative_error =
           <= (float_of_int exact /. 16.0) +. 2.0)
         [ 0.5; 0.9; 0.99 ])
 
-let hist_merge () =
-  let a = Stats.Histogram.create () and b = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.record a) [ 10; 20; 30 ];
-  List.iter (Stats.Histogram.record b) [ 40; 50 ];
-  Stats.Histogram.merge_into ~dst:a b;
-  check_int "merged count" 5 (Stats.Histogram.count a);
-  check_int "merged max" 50 (Stats.Histogram.max_value a);
-  check_int "merged min" 10 (Stats.Histogram.min_value a);
-  checkf 1e-9 "merged mean" 30.0 (Stats.Histogram.mean a)
-
 let hist_clear () =
   let h = Stats.Histogram.create () in
   Stats.Histogram.record h 5;
@@ -353,7 +343,6 @@ let () =
           Alcotest.test_case "small values exact" `Quick hist_small_values_exact;
           Alcotest.test_case "mean exact" `Quick hist_mean_exact;
           Alcotest.test_case "negative rejected" `Quick hist_negative_rejected;
-          Alcotest.test_case "merge" `Quick hist_merge;
           Alcotest.test_case "clear" `Quick hist_clear;
           Alcotest.test_case "fold buckets" `Quick hist_fold_buckets;
         ]
