@@ -169,7 +169,7 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ~n () =
     let rec pacer () =
       let m = !tick in
       incr tick;
-      let j_end = Stdlib.min ((m + 1) * batch) total_sends in
+      let j_end = Int.min ((m + 1) * batch) total_sends in
       for j = m * batch to j_end - 1 do
         let i = j mod n in
         let c = (i + seed) land (clients - 1) in

@@ -24,9 +24,18 @@ let lane_make n : lane =
 
 let lane_empty : lane = lane_make 0
 
+(* Bucket index -> flows filed there. [Int.equal] keys, not the generic
+   table's [compare_val]; the hash (and so every bucket) is the same. *)
+module Buckets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type idle_buckets = {
   width : Des.Time.t; (* bucket granularity = sweep interval *)
-  table : (int, Netsim.Flow_key.t list ref) Hashtbl.t;
+  table : Netsim.Flow_key.t list ref Buckets.t;
   mutable cursor : int; (* all buckets below this index are empty *)
 }
 
@@ -114,9 +123,9 @@ let release t slot =
 let bucket_of idle at = at / idle.width
 
 let file_flow idle ~bucket key =
-  match Hashtbl.find_opt idle.table bucket with
+  match Buckets.find_opt idle.table bucket with
   | Some keys -> keys := key :: !keys
-  | None -> Hashtbl.add idle.table bucket (ref [ key ])
+  | None -> Buckets.add idle.table bucket (ref [ key ])
 
 (* Sweep cost is proportional to the flows filed in buckets at or below
    the expiry horizon — i.e. to expirations plus the boundary bucket —
@@ -133,10 +142,10 @@ let sweep t =
        until it fully expires. *)
     let boundary = bucket_of idle horizon in
     for b = idle.cursor to boundary do
-      match Hashtbl.find_opt idle.table b with
+      match Buckets.find_opt idle.table b with
       | None -> ()
       | Some keys ->
-          Hashtbl.remove idle.table b;
+          Buckets.remove idle.table b;
           List.iter
             (fun key ->
               let slot = Netsim.Flow_table.find t.flows key in
@@ -150,12 +159,12 @@ let sweep t =
                 end
                 else
                   file_flow idle
-                    ~bucket:(Stdlib.max b (bucket_of idle last_seen))
+                    ~bucket:(Int.max b (bucket_of idle last_seen))
                     key
               end)
             !keys
     done;
-    idle.cursor <- Stdlib.max idle.cursor boundary
+    idle.cursor <- Int.max idle.cursor boundary
   end
 
 let ensure_slot_capacity t slot =
@@ -386,7 +395,7 @@ let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
       idle =
         {
           width = Stdlib.max 1 config.Config.sweep_interval;
-          table = Hashtbl.create 64;
+          table = Buckets.create 64;
           cursor = 0;
         };
       conn_gauge = Array.make n 0;

@@ -7,7 +7,7 @@
    maps each slot to its event record; it is written when an event
    enters the heap and read when it leaves. The 4-ary layout halves the
    sift depth of a binary heap and puts a node's four child times in 32
-   contiguous bytes. Three further disciplines keep the queue lean:
+   contiguous bytes. Four further disciplines keep the queue lean:
 
    - Cancelled events stay in the heap as tombstones but are counted
      exactly ([tombstones] is incremented by [cancel] and decremented
@@ -17,16 +17,27 @@
      event count instead of accumulating garbage until the original
      expiry times come around.
 
-   - [post] / [post_after] / [post_tagged] serve the dominant
-     schedule-then-fire pattern (link transmissions, service
+   - [post] / [post_after] / [post_call] / [post_tagged] serve the
+     dominant schedule-then-fire pattern (link transmissions, service
      completions, think times): they return no handle, so the event
      record provably cannot be cancelled or referenced after firing.
      Such pooled records own a permanent slot, and the idle ones are an
      int stack of slots, so warm fire-and-forget scheduling allocates
-     nothing beyond the caller's closure ([post_tagged]: nothing at
-     all). A [schedule] record is a live handle left to the GC: it
-     borrows a slot when it enters the heap and returns it when it
-     leaves (fired, drained as a tombstone, or compacted away).
+     nothing beyond the caller's closure ([post_call] with a
+     preallocated function, and [post_tagged]: nothing at all). A
+     [schedule] record is a live handle left to the GC: it borrows a
+     slot when it enters the heap and returns it when it leaves (fired,
+     drained as a tombstone, or compacted away).
+
+   - A pooled post for the current instant skips the heap: it joins the
+     same-instant lane, a FIFO ring of (seq, slot). Every lane entry's
+     time is [now] (the clock cannot pass a pending lane entry), and
+     seqs only grow, so the lane is in (time, seq) order by
+     construction. [step] fires the lane head unless the heap root is
+     also at [now] with a smaller seq, which merges the two exactly.
+     Zero-delay hops (rate-0 links, replies posted from a handler) thus
+     cost two int stores instead of a sift down a deep heap. Cancellable
+     events never enter the lane, so it holds no tombstones.
 
    - Cancellable events more than one wheel tick in the future park in a
      hierarchical timing wheel ({!Wheel}) instead of the heap: O(1) arm,
@@ -45,13 +56,13 @@ type event = {
   mutable seq : int;
   mutable cancelled : bool;
   pooled : bool;
-  mutable run : unit -> unit;
-  (* Closure-free payload for cross-shard deliveries: [tag >= 0] means
-     fire dispatches to the engine's [tagged_sink] with (tag, arg)
-     instead of [run] — the shard barrier posts drained inbox entries
-     this way without building a closure per entry. [-1] = plain. *)
-  mutable tag : int;
-  mutable arg : Obj.t;
+  (* Firing applies [fn a b]. A call ([post_call f x]; [post] and
+     [schedule] are calls of a thunk on [()]) stores [apply], [f] and
+     [x]; a tagged event stores the engine's sink, the tag and the
+     payload. Either way no closure is built per event. *)
+  mutable fn : Obj.t -> Obj.t -> unit;
+  mutable a : Obj.t;
+  mutable b : Obj.t;
   owner : t; (* for exact tombstone accounting in [cancel] *)
   (* Intrusive wheel links; [wslot] >= 0 iff currently parked. *)
   mutable wnext : event;
@@ -60,8 +71,9 @@ type event = {
 }
 
 (* The six arrays share one capacity, at least [nslots]: a heap entry,
-   an idle pooled slot and a spare slot each name a distinct slot, so
-   only handing out a new slot ever needs to grow them. *)
+   a lane entry, an idle pooled slot and a spare slot each name a
+   distinct slot, so only handing out a new slot ever needs to grow
+   them. The lane ring grows on its own. *)
 and t = {
   mutable now : Time.t;
   mutable next_seq : int;
@@ -72,6 +84,12 @@ and t = {
   mutable slots : int array;
   mutable len : int;
   mutable tombstones : int; (* cancelled events still in the heap *)
+  (* Same-instant lane: entry [k] of [lhead .. lhead + llen) (mod the
+     power-of-two capacity) is ([lseqs.(k)], [lslots.(k)]), due [now]. *)
+  mutable lseqs : int array;
+  mutable lslots : int array;
+  mutable lhead : int;
+  mutable llen : int;
   mutable records : event array; (* slot -> record; [nil] if unbound *)
   mutable nslots : int; (* slots handed out so far *)
   mutable idle : int array; (* stack of slots holding idle pooled records *)
@@ -82,15 +100,17 @@ and t = {
   nil : event; (* wheel list terminator and unbound slot, never queued *)
   mutable wheel : event Wheel.t option; (* Some after [create] *)
   mutable emit : event -> unit; (* preallocated wheel->heap push *)
-  mutable tagged_sink : int -> Obj.t -> unit; (* shared tagged handler *)
+  mutable tagged_sink : Obj.t -> Obj.t -> unit; (* [fn] of tagged events *)
 }
 
 type handle = event
 
-let nop () = ()
 let null_arg = Obj.repr 0
 
-let no_sink (_ : int) (_ : Obj.t) =
+(* The [fn] of every call event: [a] is the function, [b] its argument. *)
+let apply a b = (Obj.obj a : Obj.t -> unit) b
+
+let no_sink (_ : Obj.t) (_ : Obj.t) =
   failwith "Engine: tagged event fired with no sink installed"
 
 let wheel_ops =
@@ -229,6 +249,36 @@ let recycle t s =
   Array.unsafe_set t.idle t.nidle s;
   t.nidle <- t.nidle + 1
 
+(* Double the lane ring, unrolling it from [lhead]. *)
+let lane_grow t =
+  let cap = Array.length t.lseqs in
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let unroll a =
+    let b = Array.make ncap 0 in
+    for k = 0 to t.llen - 1 do
+      Array.unsafe_set b k (Array.unsafe_get a ((t.lhead + k) land (cap - 1)))
+    done;
+    b
+  in
+  t.lseqs <- unroll t.lseqs;
+  t.lslots <- unroll t.lslots;
+  t.lhead <- 0
+
+(* Append (sq, sl) to the same-instant lane. *)
+let[@inline] lane_push t sq sl =
+  if t.llen = Array.length t.lseqs then lane_grow t;
+  let k = (t.lhead + t.llen) land (Array.length t.lseqs - 1) in
+  Array.unsafe_set t.lseqs k sq;
+  Array.unsafe_set t.lslots k sl;
+  t.llen <- t.llen + 1
+
+(* Remove the lane head and return its slot. *)
+let lane_pop t =
+  let sl = Array.unsafe_get t.lslots t.lhead in
+  t.lhead <- (t.lhead + 1) land (Array.length t.lslots - 1);
+  t.llen <- t.llen - 1;
+  sl
+
 let create () =
   let rec nil =
     {
@@ -236,9 +286,9 @@ let create () =
       seq = -1;
       cancelled = false;
       pooled = false;
-      run = nop;
-      tag = -1;
-      arg = null_arg;
+      fn = apply;
+      a = null_arg;
+      b = null_arg;
       owner = t;
       wnext = nil;
       wprev = nil;
@@ -254,6 +304,10 @@ let create () =
       slots = [||];
       len = 0;
       tombstones = 0;
+      lseqs = [||];
+      lslots = [||];
+      lhead = 0;
+      llen = 0;
       records = [||];
       nslots = 0;
       idle = [||];
@@ -271,6 +325,12 @@ let create () =
   t.emit <- (fun ev -> enter t ev);
   t
 
+(* Drop the payload a record would otherwise keep alive (and, for a
+   record in the major heap, promote at the next minor collection). *)
+let[@inline] clear ev =
+  ev.a <- null_arg;
+  if ev.b != null_arg then ev.b <- null_arg
+
 (* Drop every tombstone, returning its slot, and restore the heap
    invariant bottom-up (Floyd). *)
 let compact t =
@@ -279,7 +339,7 @@ let compact t =
     let s = t.slots.(i) in
     let ev = t.records.(s) in
     if ev.cancelled then begin
-      ev.run <- nop;
+      clear ev;
       release t s
     end
     else begin
@@ -308,7 +368,7 @@ let schedule t ~at f =
   let nil = t.nil in
   let ev =
     { time = at; seq = t.next_seq; cancelled = false; pooled = false;
-      run = f; tag = -1; arg = null_arg; owner = t; wnext = nil;
+      fn = apply; a = Obj.repr f; b = Obj.repr (); owner = t; wnext = nil;
       wprev = nil; wslot = -1 }
   in
   t.next_seq <- t.next_seq + 1;
@@ -319,10 +379,11 @@ let schedule_after t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule t ~at:(t.now + delay) f
 
-(* Queue an idle pooled record at [at], minting one if none is idle,
-   and return it for the caller to load its payload: the heap never
-   looks at the record, so the order does not matter. *)
-let post_pooled t ~at =
+(* Queue an idle pooled record at [at] — in the lane when [at] is the
+   current instant, else in the heap — minting one if none is idle, and
+   load its payload [fn a b]. [fn] is a long-lived function ([apply] or
+   the sink), so it is only written when it changes. *)
+let post_pooled t ~at fn a b =
   check_future t at;
   let s =
     if t.nidle > 0 then begin
@@ -332,32 +393,35 @@ let post_pooled t ~at =
     else begin
       let s = take_slot t and nil = t.nil in
       t.records.(s) <-
-        { time = 0; seq = -1; cancelled = false; pooled = true; run = nop;
-          tag = -1; arg = null_arg; owner = t; wnext = nil; wprev = nil;
+        { time = 0; seq = -1; cancelled = false; pooled = true; fn = apply;
+          a = null_arg; b = null_arg; owner = t; wnext = nil; wprev = nil;
           wslot = -1 };
       s
     end
   in
-  push t at t.next_seq s;
-  t.next_seq <- t.next_seq + 1;
-  Array.unsafe_get t.records s
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  if at = t.now then lane_push t sq s else push t at sq s;
+  let ev = Array.unsafe_get t.records s in
+  if ev.fn != fn then ev.fn <- fn;
+  ev.a <- a;
+  if b != null_arg then ev.b <- b
 
-let post t ~at f = (post_pooled t ~at).run <- f
+let post_call t ~at f x = post_pooled t ~at apply (Obj.repr f) (Obj.repr x)
+let post t ~at f = post_call t ~at f ()
 
 let post_after t ~delay f =
   if delay < 0 then invalid_arg "Engine.post_after: negative delay";
   post t ~at:(t.now + delay) f
 
-let set_tagged_sink t f = t.tagged_sink <- f
+let set_tagged_sink t (f : int -> Obj.t -> unit) =
+  t.tagged_sink <- (Obj.magic f : Obj.t -> Obj.t -> unit)
 
-(* Fire-and-forget like [post], but the callback is the engine-wide
-   [tagged_sink] applied to (tag, arg): no closure is built per event,
-   so with a warm pool neither the post nor the firing allocates. *)
+(* A call of the sink on (tag, arg): an immediate int travels as an
+   [Obj.t] unchanged, so the sink itself is the record's [fn]. *)
 let post_tagged t ~at ~tag arg =
   if tag < 0 then invalid_arg "Engine.post_tagged: tag must be >= 0";
-  let ev = post_pooled t ~at in
-  ev.tag <- tag;
-  ev.arg <- arg
+  post_pooled t ~at t.tagged_sink (Obj.repr tag) arg
 
 let cancel (ev : handle) =
   (* Events are marked cancelled when they fire, so late cancels of
@@ -384,18 +448,26 @@ let rec drain_cancelled_heads t =
     drain_cancelled_heads t
   end
 
-(* Make the heap root the globally next event: flush every wheel tick
-   at or below the current head's (wheel entries are never cancelled —
+(* Fire time of the next queued event once heads are drained: the
+   lane's entries are all due now and the heap never holds anything
+   earlier. [max_int] when both are empty (the wheel aside). *)
+let head_time t =
+  if t.llen > 0 then t.now else if t.len > 0 then t.times.(0) else max_int
+
+(* Make the next queued event the globally next one: flush every wheel
+   tick at or below its time (wheel entries are never cancelled —
    [cancel] unlinks them — so everything emitted is live). Tombstoned
-   heads are drained first so the flush target is a live time. With an
-   empty heap, flush through the next occupied tick; with an empty
+   heads are drained first so the flush target is a live time. With
+   nothing queued, flush through the next occupied tick; with an empty
    wheel, just keep its origin tracking the clock. *)
 let settle t =
   drain_cancelled_heads t;
   let w = wheel_of t in
   if Wheel.live w = 0 then Wheel.catch_up w ~upto:t.now
-  else if t.len > 0 then Wheel.advance w ~upto:t.times.(0) ~emit:t.emit
-  else Wheel.advance_next w ~emit:t.emit
+  else
+    let head = head_time t in
+    if head < max_int then Wheel.advance w ~upto:head ~emit:t.emit
+    else Wheel.advance_next w ~emit:t.emit
 
 (* Bounded variant for [run ~until]: only ticks at or below the limit
    may be flushed, so timers parked beyond the stopping point stay in
@@ -405,43 +477,44 @@ let settle_until t limit =
   let w = wheel_of t in
   if Wheel.live w = 0 then Wheel.catch_up w ~upto:t.now
   else
-    let upto =
-      if t.len > 0 && t.times.(0) <= limit then t.times.(0) else limit
-    in
-    Wheel.advance w ~upto ~emit:t.emit
+    let head = head_time t in
+    Wheel.advance w ~upto:(if head <= limit then head else limit) ~emit:t.emit
 
-(* After [settle] the root is live. A fired record's payload is dropped
-   and its slot returned before the callback runs, so the callback may
-   post again straight away. *)
+(* Fire the record in slot [s]. Its payload is dropped and its slot
+   returned before the callback runs, so the callback may post again
+   straight away. *)
+let[@inline] fire t s =
+  let ev = Array.unsafe_get t.records s in
+  t.fired <- t.fired + 1;
+  let fn = ev.fn and a = ev.a and b = ev.b in
+  if ev.pooled then begin
+    clear ev;
+    recycle t s
+  end
+  else begin
+    ev.cancelled <- true;
+    release t s
+  end;
+  fn a b
+
+(* After [settle] the heap root is live and no wheel entry is due
+   before the next queued event. The lane head goes first unless the
+   heap root shares its instant with a smaller seq. *)
 let step t =
   settle t;
-  if t.len = 0 then false
+  if t.llen > 0 then begin
+    if
+      t.len > 0
+      && Array.unsafe_get t.times 0 = t.now
+      && Array.unsafe_get t.seqs 0 < Array.unsafe_get t.lseqs t.lhead
+    then fire t (pop t)
+    else fire t (lane_pop t);
+    true
+  end
+  else if t.len = 0 then false
   else begin
-    let time = Array.unsafe_get t.times 0 in
-    let s = pop t in
-    let ev = Array.unsafe_get t.records s in
-    t.now <- time;
-    t.fired <- t.fired + 1;
-    if ev.tag >= 0 then begin
-      (* tagged events are always pooled *)
-      let tag = ev.tag and arg = ev.arg in
-      ev.tag <- -1;
-      ev.arg <- null_arg;
-      recycle t s;
-      t.tagged_sink tag arg
-    end
-    else begin
-      let f = ev.run in
-      if ev.pooled then begin
-        ev.run <- nop;
-        recycle t s
-      end
-      else begin
-        ev.cancelled <- true;
-        release t s
-      end;
-      f ()
-    end;
+    t.now <- Array.unsafe_get t.times 0;
+    fire t (pop t);
     true
   end
 
@@ -452,7 +525,7 @@ let run ?until t =
       let continue = ref true in
       while !continue do
         settle_until t limit;
-        if t.len > 0 && t.times.(0) <= limit then ignore (step t)
+        if head_time t <= limit then ignore (step t)
         else begin
           t.now <- Time.max t.now limit;
           continue := false
@@ -460,21 +533,20 @@ let run ?until t =
       done
 
 (* Lower bound on the next live event's fire time, [None] when idle.
-   The heap head is exact once tombstoned heads are drained (a local
-   mutation, safe between runs); the wheel contributes its conservative
-   slot bound. The shard barrier feeds the fleet-wide minimum of these
-   into the adaptive window horizon, so "lower bound" is the contract —
-   never later than the true next event. *)
+   The lane and the heap head are exact once tombstoned heads are
+   drained (a local mutation, safe between runs); the wheel contributes
+   its conservative slot bound. The shard barrier feeds the fleet-wide
+   minimum of these into the adaptive window horizon, so "lower bound"
+   is the contract — never later than the true next event. *)
 let next_event_time t =
   drain_cancelled_heads t;
   let bound = Wheel.next_time_lower_bound (wheel_of t) in
-  let bound =
-    if t.len > 0 && t.times.(0) < bound then t.times.(0) else bound
-  in
+  let head = head_time t in
+  let bound = if head < bound then head else bound in
   if bound = max_int then None else Some bound
 
-let pending t = t.len - t.tombstones + Wheel.live (wheel_of t)
-let queue_length t = t.len
+let pending t = t.len - t.tombstones + t.llen + Wheel.live (wheel_of t)
+let queue_length t = t.len + t.llen
 let wheel_size t = Wheel.live (wheel_of t)
 let wheel_cascades t = Wheel.cascades (wheel_of t)
 let compactions t = t.compactions

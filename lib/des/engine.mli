@@ -3,7 +3,14 @@
     An engine owns a virtual clock and a queue of scheduled callbacks.
     Events scheduled for the same instant fire in scheduling order, which
     makes whole simulations deterministic given deterministic callbacks
-    and seeded {!Rng} streams. *)
+    and seeded {!Rng} streams.
+
+    The queue has three parts that never change that order: a 4-ary heap
+    of (time, seq) entries, a timing wheel for cancellable events further
+    out, and a same-instant lane. A fire-and-forget post ({!post},
+    {!post_call}, {!post_tagged}) for the current instant joins the lane,
+    a FIFO ring, instead of the heap; the engine merges lane and heap by
+    (time, seq) exactly. *)
 
 type t
 (** A simulation engine instance. *)
@@ -43,6 +50,14 @@ val post_after : t -> delay:Time.t -> (unit -> unit) -> unit
 
     @raise Invalid_argument if [delay] is negative. *)
 
+val post_call : t -> at:Time.t -> ('a -> unit) -> 'a -> unit
+(** [post_call t ~at f x] is [post t ~at (fun () -> f x)] without the
+    closure: the pooled record holds [f] and [x] and applies one to the
+    other when it fires. With [f] built once (a per-link deliver
+    function, say), a warm post and its firing allocate nothing.
+
+    @raise Invalid_argument if [at] is in the past. *)
+
 val set_tagged_sink : t -> (int -> Obj.t -> unit) -> unit
 (** Install the engine-wide handler for {!post_tagged} events. One sink
     per engine: the shard runtime installs the destination fabric's
@@ -50,12 +65,12 @@ val set_tagged_sink : t -> (int -> Obj.t -> unit) -> unit
     through it without a per-event closure. *)
 
 val post_tagged : t -> at:Time.t -> tag:int -> Obj.t -> unit
-(** Closure-free {!post}: when the event fires, the installed
-    {!set_tagged_sink} handler is applied to [(tag, arg)]. Once warm,
-    neither the post nor the firing allocates anything, not even a
-    callback closure, so the sharded barrier drain and the deliveries it
-    feeds allocate nothing. [tag] must be [>= 0] ([-1] marks plain
-    events internally); firing without a sink installed fails loudly.
+(** Closure-free {!post}: a {!post_call} of the installed
+    {!set_tagged_sink} handler on [(tag, arg)]. The handler is the one
+    installed when the event is posted. Once warm, neither the post nor
+    the firing allocates anything, so the sharded barrier drain and the
+    deliveries it feeds allocate nothing. [tag] must be [>= 0]; firing
+    without a sink installed fails loudly.
 
     @raise Invalid_argument if [at] is in the past or [tag < 0]. *)
 
@@ -68,8 +83,9 @@ val cancel : handle -> unit
     workloads stay bounded by the live event count. *)
 
 val step : t -> bool
-(** Fire the earliest pending event. Returns [false] if the queue was
-    empty (clock unchanged), [true] otherwise. *)
+(** Fire the earliest pending event, in (time, seq) order across the
+    lane, the heap and the wheel. Returns [false] if the queue was empty
+    (clock unchanged), [true] otherwise. *)
 
 val run : ?until:Time.t -> t -> unit
 (** [run t] fires events until the queue drains. With [?until], stops as
@@ -77,22 +93,24 @@ val run : ?until:Time.t -> t -> unit
     clock to exactly [until]. *)
 
 val pending : t -> int
-(** Number of scheduled, not-yet-cancelled events, whether heap-resident
-    or parked in the timing wheel. O(1). *)
+(** Number of scheduled, not-yet-cancelled events, whether heap-resident,
+    in the same-instant lane or parked in the timing wheel. O(1). *)
 
 val next_event_time : t -> Time.t option
 (** Conservative lower bound on the next live event's fire time ([None]
-    when nothing is pending): the exact heap-head time combined with the
-    timing wheel's slot-granular bound ({!Wheel.next_time_lower_bound}).
+    when nothing is pending): the exact heap-head time ({!now} while the
+    same-instant lane is non-empty) combined with the timing wheel's
+    slot-granular bound ({!Wheel.next_time_lower_bound}).
     Never later than the true next event — the contract the adaptive
     shard barrier relies on to widen windows to
     [min_next_event + lookahead]. Intended to be called between runs
     (it drains tombstoned heap heads, a local mutation). *)
 
 val queue_length : t -> int
-(** Physical heap size, including cancelled tombstones not yet drained or
-    compacted away but excluding events parked in the timing wheel. For
-    diagnostics and boundedness tests. *)
+(** Physical queue size: heap entries, including cancelled tombstones not
+    yet drained or compacted away, plus same-instant lane entries;
+    events parked in the timing wheel are excluded. For diagnostics and
+    boundedness tests. *)
 
 val wheel_size : t -> int
 (** Events currently parked in the hierarchical timing wheel. Cancellable

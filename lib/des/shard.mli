@@ -114,7 +114,8 @@ type stats = {
           at barriers; buffers shrink back once occupancy falls far
           below capacity *)
   pending : int array;  (** live events per shard at last barrier *)
-  queue_length : int array;  (** heap size per shard at last barrier *)
+  queue_length : int array;
+      (** {!Engine.queue_length} per shard at last barrier *)
   wheel_size : int array;  (** wheel occupancy per shard at last barrier *)
   events_fired : int array;  (** events executed per shard, cumulative *)
   stall_seconds : float array;

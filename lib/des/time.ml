@@ -10,8 +10,8 @@ let to_float_s t = float_of_int t /. 1e9
 let to_float_us t = float_of_int t /. 1e3
 let to_float_ms t = float_of_int t /. 1e6
 let compare = Int.compare
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 
 let pp ppf t =
   let a = abs t in

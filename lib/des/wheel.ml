@@ -165,7 +165,7 @@ let advance t ~upto ~emit =
   let target = upto asr tick_bits in
   while t.wt <= target && t.live > 0 do
     if t.counts.(0) = 0 && t.wt land slot_mask <> 0 then
-      t.wt <- Stdlib.min (skip_target t) (target + 1)
+      t.wt <- Int.min (skip_target t) (target + 1)
     else step t ~emit
   done;
   if t.wt <= target then t.wt <- target + 1
@@ -183,7 +183,7 @@ let advance_next t ~emit =
 (* With no entries parked, ticks can be dropped wholesale — called by
    the engine to keep the wheel origin near the clock so freshly armed
    timers land in low levels. Requires [live t = 0]. *)
-let catch_up t ~upto = t.wt <- Stdlib.max t.wt (upto asr tick_bits)
+let catch_up t ~upto = t.wt <- Int.max t.wt (upto asr tick_bits)
 
 (* Lower bound on the earliest parked entry's time, without flushing
    anything. Level 0 resolves single ticks, so the first occupied slot

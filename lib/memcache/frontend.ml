@@ -142,7 +142,7 @@ let rec dispatch t =
       t.free_workers <- t.free_workers - 1;
       cs.in_service <- true;
       let own =
-        Stdlib.max 1 (int_of_float (Stats.Dist.draw t.config.own_service t.rng))
+        Int.max 1 (int_of_float (Stats.Dist.draw t.config.own_service t.rng))
       in
       Des.Engine.post_after t.engine ~delay:own (fun () ->
           after_own_service t cs job)

@@ -10,7 +10,7 @@ let periodic engine ~rng ~gap ~duration =
   let t = { engine; pause_until = 0; count = 0 } in
   let rec schedule_next () =
     let g = Des.Time.ns (int_of_float (Stats.Dist.draw gap rng)) in
-    Des.Engine.post_after engine ~delay:(Stdlib.max 1 g) (fun () ->
+    Des.Engine.post_after engine ~delay:(Int.max 1 g) (fun () ->
         let d = Des.Time.ns (int_of_float (Stats.Dist.draw duration rng)) in
         t.pause_until <- Des.Engine.now engine + d;
         t.count <- t.count + 1;

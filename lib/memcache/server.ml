@@ -66,7 +66,7 @@ let service_time t request =
   in
   let base = Des.Time.ns (int_of_float (Stats.Dist.draw dist t.rng)) in
   let scaled = int_of_float (float_of_int base *. t.slow_factor) in
-  Stdlib.max 1 scaled + Interference.extra_delay t.interference
+  Int.max 1 scaled + Interference.extra_delay t.interference
 
 let conn_sendable cs =
   match Tcpsim.Conn.state cs.conn with

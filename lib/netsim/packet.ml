@@ -34,6 +34,12 @@ let make ~src ~dst ~seq ~ack ~flags ~payload =
     flow_key = Flow_key.v ~src ~dst;
   }
 
+(* Built directly so it takes no id from the counter. *)
+let none =
+  let src = Addr.v 0 0 in
+  { id = 0; src; dst = src; seq = 0; ack = 0; flags = flags_none;
+    payload = ""; flow_key = Flow_key.v ~src ~dst:src }
+
 let header_bytes = 54
 let wire_size t = header_bytes + String.length t.payload
 let payload_len t = String.length t.payload

@@ -36,6 +36,11 @@ val make :
   t
 (** Allocate a packet with a fresh [id]. *)
 
+val none : t
+(** A placeholder that is never sent (id 0, all addresses 0), for
+    clearing the slots of packet buffers. Takes no id from {!make}'s
+    counter. *)
+
 val header_bytes : int
 (** Ethernet + IP + TCP header overhead charged per packet (54 bytes). *)
 

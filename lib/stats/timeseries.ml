@@ -6,16 +6,25 @@
    run (the dominant "leak" the soak battery flushed out). *)
 type cell = Single of int | Hist of Histogram.t
 
-type t = { bucket : Des.Time.t; table : (int, cell ref) Hashtbl.t }
+(* [record] runs once per response. [Int.equal] keys, not the generic
+   table's [compare_val]; the hash (and so every bucket) is the same. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type t = { bucket : Des.Time.t; table : cell ref Tbl.t }
 
 let create ~bucket =
   if bucket <= 0 then invalid_arg "Timeseries.create: bucket";
-  { bucket; table = Hashtbl.create 64 }
+  { bucket; table = Tbl.create 64 }
 
 let record t ~at v =
   let idx = at / t.bucket in
-  match Hashtbl.find_opt t.table idx with
-  | None -> Hashtbl.add t.table idx (ref (Single v))
+  match Tbl.find_opt t.table idx with
+  | None -> Tbl.add t.table idx (ref (Single v))
   | Some ({ contents = Single v0 } as cell) ->
       let h = Histogram.create () in
       Histogram.record h v0;
@@ -31,7 +40,7 @@ type row = {
 }
 
 let rows t ~q =
-  Hashtbl.fold (fun idx cell acc -> (idx, cell) :: acc) t.table []
+  Tbl.fold (fun idx cell acc -> (idx, cell) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map (fun (idx, cell) ->
          let t_start = idx * t.bucket in

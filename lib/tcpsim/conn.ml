@@ -213,7 +213,7 @@ let take_pending_slow t n =
   while !remaining > 0 && not (Queue.is_empty t.pending) do
     let head = Queue.peek t.pending in
     let avail = String.length head - t.pending_head_off in
-    let take = Stdlib.min avail !remaining in
+    let take = Int.min avail !remaining in
     Buffer.add_substring buf head t.pending_head_off take;
     remaining := !remaining - take;
     if take = avail then begin
@@ -260,7 +260,7 @@ let rec try_send t =
       && Queue.length t.inflight < t.config.max_inflight_segments
     do
       let room = t.config.window - window_used () in
-      let len = Stdlib.min (Stdlib.min t.config.mss t.pending_bytes) room in
+      let len = Int.min (Int.min t.config.mss t.pending_bytes) room in
       if len <= 0 then continue := false
       else begin
         let payload = take_pending t len in

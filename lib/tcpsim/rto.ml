@@ -26,14 +26,16 @@ let observe t sample =
   t.n <- t.n + 1;
   t.backoff_factor <- 1
 
+(* [Int.min]/[Int.max], not [Stdlib]'s, which are polymorphic compare
+   calls: these run once per segment sent. *)
 let base t =
   if t.n = 0 then t.initial
   else begin
     let rto = int_of_float (t.srtt +. (4.0 *. t.rttvar)) in
-    Stdlib.min t.max_rto (Stdlib.max t.min_rto rto)
+    Int.min t.max_rto (Int.max t.min_rto rto)
   end
 
-let current t = Stdlib.min t.max_rto (base t * t.backoff_factor)
+let current t = Int.min t.max_rto (base t * t.backoff_factor)
 
 let backoff t =
   if base t * t.backoff_factor < t.max_rto then

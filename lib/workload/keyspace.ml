@@ -35,7 +35,8 @@ let count t = t.count
 
 let key_of t i =
   let cached = t.names.(i) in
-  if cached <> "" then cached
+  (* A length test, not [<> ""], which is a [caml_string_notequal] call. *)
+  if String.length cached > 0 then cached
   else begin
     let name = Fmt.str "%s%08d" t.prefix i in
     t.names.(i) <- name;

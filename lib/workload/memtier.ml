@@ -99,7 +99,7 @@ let make_request t =
   if Des.Rng.float t.rng 1.0 < t.config.get_ratio then
     (Latency_log.Get, Memcache.Protocol.Get { key = Keyspace.sample t.keyspace })
   else begin
-    let size = Stdlib.max 1 (int_of_float (Stats.Dist.draw t.config.value_size t.rng)) in
+    let size = Int.max 1 (int_of_float (Stats.Dist.draw t.config.value_size t.rng)) in
     let value =
       if String.length t.value_memo = size then t.value_memo
       else begin
@@ -147,7 +147,7 @@ and maybe_trigger_next t slot =
   end
   else begin
     let think =
-      Stdlib.max 0 (int_of_float (Stats.Dist.draw t.config.think_time t.rng))
+      Int.max 0 (int_of_float (Stats.Dist.draw t.config.think_time t.rng))
     in
     if think = 0 then issue t slot
     else Des.Engine.post_after t.engine ~delay:think (fun () -> issue t slot)

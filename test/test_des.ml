@@ -266,6 +266,75 @@ let engine_post_fire_zero_alloc () =
     Alcotest.failf "10000 warm post + step allocated %.0f minor words" delta;
   check_int "in flight" in_flight (Des.Engine.pending e)
 
+let engine_post_call_zero_alloc () =
+  (* [post_call] keeps the function and its argument in the pooled
+     record, so with both built once a warm post + fire allocates
+     nothing at all, on the heap path and on the same-instant lane. *)
+  let e = Des.Engine.create () in
+  let hits = ref 0 in
+  let f (r : int ref) = incr r in
+  let burst () =
+    for i = 1 to 5_000 do
+      Des.Engine.post_call e ~at:(Des.Engine.now e + (i land 1)) f hits;
+      ignore (Des.Engine.step e)
+    done;
+    for _ = 1 to 5_000 do
+      Des.Engine.post_call e ~at:(Des.Engine.now e + 3) f hits;
+      Des.Engine.post_call e ~at:(Des.Engine.now e) f hits;
+      ignore (Des.Engine.step e);
+      ignore (Des.Engine.step e)
+    done
+  in
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let delta = Gc.minor_words () -. w0 in
+  if delta > 64.0 then
+    Alcotest.failf "10000 warm post_call + step allocated %.0f minor words"
+      delta;
+  check_int "every call fired" 30_000 !hits;
+  check_int "drained" 0 (Des.Engine.pending e)
+
+let engine_lane_is_visible () =
+  (* A post at the current instant waits in the same-instant lane, not
+     the heap: [pending], [next_event_time] and [run ~until] must all
+     see it, including one made between runs, as a shard barrier's
+     drain does. *)
+  let e = Des.Engine.create () in
+  let fired = ref [] in
+  let note s () = fired := s :: !fired in
+  Des.Engine.run ~until:100 e;
+  Des.Engine.post e ~at:100 (note "lane");
+  check_int "pending counts the lane" 1 (Des.Engine.pending e);
+  check_int "queue_length counts the lane" 1 (Des.Engine.queue_length e);
+  Alcotest.(check (option int))
+    "next event is now" (Some 100)
+    (Des.Engine.next_event_time e);
+  Des.Engine.run ~until:99 e;
+  Alcotest.(check (list string)) "nothing due before now" [] !fired;
+  Des.Engine.post e ~at:150 (note "heap");
+  Des.Engine.post e ~at:100 (note "lane 2");
+  Des.Engine.run ~until:100 e;
+  Alcotest.(check (list string))
+    "run ~until now fires the lane" [ "lane"; "lane 2" ] (List.rev !fired);
+  check_int "heap event still pending" 1 (Des.Engine.pending e);
+  Alcotest.(check (option int))
+    "next event from the heap" (Some 150)
+    (Des.Engine.next_event_time e);
+  (* A callback at 150 posts at its own instant; a pause at 150 must
+     fire that post too, before the clock may move on. *)
+  ignore
+    (Des.Engine.schedule e ~at:150 (fun () ->
+         note "schedule" ();
+         Des.Engine.post e ~at:150 (note "chained")));
+  Des.Engine.run ~until:150 e;
+  Alcotest.(check (list string))
+    "(time, seq) order through the lane"
+    [ "lane"; "lane 2"; "heap"; "schedule"; "chained" ]
+    (List.rev !fired);
+  check_int "drained" 0 (Des.Engine.pending e);
+  Alcotest.(check (option int)) "idle" None (Des.Engine.next_event_time e)
+
 let engine_stale_cancel_after_slot_reuse () =
   (* A fired [schedule] record gives its heap slot back and the next
      heap-resident event takes it; the old handle must stay inert. *)
@@ -321,7 +390,12 @@ let engine_qcheck_exact_order_interleaved =
      posts, cancels of any earlier handle (pending, fired or already
      cancelled) and [run ~until] pauses. Slots of fired, drained and
      compacted events are reused throughout (about a quarter of the cases
-     compact), so a stale handle must never reach a newer event. *)
+     compact), so a stale handle must never reach a newer event. Chained
+     posts fire a callback that posts at its own instant — the
+     same-instant lane's main source — then (k = 1) schedules there too,
+     or (k = 2) only schedules there; other events due at that instant
+     sit in the heap with smaller seqs, and the chained schedules with
+     larger ones. *)
   let far = Des.Wheel.span_ns * 2 in
   let op =
     QCheck.Gen.(
@@ -332,6 +406,7 @@ let engine_qcheck_exact_order_interleaved =
               (fun k d -> `Schedule (if k = 0 then d else far + d))
               (int_bound 2) (int_bound 50) );
           (1, map (fun d -> `Post d) (int_bound 50));
+          (2, map2 (fun d k -> `Chain (d, k)) (int_bound 50) (int_bound 2));
           (3, map (fun k -> `Cancel k) nat);
           (1, map (fun d -> `Pause d) (int_bound 60));
         ])
@@ -339,6 +414,7 @@ let engine_qcheck_exact_order_interleaved =
   let print = function
     | `Schedule d -> Fmt.str "schedule+%d" d
     | `Post d -> Fmt.str "post+%d" d
+    | `Chain (d, k) -> Fmt.str "chain+%d/%d" d k
     | `Cancel k -> Fmt.str "cancel#%d" k
     | `Pause d -> Fmt.str "pause+%d" d
   in
@@ -362,6 +438,18 @@ let engine_qcheck_exact_order_interleaved =
           | `Post d ->
               let _, at, f = fresh d in
               Des.Engine.post e ~at f
+          | `Chain (d, k) ->
+              let _, at, f = fresh d in
+              Des.Engine.post e ~at (fun () ->
+                  f ();
+                  if k < 2 then begin
+                    let _, at, g = fresh 0 in
+                    Des.Engine.post e ~at g
+                  end;
+                  if k > 0 then begin
+                    let i, at, g = fresh 0 in
+                    handles := (i, Des.Engine.schedule e ~at g) :: !handles
+                  end)
           | `Cancel k -> (
               match !handles with
               | [] -> ()
@@ -609,6 +697,10 @@ let () =
             engine_cancel_heavy_queue_bounded;
           Alcotest.test_case "post and fire allocate nothing warm" `Quick
             engine_post_fire_zero_alloc;
+          Alcotest.test_case "post_call and fire allocate nothing warm" `Quick
+            engine_post_call_zero_alloc;
+          Alcotest.test_case "pending, next_event_time and run see the lane"
+            `Quick engine_lane_is_visible;
           Alcotest.test_case "stale cancel after slot reuse" `Quick
             engine_stale_cancel_after_slot_reuse;
           Alcotest.test_case "compaction then slot reuse" `Quick

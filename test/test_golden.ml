@@ -1,7 +1,8 @@
-(* Golden regression: the Fig 2 summary tables must render byte-exactly
-   as the checked-in expected files (seed 0x5eed2, the default). Any
-   change to the estimator, the TCP model, the DES engine or the report
-   renderer that moves a single cell shows up as a diff here. *)
+(* Golden regression: the Fig 2 summary tables, a compressed Fig 3 CSV
+   and the flows churn CSV must render byte-exactly as the checked-in
+   expected files. Any change to the estimator, the TCP model, the DES
+   engine, the network layer or the report renderer that moves a single
+   cell shows up as a diff here. *)
 
 (* Under [dune runtest] the cwd is the test directory and the (deps ...)
    stanza stages the golden files there; under [dune exec] the cwd is the
@@ -63,14 +64,28 @@ let fig3_remap_preserve () =
          ~inject_at:(Des.Time.sec 2) ())
   in
   let reference = run ~explicit:false ~jobs:1 in
-  Alcotest.(check bool) "reference CSV is non-trivial" true
-    (String.length reference > 100);
+  Alcotest.(check string)
+    "fig3 CSV (6 s, injection at 2 s)"
+    (read_file "golden_fig3.expected")
+    reference;
   List.iter
     (fun jobs ->
       Alcotest.(check string)
         (Fmt.str "fig3 CSV (explicit preserve, jobs=%d)" jobs)
         reference
         (run ~explicit:true ~jobs))
+    [ 1; 2 ]
+
+(* The flows churn workload's per-client CSV, which must not depend on
+   the shard count either. *)
+let flows_csv () =
+  let expected = read_file "golden_flows.expected" in
+  List.iter
+    (fun shards ->
+      Alcotest.(check string)
+        (Fmt.str "flows CSV (n=8192, shards=%d)" shards)
+        expected
+        (Cluster.Sharded.flows ~shards ~n:8192 ()).Cluster.Sharded.csv)
     [ 1; 2 ]
 
 let () =
@@ -86,4 +101,5 @@ let () =
           Alcotest.test_case "remap-preserve CSV byte-identity" `Slow
             fig3_remap_preserve;
         ] );
+      ("flows", [ Alcotest.test_case "flows CSV" `Slow flows_csv ]);
     ]

@@ -386,6 +386,96 @@ let fabric_link_between () =
        false
      with Not_found -> true)
 
+let fabric_send_zero_alloc () =
+  (* A warm hop is allocation-free: the link's ring takes the packet,
+     its transmit-complete event is a preallocated closure, propagation
+     is a [post_call] of the receiver, and the fabric resolves the link
+     in an int-keyed table and the host through its handler cell. The
+     packets are built beforehand. *)
+  List.iter
+    (fun rate_bps ->
+      let engine = Des.Engine.create () in
+      let fabric = Netsim.Fabric.create engine in
+      let got = ref 0 in
+      Netsim.Fabric.register fabric ~ip:1 (fun _ -> ());
+      Netsim.Fabric.register fabric ~ip:2 (fun _ -> incr got);
+      Netsim.Fabric.add_link fabric ~src:1 ~dst:2
+        (Netsim.Link.create engine ~delay:(Des.Time.us 1) ~rate_bps ());
+      let pkts =
+        Array.init 10_000 (fun _ ->
+            mk_packet ~src:(addr 1 1) ~dst:(addr 2 1) ())
+      in
+      let hops () =
+        Array.iter
+          (fun pkt ->
+            Netsim.Fabric.send fabric ~from:1 pkt;
+            Des.Engine.run engine)
+          pkts
+      in
+      hops ();
+      let w0 = Gc.minor_words () in
+      hops ();
+      let delta = Gc.minor_words () -. w0 in
+      if delta > 64.0 then
+        Alcotest.failf "10000 warm sends at %d b/s allocated %.0f minor words"
+          rate_bps delta;
+      check_int (Fmt.str "delivered at %d b/s" rate_bps) 20_000 !got)
+    [ 0; 10_000_000_000 ]
+
+let link_ring_wrap_and_growth () =
+  (* At 1 Mb/s a 58-byte packet spends 464 us on the wire, so sends
+     queue. Two departures move the ring's head, the next batch wraps
+     round and then grows the ring past its first capacity, and the
+     drop-tail limit still counts waiting packets only. *)
+  let tx = Des.Time.us 464 in
+  with_link ~delay:(Des.Time.us 5) ~rate_bps:1_000_000 ~queue_capacity:6
+    (fun engine link arrivals ->
+      let accepted = ref [] in
+      let send ~keep =
+        let pkt = mk_packet ~payload:"pppp" () in
+        if keep then accepted := pkt.Netsim.Packet.id :: !accepted;
+        Netsim.Link.send link pkt
+      in
+      for _ = 1 to 3 do
+        send ~keep:true
+      done;
+      check_int "one on the wire, two waiting" 3 (Netsim.Link.queue_len link);
+      Des.Engine.run ~until:((2 * tx) + Des.Time.us 5) engine;
+      check_int "two arrived" 2 (List.length (arrivals ()));
+      check_int "third on the wire" 1 (Netsim.Link.queue_len link);
+      for i = 1 to 9 do
+        send ~keep:(i <= 6)
+      done;
+      check_int "on the wire plus six waiting" 7 (Netsim.Link.queue_len link);
+      check_int "drop-tail beyond six waiting" 3
+        (Netsim.Link.queue_drops link);
+      Des.Engine.run engine;
+      check_int "drained" 0 (Netsim.Link.queue_len link);
+      Alcotest.(check (list int))
+        "FIFO order across wrap and growth" (List.rev !accepted)
+        (List.map (fun (_, p) -> p.Netsim.Packet.id) (arrivals ()));
+      check_int "packets_sent" 9 (Netsim.Link.packets_sent link))
+
+let fabric_replace_handler_in_flight () =
+  (* The link delivers through the host's handler cell, read when the
+     packet arrives: a packet already propagating reaches the handler
+     installed after it was sent. *)
+  let engine = Des.Engine.create () in
+  let fabric = Netsim.Fabric.create engine in
+  let first = ref 0 and second = ref 0 in
+  Netsim.Fabric.register fabric ~ip:2 (fun _ -> incr first);
+  Netsim.Fabric.register fabric ~ip:1 (fun _ -> ());
+  Netsim.Fabric.add_link fabric ~src:1 ~dst:2
+    (Netsim.Link.create engine ~delay:(Des.Time.us 10) ~rate_bps:0 ());
+  Netsim.Fabric.send fabric ~from:1
+    (mk_packet ~src:(addr 1 1) ~dst:(addr 2 1) ());
+  Des.Engine.run ~until:(Des.Time.us 5) engine;
+  check_int "in flight" 1 (Des.Engine.pending engine);
+  Netsim.Fabric.replace_handler fabric ~ip:2 (fun _ -> incr second);
+  Des.Engine.run engine;
+  check_int "old handler not called" 0 !first;
+  check_int "new handler called" 1 !second
+
 (* --- Trace -------------------------------------------------------------- *)
 
 let trace_records () =
@@ -447,6 +537,8 @@ let () =
           Alcotest.test_case "bytes counted" `Quick link_bytes_counted;
           Alcotest.test_case "requires connection" `Quick link_requires_connection;
           Alcotest.test_case "bad config" `Quick link_bad_config;
+          Alcotest.test_case "ring wrap and growth" `Quick
+            link_ring_wrap_and_growth;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ link_conservation_qcheck ] );
       ( "fabric",
@@ -456,6 +548,10 @@ let () =
           Alcotest.test_case "replace handler" `Quick fabric_replace_handler;
           Alcotest.test_case "missing link" `Quick fabric_missing_link;
           Alcotest.test_case "link_between" `Quick fabric_link_between;
+          Alcotest.test_case "replace handler in flight" `Quick
+            fabric_replace_handler_in_flight;
+          Alcotest.test_case "warm send allocates nothing" `Quick
+            fabric_send_zero_alloc;
         ] );
       ("trace", [ Alcotest.test_case "records" `Quick trace_records ]);
     ]
