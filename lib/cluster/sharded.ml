@@ -192,9 +192,12 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ~n () =
         end
       done;
       if j_end < total_sends then
-        Des.Engine.post_after engine ~delay:(Des.Time.us 1) pacer
+        Des.Engine.post_call engine
+          ~at:(Des.Engine.now engine + Des.Time.us 1)
+          pacer ()
     in
-    Des.Engine.post_after engine ~delay:(Des.Time.us 1) pacer
+    Des.Engine.post_call engine ~at:(Des.Engine.now engine + Des.Time.us 1)
+      pacer ()
   done;
   let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in

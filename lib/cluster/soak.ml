@@ -360,7 +360,8 @@ let run ?(config = default_config) () =
       0 (Scenario.servers s)
   in
   (* Which states the leftover server connections are stuck in — the
-     first question a failing stuck-conns check asks. *)
+     first question a failing stuck-conns check asks. Sorted by name:
+     the census folds hash tables, whose order is no contract. *)
   let stuck_states =
     let bump acc name =
       match List.assoc_opt name acc with
@@ -383,6 +384,7 @@ let run ?(config = default_config) () =
           (Memcache.Server.endpoint srv)
           acc)
       [] (Scenario.servers s)
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let sum_path f = List.fold_left (fun acc p -> acc + f p) 0 pathologies in
   let sum_oracles f = Array.fold_left (fun acc o -> acc + f o) 0 oracles in

@@ -337,8 +337,8 @@ let on_packet t (pkt : Netsim.Packet.t) =
   if pkt.flags.fin || pkt.flags.rst then release t slot;
   Telemetry.Registry.Counter.incr t.m_forwarded;
   Telemetry.Registry.Counter.incr t.m_pkts_to.(server);
-  Netsim.Fabric.send t.fabric ~from:t.vip.Netsim.Addr.ip
-    ~next_hop:t.server_ips.(server) pkt
+  Netsim.Fabric.forward t.fabric ~from:t.vip.Netsim.Addr.ip
+    ~hop:t.server_ips.(server) pkt
 
 let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
     ?(config = Config.default) ?(table_size = 4099) ?rng ?telemetry () =

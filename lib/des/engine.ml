@@ -47,28 +47,20 @@
      (time, seq), so wheel-routed timers fire exactly as if they had
      been heap-resident all along. TCP RTO and delayed-ack timers,
      re-armed and cancelled once per packet, never touch the heap at
-     all. Events beyond the wheel's span overflow to the heap. *)
+     all. Events beyond the wheel's span overflow to the heap.
 
-type event = {
-  (* [time] and [seq] are what the wheel parks and a flush pushes; the
-     heap keeps its own copy, so pooled records never set them. *)
-  mutable time : Time.t;
-  mutable seq : int;
-  mutable cancelled : bool;
-  pooled : bool;
-  (* Firing applies [fn a b]. A call ([post_call f x]; [post] and
-     [schedule] are calls of a thunk on [()]) stores [apply], [f] and
-     [x]; a tagged event stores the engine's sink, the tag and the
-     payload. Either way no closure is built per event. *)
-  mutable fn : Obj.t -> Obj.t -> unit;
-  mutable a : Obj.t;
-  mutable b : Obj.t;
-  owner : t; (* for exact tombstone accounting in [cancel] *)
-  (* Intrusive wheel links; [wslot] >= 0 iff currently parked. *)
-  mutable wnext : event;
-  mutable wprev : event;
-  mutable wslot : int;
-}
+   - [rearm] moves a timer's own record instead of cancelling it and
+     minting another. A parked record is unlinked and offered again;
+     one that has left the queue (fired, or cancelled out of the wheel)
+     is queued again. Only a record still in the heap, live or a
+     tombstone, is cancelled and replaced, since the heap holds its
+     slot. The seq is drawn exactly where a cancel plus [schedule] would
+     draw it, so the (time, seq) order, and with it every firing, is
+     that of the old path. *)
+
+open Event
+
+type event = t Event.t
 
 (* The six arrays share one capacity, at least [nslots]: a heap entry,
    a lane entry, an idle pooled slot and a spare slot each name a
@@ -98,7 +90,7 @@ and t = {
   mutable nspare : int;
   mutable compactions : int;
   nil : event; (* wheel list terminator and unbound slot, never queued *)
-  mutable wheel : event Wheel.t option; (* Some after [create] *)
+  mutable wheel : t Wheel.t option; (* Some after [create] *)
   mutable emit : event -> unit; (* preallocated wheel->heap push *)
   mutable tagged_sink : Obj.t -> Obj.t -> unit; (* [fn] of tagged events *)
 }
@@ -106,23 +98,13 @@ and t = {
 type handle = event
 
 let null_arg = Obj.repr 0
+let in_heap = -2
 
 (* The [fn] of every call event: [a] is the function, [b] its argument. *)
 let apply a b = (Obj.obj a : Obj.t -> unit) b
 
 let no_sink (_ : Obj.t) (_ : Obj.t) =
   failwith "Engine: tagged event fired with no sink installed"
-
-let wheel_ops =
-  {
-    Wheel.time = (fun e -> e.time);
-    next = (fun e -> e.wnext);
-    set_next = (fun e n -> e.wnext <- n);
-    prev = (fun e -> e.wprev);
-    set_prev = (fun e p -> e.wprev <- p);
-    slot = (fun e -> e.wslot);
-    set_slot = (fun e s -> e.wslot <- s);
-  }
 
 let wheel_of t =
   match t.wheel with Some w -> w | None -> assert false
@@ -235,11 +217,13 @@ let take_slot t =
 let enter t ev =
   let s = take_slot t in
   t.records.(s) <- ev;
+  ev.wslot <- in_heap;
   push t ev.time ev.seq s
 
 (* ...and gives it back when it leaves, unbinding it so the engine
    keeps no dead record (or its closure) alive. *)
 let release t s =
+  (Array.unsafe_get t.records s).wslot <- -1;
   t.records.(s) <- t.nil;
   Array.unsafe_set t.spare t.nspare s;
   t.nspare <- t.nspare + 1
@@ -321,7 +305,7 @@ let create () =
       tagged_sink = no_sink;
     }
   in
-  t.wheel <- Some (Wheel.create ~ops:wheel_ops ~nil ());
+  t.wheel <- Some (Wheel.create ~nil ());
   t.emit <- (fun ev -> enter t ev);
   t
 
@@ -381,8 +365,10 @@ let schedule_after t ~delay f =
 
 (* Queue an idle pooled record at [at] — in the lane when [at] is the
    current instant, else in the heap — minting one if none is idle, and
-   load its payload [fn a b]. [fn] is a long-lived function ([apply] or
-   the sink), so it is only written when it changes. *)
+   load its payload [fn a b]. [fn] ([apply] or the sink) and often [a]
+   (the function of a call) are long-lived, so each is only written
+   when it changes: a store into a major-heap record is a
+   [caml_modify]. *)
 let post_pooled t ~at fn a b =
   check_future t at;
   let s =
@@ -404,11 +390,15 @@ let post_pooled t ~at fn a b =
   if at = t.now then lane_push t sq s else push t at sq s;
   let ev = Array.unsafe_get t.records s in
   if ev.fn != fn then ev.fn <- fn;
-  ev.a <- a;
+  if ev.a != a then ev.a <- a;
   if b != null_arg then ev.b <- b
 
 let post_call t ~at f x = post_pooled t ~at apply (Obj.repr f) (Obj.repr x)
-let post t ~at f = post_call t ~at f ()
+
+(* A posted thunk is the argument of this one function, so firing
+   drops it as it drops any argument. *)
+let run_thunk (f : unit -> unit) = f ()
+let post t ~at f = post_call t ~at run_thunk f
 
 let post_after t ~delay f =
   if delay < 0 then invalid_arg "Engine.post_after: negative delay";
@@ -439,10 +429,43 @@ let cancel (ev : handle) =
     end
   end
 
+let unscheduled t =
+  let nil = t.nil in
+  { time = 0; seq = -1; cancelled = true; pooled = false; fn = apply;
+    a = null_arg; b = Obj.repr (); owner = t; wnext = nil; wprev = nil;
+    wslot = -1 }
+
+let scheduled (ev : handle) = not ev.cancelled
+
+(* [cancel ev] then [schedule_after ~delay f], reusing [ev] unless the
+   heap still holds it. [f] is restored because [compact] clears the
+   payload of the tombstones it drops. *)
+let rearm (ev : handle) ~delay f =
+  if delay < 0 then invalid_arg "Engine.rearm: negative delay";
+  let t = ev.owner in
+  let at = t.now + delay in
+  if ev.wslot = in_heap then begin
+    cancel ev;
+    schedule t ~at f
+  end
+  else begin
+    let sq = t.next_seq in
+    t.next_seq <- sq + 1;
+    let f = Obj.repr f in
+    if ev.a != f then ev.a <- f;
+    let w = wheel_of t in
+    if ev.wslot >= 0 then Wheel.remove w ev else ev.cancelled <- false;
+    ev.time <- at;
+    ev.seq <- sq;
+    if not (Wheel.offer w ev) then enter t ev;
+    ev
+  end
+
 (* Only [schedule] records have handles, so every tombstone holds a
-   borrowed slot. *)
+   borrowed slot. [tombstones] is exact, so with none the root record
+   is not even read. *)
 let rec drain_cancelled_heads t =
-  if t.len > 0 && t.records.(t.slots.(0)).cancelled then begin
+  if t.tombstones > 0 && t.records.(t.slots.(0)).cancelled then begin
     release t (pop t);
     t.tombstones <- t.tombstones - 1;
     drain_cancelled_heads t
@@ -480,22 +503,28 @@ let settle_until t limit =
     let head = head_time t in
     Wheel.advance w ~upto:(if head <= limit then head else limit) ~emit:t.emit
 
-(* Fire the record in slot [s]. Its payload is dropped and its slot
-   returned before the callback runs, so the callback may post again
-   straight away. *)
+(* Fire the record in slot [s]. Its slot is returned before the
+   callback runs, so the callback may post again straight away. A
+   pooled record drops its argument (a packet, a posted thunk) but
+   keeps the function of a [post_call] until its next post, which then
+   skips the store when the function is the same one: a link's
+   receiver, a server's completion. A schedule record keeps both, for
+   [rearm]. *)
 let[@inline] fire t s =
   let ev = Array.unsafe_get t.records s in
   t.fired <- t.fired + 1;
   let fn = ev.fn and a = ev.a and b = ev.b in
   if ev.pooled then begin
-    clear ev;
+    if b != null_arg then ev.b <- null_arg;
     recycle t s
   end
   else begin
     ev.cancelled <- true;
     release t s
   end;
-  fn a b
+  (* A call fires as a one-argument application: [fn a b] on an unknown
+     [fn] would go through [caml_apply2]. *)
+  if fn == apply then (Obj.obj a : Obj.t -> unit) b else fn a b
 
 (* After [settle] the heap root is live and no wheel entry is due
    before the next queued event. The lane head goes first unless the

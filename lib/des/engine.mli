@@ -56,6 +56,12 @@ val post_call : t -> at:Time.t -> ('a -> unit) -> 'a -> unit
     other when it fires. With [f] built once (a per-link deliver
     function, say), a warm post and its firing allocate nothing.
 
+    Firing drops [x], as it drops a {!post}ed thunk, but the idle record
+    keeps [f] until its next post, which then skips the store (a
+    [caml_modify]) when [f] is the same. So pass a function built once
+    here, and a one-shot closure to {!post}: [post_call t ~at f ()]
+    for a prebuilt [f : unit -> unit].
+
     @raise Invalid_argument if [at] is in the past. *)
 
 val set_tagged_sink : t -> (int -> Obj.t -> unit) -> unit
@@ -81,6 +87,31 @@ val cancel : handle -> unit
     as tombstones but are counted exactly, and the queue is compacted in
     place whenever tombstones exceed half of it, so cancel-heavy
     workloads stay bounded by the live event count. *)
+
+val unscheduled : t -> handle
+(** A handle to no event, for {!rearm}: {!cancel} ignores it and
+    {!scheduled} is [false]. Allocates the one record a {!Timer} keeps
+    for life. *)
+
+val scheduled : handle -> bool
+(** [true] from a {!schedule} or {!rearm} until the event fires or is
+    cancelled. *)
+
+val rearm : handle -> delay:Time.t -> (unit -> unit) -> handle
+(** [rearm h ~delay f] is [cancel h] followed by
+    [schedule_after ~delay f], with the same (time, seq) and so the same
+    firing order, but it reuses [h]'s record and returns it. Only when
+    the heap still holds [h] (due within one wheel tick, or a cancelled
+    tombstone not yet drained) is [h] cancelled and a fresh handle
+    returned. So a re-arm allocates nothing, unless it is due within
+    one tick ({!Wheel.tick_ns}) or the previous expiry was: a parked
+    record is unlinked from its wheel slot and parked again.
+
+    Only the owner of [h] may re-arm it: the caller must hold the only
+    reference, as {!Timer} does, and must use the returned handle from
+    then on.
+
+    @raise Invalid_argument if [delay] is negative. *)
 
 val step : t -> bool
 (** Fire the earliest pending event, in (time, seq) order across the

@@ -1,33 +1,17 @@
-type t = {
-  engine : Engine.t;
-  f : unit -> unit;
-  mutable pending : Engine.handle option;
-  (* The scheduled callback, built once: [arm] runs on every segment of
-     a TCP transfer (RTO and delayed-ack re-arming), so it must not
-     allocate a fresh closure per call. *)
-  mutable wrapper : unit -> unit;
-}
+(* The timer owns one event record and re-arms it in place
+   ([Engine.rearm]); the record changes only when the heap still holds
+   it. [f] is the scheduled callback itself: a fired record reads as
+   not scheduled, so no wrapper has to clear any state. *)
+type t = { f : unit -> unit; mutable handle : Engine.handle }
 
-let create engine ~f =
-  let t = { engine; f; pending = None; wrapper = Fun.id } in
-  t.wrapper <-
-    (fun () ->
-      t.pending <- None;
-      t.f ());
-  t
-
-let stop t =
-  match t.pending with
-  | None -> ()
-  | Some h ->
-      Engine.cancel h;
-      t.pending <- None
+let create engine ~f = { f; handle = Engine.unscheduled engine }
+let stop t = Engine.cancel t.handle
 
 let arm t ~delay =
-  stop t;
-  t.pending <- Some (Engine.schedule_after t.engine ~delay t.wrapper)
+  let h = Engine.rearm t.handle ~delay t.f in
+  if h != t.handle then t.handle <- h
 
-let is_armed t = t.pending <> None
+let is_armed t = Engine.scheduled t.handle
 
 let every engine ~period ?start f =
   if period <= 0 then invalid_arg "Timer.every: period must be positive";

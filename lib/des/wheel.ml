@@ -17,11 +17,11 @@
    whole wheel's span are refused by [offer] and overflow to the
    caller's heap, which stays the single source of firing order.
 
-   The structure is intrusive and polymorphic: the caller's records
-   carry the next/prev/slot fields and an [ops] vtable says how to reach
-   them, so parking a timer allocates nothing. Entries in a slot are
-   kept LIFO — emission order within a tick is arbitrary by contract,
-   since the heap re-establishes (time, seq) order. *)
+   The structure is intrusive: the engine's event records ({!Event})
+   carry the next/prev/slot fields, so parking a timer allocates
+   nothing and relinking one is a few direct stores. Entries in a slot
+   are kept LIFO — emission order within a tick is arbitrary by
+   contract, since the heap re-establishes (time, seq) order. *)
 
 let tick_bits = 16
 let slot_bits = 8
@@ -32,31 +32,21 @@ let slot_mask = slots_per_level - 1
 let span_ticks = 1 lsl (slot_bits * levels)
 let span_ns = span_ticks * tick_ns
 
-type 'a ops = {
-  time : 'a -> int;
-  next : 'a -> 'a;
-  set_next : 'a -> 'a -> unit;
-  prev : 'a -> 'a;
-  set_prev : 'a -> 'a -> unit;
-  slot : 'a -> int;
-  set_slot : 'a -> int -> unit;
-}
+type 'o entry = 'o Event.t
 
-type 'a t = {
-  ops : 'a ops;
-  nil : 'a;
+type 'o t = {
+  nil : 'o entry;
   (* [levels * slots_per_level] list heads; absolute slot index
      [level lsl slot_bits lor idx], [nil] = empty. *)
-  slots : 'a array;
+  slots : 'o entry array;
   counts : int array; (* physical entries per level *)
   mutable live : int;
   mutable wt : int; (* next tick to flush; every tick below is done *)
   mutable cascades : int;
 }
 
-let create ~ops ~nil () =
+let create ~nil () =
   {
-    ops;
     nil;
     slots = Array.make (levels * slots_per_level) nil;
     counts = Array.make levels 0;
@@ -81,15 +71,15 @@ let place t e tick =
   let idx = (tick lsr (level * slot_bits)) land slot_mask in
   let s = (level lsl slot_bits) lor idx in
   let head = t.slots.(s) in
-  t.ops.set_next e head;
-  t.ops.set_prev e t.nil;
-  t.ops.set_slot e s;
-  if head != t.nil then t.ops.set_prev head e;
+  e.Event.wnext <- head;
+  e.wprev <- t.nil;
+  e.wslot <- s;
+  if head != t.nil then head.wprev <- e;
   t.slots.(s) <- e;
   t.counts.(level) <- t.counts.(level) + 1
 
-let offer t e =
-  let tick = t.ops.time e asr tick_bits in
+let offer t (e : _ entry) =
+  let tick = e.time asr tick_bits in
   if tick < t.wt || tick - t.wt >= span_ticks then false
   else begin
     place t e tick;
@@ -97,14 +87,14 @@ let offer t e =
     true
   end
 
-let remove t e =
-  let s = t.ops.slot e in
-  let p = t.ops.prev e and n = t.ops.next e in
-  if p == t.nil then t.slots.(s) <- n else t.ops.set_next p n;
-  if n != t.nil then t.ops.set_prev n p;
-  t.ops.set_slot e (-1);
-  t.ops.set_next e t.nil;
-  t.ops.set_prev e t.nil;
+let remove t (e : _ entry) =
+  let s = e.wslot in
+  let p = e.wprev and n = e.wnext in
+  if p == t.nil then t.slots.(s) <- n else p.wnext <- n;
+  if n != t.nil then n.wprev <- p;
+  e.wslot <- -1;
+  e.wnext <- t.nil;
+  e.wprev <- t.nil;
   t.counts.(s lsr slot_bits) <- t.counts.(s lsr slot_bits) - 1;
   t.live <- t.live - 1
 
@@ -114,13 +104,14 @@ let flush t s ~emit =
   if !e != t.nil then begin
     t.slots.(s) <- t.nil;
     while !e != t.nil do
-      let n = t.ops.next !e in
-      t.ops.set_slot !e (-1);
-      t.ops.set_next !e t.nil;
-      t.ops.set_prev !e t.nil;
+      let e' = !e in
+      let n = e'.Event.wnext in
+      e'.wslot <- -1;
+      e'.wnext <- t.nil;
+      e'.wprev <- t.nil;
       t.counts.(0) <- t.counts.(0) - 1;
       t.live <- t.live - 1;
-      emit !e;
+      emit e';
       e := n
     done
   end
@@ -135,9 +126,9 @@ let cascade t lvl s ~emit:_ =
     t.slots.(s) <- t.nil;
     t.cascades <- t.cascades + 1;
     while !e != t.nil do
-      let n = t.ops.next !e in
+      let n = !e.Event.wnext in
       t.counts.(lvl) <- t.counts.(lvl) - 1;
-      place t !e (t.ops.time !e asr tick_bits);
+      place t !e (!e.time asr tick_bits);
       e := n
     done
   end
@@ -212,9 +203,9 @@ let next_time_lower_bound t =
       | tick ->
           let e = ref t.slots.(tick land slot_mask) in
           while !e != t.nil do
-            let tm = t.ops.time !e in
+            let tm = !e.Event.time in
             if tm < !best then best := tm;
-            e := t.ops.next !e
+            e := !e.wnext
           done)
     end;
     for lvl = 1 to levels - 1 do

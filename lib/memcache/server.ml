@@ -18,17 +18,23 @@ let default_config =
 
 type job = { request : Protocol.request; arrived : Des.Time.t }
 
+let no_job = { request = Protocol.Get { key = "" }; arrived = 0 }
+
 type conn_state = {
+  server : t;
   conn : Tcpsim.Conn.t;
   reader : Protocol.request Protocol.Reader.t;
   jobs : job Queue.t;
   mutable in_service : bool;
+  (* The job in service while [in_service]: a connection is served in
+     order, one job at a time. *)
+  mutable serving : job;
   mutable queued : bool; (* present in the ready queue *)
   mutable close_requested : bool; (* peer sent FIN *)
   mutable last_activity : Des.Time.t; (* last byte received *)
 }
 
-type t = {
+and t = {
   engine : Des.Engine.t;
   config : config;
   rng : Des.Rng.t;
@@ -91,15 +97,20 @@ let rec dispatch t =
       t.queue_depth <- t.queue_depth - 1;
       t.free_workers <- t.free_workers - 1;
       cs.in_service <- true;
-      let delay = service_time t job.request in
-      Des.Engine.post_after t.engine ~delay (fun () -> complete t cs job)
+      cs.serving <- job;
+      let at = Des.Engine.now t.engine + service_time t job.request in
+      Des.Engine.post_call t.engine ~at complete cs
     end;
     dispatch t
   end
 
-and complete t cs job =
+(* A service completion: a [post_call] of this one function on the
+   connection, so posting it builds no closure. *)
+and complete cs =
+  let t = cs.server and job = cs.serving in
   t.free_workers <- t.free_workers + 1;
   cs.in_service <- false;
+  cs.serving <- no_job;
   if conn_sendable cs then begin
     let response = process t job.request in
     Tcpsim.Conn.send cs.conn (Protocol.encode_response response);
@@ -158,10 +169,12 @@ let on_request t cs request =
 let accept t conn =
   let cs =
     {
+      server = t;
       conn;
       reader = Protocol.Reader.requests ();
       jobs = Queue.create ();
       in_service = false;
+      serving = no_job;
       queued = false;
       close_requested = false;
       last_activity = Des.Engine.now t.engine;

@@ -123,11 +123,12 @@ let link_between t ~src ~dst =
   | Some link -> link
   | None -> raise Not_found
 
-let send t ~from ?next_hop pkt =
-  let hop = match next_hop with Some h -> h | None -> pkt.Packet.dst.Addr.ip in
+let[@inline] forward t ~from ~hop pkt =
   match find t.links (link_key ~src:from ~dst:hop) with
   | Some link -> Link.send link pkt
   | None ->
       invalid_arg
         (Fmt.str "Fabric.send: no link %d->%d for packet %a" from hop Packet.pp
            pkt)
+
+let send t ~from pkt = forward t ~from ~hop:pkt.Packet.dst.Addr.ip pkt

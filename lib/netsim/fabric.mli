@@ -2,7 +2,8 @@
 
     Hosts register a receive handler under their IP. Directed links
     connect host pairs. [send] forwards a packet along the link towards
-    an explicit next hop, which is how direct server return is modelled:
+    its destination, and [forward] along the link towards an explicit
+    next hop, which is how direct server return is modelled:
 
     - clients send to the service VIP; the client→LB link carries it;
     - the LB forwards the *unmodified* packet with next hop = the chosen
@@ -69,8 +70,14 @@ val link_between : t -> src:ip -> dst:ip -> Link.t
 
     @raise Not_found if absent. *)
 
-val send : t -> from:ip -> ?next_hop:ip -> Packet.t -> unit
-(** [send t ~from pkt] forwards [pkt] on the link [from]→[next_hop];
-    [next_hop] defaults to [pkt.dst.ip].
+val send : t -> from:ip -> Packet.t -> unit
+(** [send t ~from pkt] forwards [pkt] on the link [from]→[pkt.dst.ip].
+
+    @raise Invalid_argument if no such link exists. *)
+
+val forward : t -> from:ip -> hop:ip -> Packet.t -> unit
+(** [forward t ~from ~hop pkt] forwards [pkt] on the link [from]→[hop]
+    whatever its destination: the balancer's per-packet route to the
+    chosen server.
 
     @raise Invalid_argument if no such link exists. *)

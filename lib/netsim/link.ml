@@ -59,9 +59,9 @@ let jitter_of t =
    handoff at the arrival timestamp — the destination shard's engine
    schedules it. *)
 let start_tx t =
-  Des.Engine.post_after t.engine
-    ~delay:(tx_time t (Array.unsafe_get t.ring t.head))
-    t.tx_done
+  Des.Engine.post_call t.engine
+    ~at:(Des.Engine.now t.engine + tx_time t (Array.unsafe_get t.ring t.head))
+    t.tx_done ()
 
 (* The head's last bit has left: start propagation (or drop it if the
    loss process says so) and move on to the next queued packet. *)

@@ -22,17 +22,20 @@ type t = {
    or duplicate ids; per-scenario output does not depend on id values. *)
 let next_id = Atomic.make 0
 
-let make ~src ~dst ~seq ~ack ~flags ~payload =
+let[@inline] make_on (flow_key : Flow_key.t) ~seq ~ack ~flags ~payload =
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
-    src;
-    dst;
+    src = flow_key.src;
+    dst = flow_key.dst;
     seq;
     ack;
     flags;
     payload;
-    flow_key = Flow_key.v ~src ~dst;
+    flow_key;
   }
+
+let make ~src ~dst ~seq ~ack ~flags ~payload =
+  make_on (Flow_key.v ~src ~dst) ~seq ~ack ~flags ~payload
 
 (* Built directly so it takes no id from the counter. *)
 let none =

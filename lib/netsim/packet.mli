@@ -36,6 +36,12 @@ val make :
   t
 (** Allocate a packet with a fresh [id]. *)
 
+val make_on :
+  Flow_key.t -> seq:int -> ack:int -> flags:flags -> payload:string -> t
+(** [make_on key] is [make ~src:key.src ~dst:key.dst] on a key built
+    once: a TCP connection sends every packet on its own key, so no
+    packet allocates a key or mixes its hash again. *)
+
 val none : t
 (** A placeholder that is never sent (id 0, all addresses 0), for
     clearing the slots of packet buffers. Takes no id from {!make}'s

@@ -15,22 +15,45 @@ module Tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type t = { bucket : Des.Time.t; table : cell ref Tbl.t }
+(* Observations arrive in time order, so [record] keeps the bucket it
+   touched last and probes the table only when a bucket ends. *)
+type t = {
+  bucket : Des.Time.t;
+  table : cell ref Tbl.t;
+  mutable last_idx : int; (* [min_int] before the first record *)
+  mutable last : cell ref;
+}
 
 let create ~bucket =
   if bucket <= 0 then invalid_arg "Timeseries.create: bucket";
-  { bucket; table = Tbl.create 64 }
+  { bucket; table = Tbl.create 64; last_idx = min_int; last = ref (Single 0) }
 
-let record t ~at v =
-  let idx = at / t.bucket in
-  match Tbl.find_opt t.table idx with
-  | None -> Tbl.add t.table idx (ref (Single v))
-  | Some ({ contents = Single v0 } as cell) ->
+let add cell v =
+  match !cell with
+  | Single v0 ->
       let h = Histogram.create () in
       Histogram.record h v0;
       Histogram.record h v;
       cell := Hist h
-  | Some { contents = Hist h } -> Histogram.record h v
+  | Hist h -> Histogram.record h v
+
+let record t ~at v =
+  let idx = at / t.bucket in
+  if idx = t.last_idx then add t.last v
+  else begin
+    let cell =
+      match Tbl.find t.table idx with
+      | cell ->
+          add cell v;
+          cell
+      | exception Not_found ->
+          let cell = ref (Single v) in
+          Tbl.add t.table idx cell;
+          cell
+    in
+    t.last_idx <- idx;
+    t.last <- cell
+  end
 
 type row = {
   t_start : Des.Time.t;

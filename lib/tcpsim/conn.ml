@@ -69,8 +69,7 @@ type t = {
   engine : Des.Engine.t;
   tx : Netsim.Packet.t -> unit;
   config : config;
-  local : Netsim.Addr.t;
-  remote : Netsim.Addr.t;
+  key : Netsim.Flow_key.t; (* (local, remote): every packet we send *)
   on_teardown : t -> unit;
   mutable state : state;
   (* Send side. *)
@@ -117,8 +116,8 @@ let set_on_eof t f = t.on_eof <- f
 let set_on_close t f = t.on_close <- f
 let set_on_rtt_sample t f = t.on_rtt_sample <- f
 let state t = t.state
-let local_addr t = t.local
-let remote_addr t = t.remote
+let local_addr t = t.key.src
+let remote_addr t = t.key.dst
 let srtt t = Rto.srtt t.rto
 let bytes_sent t = t.bytes_sent_acked
 let bytes_received t = t.bytes_received
@@ -143,8 +142,7 @@ let cancel_delack t =
 
 let emit t ~seq ~flags ~payload =
   let ack = rcv_ack_value t in
-  t.tx
-    (Netsim.Packet.make ~src:t.local ~dst:t.remote ~seq ~ack ~flags ~payload);
+  t.tx (Netsim.Packet.make_on t.key ~seq ~ack ~flags ~payload);
   cancel_delack t
 
 let to_closed t =
@@ -231,10 +229,8 @@ let take_pending_slow t n =
 let take_pending t n =
   if
     t.pending_head_off = 0
-    &&
-    match Queue.peek_opt t.pending with
-    | Some head -> String.length head = n
-    | None -> false
+    && (not (Queue.is_empty t.pending))
+    && String.length (Queue.peek t.pending) = n
   then begin
     let head = Queue.pop t.pending in
     t.pending_bytes <- t.pending_bytes - n;
@@ -336,8 +332,8 @@ let abort t =
   if t.state <> Closed then begin
     let flags = Netsim.Packet.flag_rst in
     t.tx
-      (Netsim.Packet.make ~src:t.local ~dst:t.remote ~seq:t.snd_nxt
-         ~ack:(rcv_ack_value t) ~flags ~payload:"");
+      (Netsim.Packet.make_on t.key ~seq:t.snd_nxt ~ack:(rcv_ack_value t)
+         ~flags ~payload:"");
     to_closed t
   end
 
@@ -347,23 +343,20 @@ let process_ack t ack =
   if ack > t.snd_una then begin
     t.snd_una <- ack;
     let continue = ref true in
-    while !continue do
-      match Queue.peek_opt t.inflight with
-      | None -> continue := false
-      | Some seg ->
-          let seg_end = seg.seq + seg_span seg in
-          if seg_end <= ack then begin
-            ignore (Queue.pop t.inflight);
-            t.head_retx_count <- 0;
-            if not seg.retx then begin
-              let sample = Des.Engine.now t.engine - seg.sent_at in
-              Rto.observe t.rto sample;
-              t.on_rtt_sample sample
-            end;
-            t.bytes_sent_acked <- t.bytes_sent_acked + String.length seg.payload;
-            if seg.fin then t.our_fin_acked <- true
-          end
-          else continue := false
+    while !continue && not (Queue.is_empty t.inflight) do
+      let seg = Queue.peek t.inflight in
+      if seg.seq + seg_span seg <= ack then begin
+        ignore (Queue.pop t.inflight);
+        t.head_retx_count <- 0;
+        if not seg.retx then begin
+          let sample = Des.Engine.now t.engine - seg.sent_at in
+          Rto.observe t.rto sample;
+          t.on_rtt_sample sample
+        end;
+        t.bytes_sent_acked <- t.bytes_sent_acked + String.length seg.payload;
+        if seg.fin then t.our_fin_acked <- true
+      end
+      else continue := false
       (* Partial segment coverage cannot happen: the receiver only ever
          acknowledges whole segments. *)
     done;
@@ -479,8 +472,7 @@ let make engine ~tx ~config ~local ~remote ~on_teardown ~state =
       engine;
       tx;
       config;
-      local;
-      remote;
+      key = Netsim.Flow_key.v ~src:local ~dst:remote;
       on_teardown;
       state;
       snd_una = 0;
@@ -535,8 +527,8 @@ let create_active engine ~tx ~config ~local ~remote ~on_teardown =
   Queue.add seg t.inflight;
   t.snd_nxt <- 1;
   t.tx
-    (Netsim.Packet.make ~src:local ~dst:remote ~seq:0 ~ack:0
-       ~flags:Netsim.Packet.flag_syn ~payload:"");
+    (Netsim.Packet.make_on t.key ~seq:0 ~ack:0 ~flags:Netsim.Packet.flag_syn
+       ~payload:"");
   arm_rto t;
   t
 

@@ -3,7 +3,12 @@ type listener = { config : Conn.config; accept : Conn.t -> unit }
 type t = {
   fabric : Netsim.Fabric.t;
   host_ip : int;
-  conns : Conn.t Netsim.Flow_key.Table.t;
+  (* Connection [i] is [conns.(i)], found by the key of the packets it
+     receives, (remote, local): a lookup takes the incoming packet's own
+     key and runs no hash or equality through a closure. *)
+  index : Netsim.Flow_table.t;
+  mutable conns : Conn.t option array; (* [None]: a free index *)
+  mutable free : int list;
   listeners : (Netsim.Addr.t, listener) Hashtbl.t;
   mutable strays : int;
   (* Drop counters carried over from torn-down connections, so the
@@ -14,18 +19,37 @@ type t = {
 
 let tx t pkt = Netsim.Fabric.send t.fabric ~from:t.host_ip pkt
 
-(* Connections are keyed (local, remote); an incoming packet carries
-   (remote, local), so swap when looking up. *)
-let key_of_packet (pkt : Netsim.Packet.t) =
-  Netsim.Flow_key.v ~src:pkt.dst ~dst:pkt.src
+let rx_key ~local ~remote = Netsim.Flow_key.v ~src:remote ~dst:local
+
+let add_conn t key conn =
+  let i =
+    match t.free with
+    | i :: rest ->
+        t.free <- rest;
+        i
+    | [] ->
+        let n = Array.length t.conns in
+        let grown = Array.make (2 * n) None in
+        Array.blit t.conns 0 grown 0 n;
+        t.conns <- grown;
+        t.free <- List.init (n - 1) (fun k -> n + 1 + k);
+        n
+  in
+  t.conns.(i) <- Some conn;
+  Netsim.Flow_table.add t.index key i
 
 let teardown t conn =
   let key =
-    Netsim.Flow_key.v ~src:(Conn.local_addr conn) ~dst:(Conn.remote_addr conn)
+    rx_key ~local:(Conn.local_addr conn) ~remote:(Conn.remote_addr conn)
   in
   t.retired_reasm_drops <- t.retired_reasm_drops + Conn.reasm_drops conn;
   t.retired_send_drops <- t.retired_send_drops + Conn.send_drops conn;
-  Netsim.Flow_key.Table.remove t.conns key
+  let i = Netsim.Flow_table.find t.index key in
+  if i >= 0 then begin
+    Netsim.Flow_table.remove t.index key;
+    t.conns.(i) <- None;
+    t.free <- i :: t.free
+  end
 
 let find_listener t (dst : Netsim.Addr.t) =
   match Hashtbl.find_opt t.listeners dst with
@@ -47,37 +71,42 @@ let reset_stray t (pkt : Netsim.Packet.t) =
     try tx t rst with Invalid_argument _ -> ()
   end
 
-let handle t (pkt : Netsim.Packet.t) =
-  let key = key_of_packet pkt in
-  match Netsim.Flow_key.Table.find_opt t.conns key with
-  | Some conn -> Conn.handle_packet conn pkt
+(* A packet no connection claims: a SYN for a listener opens one,
+   anything else is a stray. *)
+let unclaimed t (pkt : Netsim.Packet.t) =
+  match
+    if pkt.flags.syn && not pkt.flags.ack then find_listener t pkt.dst
+    else None
+  with
+  | Some { config; accept } ->
+      let engine = Netsim.Fabric.engine t.fabric in
+      let conn =
+        Conn.create_passive engine ~tx:(tx t) ~config ~local:pkt.dst
+          ~remote:pkt.src ~peer_isn:pkt.seq
+          ~on_teardown:(fun c -> teardown t c)
+      in
+      add_conn t pkt.flow_key conn;
+      accept conn
   | None ->
-      if pkt.flags.syn && not pkt.flags.ack then begin
-        match find_listener t pkt.dst with
-        | Some { config; accept } ->
-            let engine = Netsim.Fabric.engine t.fabric in
-            let conn =
-              Conn.create_passive engine ~tx:(tx t) ~config ~local:pkt.dst
-                ~remote:pkt.src ~peer_isn:pkt.seq
-                ~on_teardown:(fun c -> teardown t c)
-            in
-            Netsim.Flow_key.Table.add t.conns key conn;
-            accept conn
-        | None ->
-            t.strays <- t.strays + 1;
-            reset_stray t pkt
-      end
-      else begin
-        t.strays <- t.strays + 1;
-        reset_stray t pkt
-      end
+      t.strays <- t.strays + 1;
+      reset_stray t pkt
+
+let handle t (pkt : Netsim.Packet.t) =
+  let i = Netsim.Flow_table.find t.index pkt.flow_key in
+  if i < 0 then unclaimed t pkt
+  else
+    match t.conns.(i) with
+    | Some conn -> Conn.handle_packet conn pkt
+    | None -> () (* a bound index always holds its connection *)
 
 let make fabric ~host_ip ~replace =
   let t =
     {
       fabric;
       host_ip;
-      conns = Netsim.Flow_key.Table.create 64;
+      index = Netsim.Flow_table.create ();
+      conns = [| None |];
+      free = [ 0 ];
       listeners = Hashtbl.create 4;
       strays = 0;
       retired_reasm_drops = 0;
@@ -97,26 +126,28 @@ let listen t ~addr ?(config = Conn.default_config) accept =
   Hashtbl.add t.listeners addr { config; accept }
 
 let connect t ?(config = Conn.default_config) ~local ~remote () =
-  let key = Netsim.Flow_key.v ~src:local ~dst:remote in
-  if Netsim.Flow_key.Table.mem t.conns key then
+  let key = rx_key ~local ~remote in
+  if Netsim.Flow_table.mem t.index key then
     invalid_arg
-      (Fmt.str "Endpoint.connect: %a already open" Netsim.Flow_key.pp key);
+      (Fmt.str "Endpoint.connect: %a->%a already open" Netsim.Addr.pp local
+         Netsim.Addr.pp remote);
   let engine = Netsim.Fabric.engine t.fabric in
   let conn =
     Conn.create_active engine ~tx:(tx t) ~config ~local ~remote
       ~on_teardown:(fun c -> teardown t c)
   in
-  Netsim.Flow_key.Table.add t.conns key conn;
+  add_conn t key conn;
   conn
 
-let active_connections t = Netsim.Flow_key.Table.length t.conns
+let active_connections t = Netsim.Flow_table.length t.index
 let stray_packets t = t.strays
 
 let fold_conns f t init =
-  Netsim.Flow_key.Table.fold (fun _ conn acc -> f acc conn) t.conns init
+  Array.fold_left
+    (fun acc c -> match c with Some conn -> f acc conn | None -> acc)
+    init t.conns
 
-let sum_conns t f base =
-  Netsim.Flow_key.Table.fold (fun _ conn acc -> acc + f conn) t.conns base
+let sum_conns t f base = fold_conns (fun acc conn -> acc + f conn) t base
 
 let reasm_pending t = sum_conns t Conn.reasm_pending 0
 let reasm_drops t = sum_conns t Conn.reasm_drops t.retired_reasm_drops

@@ -38,15 +38,9 @@ let rec drain t buf =
       drain t buf
   | Some _ | None -> ()
 
-let insert t ~seq data =
+let insert_slow t seq data =
   let seq, data = trim t seq data in
   if String.length data = 0 then ""
-  else if seq = t.rcv_nxt && Seq_map.is_empty t.ooo then begin
-    (* In-order segment with nothing buffered — the common case — is
-       delivered as-is, with no intermediate copy. *)
-    t.rcv_nxt <- t.rcv_nxt + String.length data;
-    data
-  end
   else if seq = t.rcv_nxt then begin
     let buf = Buffer.create (String.length data) in
     Buffer.add_string buf data;
@@ -75,3 +69,13 @@ let insert t ~seq data =
         end);
     ""
   end
+
+let insert t ~seq data =
+  if seq = t.rcv_nxt && Seq_map.is_empty t.ooo then begin
+    (* In-order segment with nothing buffered — the common case — is
+       delivered as-is: no trim (it would return the segment unchanged,
+       in a tuple) and no intermediate copy. *)
+    t.rcv_nxt <- t.rcv_nxt + String.length data;
+    data
+  end
+  else insert_slow t seq data

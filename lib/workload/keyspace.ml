@@ -33,12 +33,29 @@ let create ?(prefix = "memtier-") ~count ~dist ~rng () =
 
 let count t = t.count
 
+(* [Fmt.str "%s%08d" prefix i] for [i >= 0], written by hand: the
+   format interpreter and C [snprintf] cost as much as the rest of a
+   scenario build, which names every preloaded key. *)
+let name ~prefix i =
+  let rec width n k = if n < 10 then k else width (n / 10) (k + 1) in
+  let p = String.length prefix in
+  let len = p + Int.max 8 (width i 1) in
+  let b = Bytes.make len '0' in
+  Bytes.blit_string prefix 0 b 0 p;
+  let n = ref i and pos = ref (len - 1) in
+  while !n > 0 do
+    Bytes.unsafe_set b !pos (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10;
+    decr pos
+  done;
+  Bytes.unsafe_to_string b
+
 let key_of t i =
   let cached = t.names.(i) in
   (* A length test, not [<> ""], which is a [caml_string_notequal] call. *)
   if String.length cached > 0 then cached
   else begin
-    let name = Fmt.str "%s%08d" t.prefix i in
+    let name = name ~prefix:t.prefix i in
     t.names.(i) <- name;
     name
   end

@@ -15,7 +15,12 @@ val create : ?prefix:string -> count:int -> dist:dist -> rng:Des.Rng.t -> unit -
 val count : t -> int
 
 val key_of : t -> int -> string
-(** The [i]-th key name (deterministic, e.g. ["memtier-00000042"]). *)
+(** The [i]-th key name (deterministic, e.g. ["memtier-00000042"]):
+    [name ~prefix i] for the keyspace's prefix, built once. *)
+
+val name : prefix:string -> int -> string
+(** [name ~prefix i] is [prefix] followed by [i >= 0] in decimal,
+    zero-padded to at least 8 digits: [Printf.sprintf "%s%08d"]. *)
 
 val sample : t -> string
 (** Draw a key according to the configured distribution. *)

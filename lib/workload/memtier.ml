@@ -30,6 +30,9 @@ type slot = {
   outstanding : pending Queue.t;
   mutable sent_on_conn : int;
   mutable closing : bool;
+  (* [issue] on this slot, the think-time event: built once by
+     [start], so posting it builds no closure. *)
+  mutable issue_next : unit -> unit;
 }
 
 type t = {
@@ -84,6 +87,7 @@ let create fabric ~host_ip ~vip ~keyspace ~log ?(config = default_config)
             outstanding = Queue.create ();
             sent_on_conn = 0;
             closing = false;
+            issue_next = ignore;
           });
     value_memo = "";
     next_port = 10_000;
@@ -97,7 +101,7 @@ let create fabric ~host_ip ~vip ~keyspace ~log ?(config = default_config)
 
 let make_request t =
   if Des.Rng.float t.rng 1.0 < t.config.get_ratio then
-    (Latency_log.Get, Memcache.Protocol.Get { key = Keyspace.sample t.keyspace })
+    Memcache.Protocol.Get { key = Keyspace.sample t.keyspace }
   else begin
     let size = Int.max 1 (int_of_float (Stats.Dist.draw t.config.value_size t.rng)) in
     let value =
@@ -108,9 +112,8 @@ let make_request t =
         v
       end
     in
-    ( Latency_log.Set,
-      Memcache.Protocol.Set
-        { key = Keyspace.sample t.keyspace; flags = 0; exptime = 0; value } )
+    Memcache.Protocol.Set
+      { key = Keyspace.sample t.keyspace; flags = 0; exptime = 0; value }
   end
 
 let conn_usable slot =
@@ -129,7 +132,10 @@ let rec issue t slot =
     match slot.conn with
     | None -> ()
     | Some conn ->
-        let op, request = make_request t in
+        let request = make_request t in
+        let op : Latency_log.op =
+          match request with Get _ -> Get | Set _ -> Set
+        in
         Queue.add { op; issued_at = Des.Engine.now t.engine } slot.outstanding;
         Tcpsim.Conn.send conn (Memcache.Protocol.encode_request request);
         Telemetry.Registry.Counter.incr t.m_sent;
@@ -150,7 +156,10 @@ and maybe_trigger_next t slot =
       Int.max 0 (int_of_float (Stats.Dist.draw t.config.think_time t.rng))
     in
     if think = 0 then issue t slot
-    else Des.Engine.post_after t.engine ~delay:think (fun () -> issue t slot)
+    else
+      Des.Engine.post_call t.engine
+        ~at:(Des.Engine.now t.engine + think)
+        slot.issue_next ()
   end
 
 and close_slot _t slot =
@@ -210,7 +219,11 @@ and open_slot t slot =
 let start t =
   if not t.running then begin
     t.running <- true;
-    Array.iter (fun slot -> open_slot t slot) t.slots
+    Array.iter
+      (fun slot ->
+        slot.issue_next <- (fun () -> issue t slot);
+        open_slot t slot)
+      t.slots
   end
 
 let stop t =

@@ -618,6 +618,30 @@ let soak_fleet_is_clean () =
   check_int "pcc clean" 0 r.Cluster.Soak.pcc_violations;
   check_bool "served traffic" true (r.Cluster.Soak.responses > 10_000)
 
+(* Allocation is deterministic for a given build, where wall time is
+   not: a tripwire on minor words per fired event catches a per-request
+   allocator that creeps back into the Fig. 3 stack. The bound is the
+   value measured when it was set plus 10%. *)
+let measured_words_per_event = 23.6
+
+let fig3_minor_words_per_event () =
+  let s =
+    Cluster.Scenario.build
+      {
+        Cluster.Fig3.default_scenario with
+        Cluster.Scenario.policy = Inband.Policy.Latency_aware;
+      }
+  in
+  Cluster.Scenario.inject_server_delay s ~server:1 ~at:(Des.Time.sec 1)
+    ~delay:(Des.Time.ms 1);
+  let e0 = Cluster.Scenario.events_fired s and w0 = Gc.minor_words () in
+  Cluster.Scenario.run s ~until:(Des.Time.sec 2);
+  let words = Gc.minor_words () -. w0 in
+  let per = words /. float_of_int (Cluster.Scenario.events_fired s - e0) in
+  if per > 1.1 *. measured_words_per_event then
+    Alcotest.failf "fig3 allocated %.2f minor words per event (bound %.2f)"
+      per (1.1 *. measured_words_per_event)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -677,6 +701,11 @@ let () =
             soak_repeat_timeline_tiles_and_clips;
           Alcotest.test_case "short soak is clean" `Slow soak_short_run_is_clean;
           Alcotest.test_case "fleet soak is clean" `Slow soak_fleet_is_clean;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "fig3 minor words per event" `Slow
+            fig3_minor_words_per_event;
         ] );
       ( "determinism",
         [

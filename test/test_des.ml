@@ -295,6 +295,27 @@ let engine_post_call_zero_alloc () =
   check_int "every call fired" 30_000 !hits;
   check_int "drained" 0 (Des.Engine.pending e)
 
+let engine_fired_posts_retain_nothing () =
+  (* Firing drops a posted thunk and a [post_call]'s argument: the idle
+     pooled record keeps neither alive (nor promotes it). *)
+  let e = Des.Engine.create () in
+  let w = Weak.create 2 in
+  let[@inline never] post () =
+    let a = ref 0 and b = ref 0 in
+    let thunk () = incr a in
+    Weak.set w 0 (Some (Obj.repr thunk));
+    Weak.set w 1 (Some (Obj.repr b));
+    Des.Engine.post_after e ~delay:5 thunk;
+    Des.Engine.post_call e ~at:(Des.Engine.now e + 7) incr b
+  in
+  post ();
+  Des.Engine.run e;
+  Gc.full_major ();
+  Alcotest.(check bool) "thunk dropped" false (Weak.check w 0);
+  Alcotest.(check bool) "argument dropped" false (Weak.check w 1);
+  (* The engine, and with it every idle record, is still live here. *)
+  check_int "drained" 0 (Des.Engine.pending e)
+
 let engine_lane_is_visible () =
   (* A post at the current instant waits in the same-instant lane, not
      the heap: [pending], [next_event_time] and [run ~until] must all
@@ -663,6 +684,240 @@ let timer_every_start () =
     [ Des.Time.ms 1; Des.Time.ms 6; Des.Time.ms 11 ]
     (List.rev !fires)
 
+(* The timer as it was before [Engine.rearm]: every re-arm cancels the
+   pending event and schedules a fresh one. The differential test below
+   holds the real timer to this model. *)
+module Old_timer = struct
+  type t = {
+    engine : Des.Engine.t;
+    f : unit -> unit;
+    mutable pending : Des.Engine.handle option;
+    mutable wrapper : unit -> unit;
+  }
+
+  let create engine ~f =
+    let t = { engine; f; pending = None; wrapper = Fun.id } in
+    t.wrapper <-
+      (fun () ->
+        t.pending <- None;
+        t.f ());
+    t
+
+  let stop t =
+    match t.pending with
+    | None -> ()
+    | Some h ->
+        Des.Engine.cancel h;
+        t.pending <- None
+
+  let arm t ~delay =
+    stop t;
+    t.pending <- Some (Des.Engine.schedule_after t.engine ~delay t.wrapper)
+
+  let is_armed t = t.pending <> None
+end
+
+let tick = Des.Wheel.tick_ns
+
+(* One step of a timer program. Delays are drawn when the step runs,
+   from state both sides share, in the classes the wheel treats
+   differently (see [delay]). *)
+type timer_op =
+  | Arm of int * int * int (* timer, delay class, raw *)
+  | Stop of int
+  | Post of int * int (* instant class, raw: a pooled post *)
+  | Run of int * int (* delay class, raw: run ~until now + delay *)
+  | Steps of int
+  | Flood (* 70 heap tombstones: forces a compaction *)
+
+let pp_timer_op ppf = function
+  | Arm (i, c, r) -> Fmt.pf ppf "arm %d c%d %d" i c r
+  | Stop i -> Fmt.pf ppf "stop %d" i
+  | Post (c, r) -> Fmt.pf ppf "post c%d %d" c r
+  | Run (c, r) -> Fmt.pf ppf "run c%d %d" c r
+  | Steps k -> Fmt.pf ppf "steps %d" k
+  | Flood -> Fmt.pf ppf "flood"
+
+let n_timers = 3
+
+let timer_op_gen =
+  let open QCheck.Gen in
+  let timer = int_bound (n_timers - 1) and raw = int_bound (1 lsl 30) in
+  frequency
+    [
+      (6, map3 (fun i c r -> Arm (i, c, r)) timer (int_bound 8) raw);
+      (1, map (fun i -> Stop i) timer);
+      (3, map2 (fun c r -> Post (c, r)) (int_bound 3) raw);
+      (2, map2 (fun c r -> Run (c, r)) (int_bound 8) raw);
+      (2, map (fun k -> Steps k) (int_range 1 4));
+      (1, return Flood);
+    ]
+
+(* One side of the differential test: the program runs on its own
+   engine against one timer implementation. [deadline.(i)] is timer
+   [i]'s pending expiry ([-1] when idle) and [last_post] the latest
+   post's instant; the delay classes read them. *)
+type side = {
+  engine : Des.Engine.t;
+  arm : int -> delay:int -> unit;
+  stop : int -> unit;
+  armed : int -> bool;
+  trace : (int * int) list ref; (* (label, instant), newest first *)
+  deadline : int array;
+  mutable last_post : int;
+  mutable posts : int;
+}
+
+let make_side ~create ~arm ~stop ~armed =
+  let engine = Des.Engine.create () in
+  let trace = ref [] and deadline = Array.make n_timers (-1) in
+  let timers =
+    Array.init n_timers (fun i ->
+        create engine ~f:(fun () ->
+            deadline.(i) <- -1;
+            trace := (i, Des.Engine.now engine) :: !trace))
+  in
+  {
+    engine;
+    arm = (fun i ~delay -> arm timers.(i) ~delay);
+    stop = (fun i -> stop timers.(i));
+    armed = (fun i -> armed timers.(i));
+    trace;
+    deadline;
+    last_post = 0;
+    posts = 0;
+  }
+
+(* The delay of class [c] from now. 0: within the timer's own wheel
+   slot, 1: inside the current tick (the heap), 2: another level-0
+   slot, 3: level 1, 4: level 2, 5: beyond the wheel's span, 6: the
+   exact deadline of timer [raw mod n_timers], 7: zero, 8: the latest
+   post's instant. A class whose instant has passed gives zero. *)
+let delay side ~timer c raw =
+  let now = Des.Engine.now side.engine in
+  let until at = if at >= now then at - now else 0 in
+  match c with
+  | 0 ->
+      let d = side.deadline.(timer) in
+      if d < 0 then raw mod tick else until (d - (d mod tick) + (raw mod tick))
+  | 1 -> raw mod (tick - (now mod tick))
+  | 2 -> (tick * (1 + (raw mod 255))) + (raw mod tick)
+  | 3 -> tick * (256 + (raw mod 65_000))
+  | 4 -> tick * (65_536 + (raw mod (1 lsl 23)))
+  | 5 -> (tick lsl 24) + raw
+  | 6 -> until side.deadline.(raw mod n_timers)
+  | 7 -> 0
+  | _ -> until side.last_post
+
+let apply side = function
+  | Arm (i, c, r) ->
+      let d = delay side ~timer:i c r in
+      side.arm i ~delay:d;
+      side.deadline.(i) <- Des.Engine.now side.engine + d
+  | Stop i ->
+      side.stop i;
+      side.deadline.(i) <- -1
+  | Post (c, r) ->
+      let now = Des.Engine.now side.engine in
+      let at =
+        match c with
+        | 0 -> now
+        | 1 -> now + (r mod (2 * tick))
+        | _ ->
+            let d = side.deadline.(r mod n_timers) in
+            if d < now then now else if c = 2 then d else d + (r mod 1000)
+      in
+      let label = 100 + side.posts in
+      side.posts <- side.posts + 1;
+      side.last_post <- at;
+      Des.Engine.post side.engine ~at (fun () ->
+          side.trace := (label, Des.Engine.now side.engine) :: !(side.trace))
+  | Run (c, r) ->
+      let d = delay side ~timer:0 c r in
+      Des.Engine.run side.engine ~until:(Des.Engine.now side.engine + d)
+  | Steps k ->
+      for _ = 1 to k do
+        ignore (Des.Engine.step side.engine)
+      done
+  | Flood ->
+      List.init 70 (fun _ ->
+          Des.Engine.schedule_after side.engine ~delay:0 ignore)
+      |> List.iter Des.Engine.cancel
+
+let timer_qcheck_rearm_matches_old =
+  QCheck.Test.make ~count:500
+    ~name:"timer: in-place re-arm fires exactly as cancel + schedule"
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_timer_op))
+       QCheck.Gen.(list_size (int_range 1 60) timer_op_gen))
+    (fun ops ->
+      let old_side =
+        make_side ~create:Old_timer.create ~arm:Old_timer.arm
+          ~stop:Old_timer.stop ~armed:Old_timer.is_armed
+      in
+      let new_side =
+        make_side ~create:Des.Timer.create ~arm:Des.Timer.arm
+          ~stop:Des.Timer.stop ~armed:Des.Timer.is_armed
+      in
+      let same () =
+        !(old_side.trace) = !(new_side.trace)
+        && Des.Engine.pending old_side.engine
+           = Des.Engine.pending new_side.engine
+        && Des.Engine.now old_side.engine = Des.Engine.now new_side.engine
+        && List.for_all
+             (fun i -> old_side.armed i = new_side.armed i)
+             (List.init n_timers Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          apply old_side op;
+          apply new_side op;
+          same ())
+        ops
+      &&
+      (Des.Engine.run old_side.engine;
+       Des.Engine.run new_side.engine;
+       same ()))
+
+let timer_rearm_zero_alloc () =
+  (* The timer moves its one record: 10 000 warm re-arms, in its own
+     wheel slot, in other slots and after it fired, allocate nothing. *)
+  let e = Des.Engine.create () in
+  let t = Des.Timer.create e ~f:ignore in
+  let burst () =
+    for i = 1 to 10_000 do
+      if i land 1023 = 0 then Des.Engine.run e;
+      Des.Timer.arm t ~delay:(Des.Time.ms 1 + ((i land 7) * tick))
+    done
+  in
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let delta = Gc.minor_words () -. w0 in
+  if delta > 64.0 then
+    Alcotest.failf "10000 warm Timer.arm allocated %.0f minor words" delta
+
+let timer_rearm_after_compaction () =
+  (* A timer stopped while due within the tick leaves a heap tombstone;
+     once compaction has dropped it, and with it the payload, re-arming
+     must still run the timer's own callback. *)
+  let e = Des.Engine.create () in
+  (* With a timer parked far out, running to 1 µs flushes the current
+     tick, so what is due within it from now on waits in the heap. *)
+  ignore (Des.Engine.schedule e ~at:(Des.Time.sec 1) ignore);
+  Des.Engine.run e ~until:(Des.Time.us 1);
+  let fired = ref 0 in
+  let t = Des.Timer.create e ~f:(fun () -> incr fired) in
+  Des.Timer.arm t ~delay:1;
+  check_int "in the heap" 1 (Des.Engine.queue_length e);
+  Des.Timer.stop t;
+  List.init 70 (fun _ -> Des.Engine.schedule_after e ~delay:0 ignore)
+  |> List.iter Des.Engine.cancel;
+  check_bool "compacted" true (Des.Engine.compactions e > 0);
+  Des.Timer.arm t ~delay:(Des.Time.ms 1);
+  Des.Engine.run e;
+  check_int "fired once" 1 !fired
+
 let () =
   Alcotest.run "des"
     [
@@ -699,6 +954,8 @@ let () =
             engine_post_fire_zero_alloc;
           Alcotest.test_case "post_call and fire allocate nothing warm" `Quick
             engine_post_call_zero_alloc;
+          Alcotest.test_case "fired posts retain nothing" `Quick
+            engine_fired_posts_retain_nothing;
           Alcotest.test_case "pending, next_event_time and run see the lane"
             `Quick engine_lane_is_visible;
           Alcotest.test_case "stale cancel after slot reuse" `Quick
@@ -732,5 +989,11 @@ let () =
           Alcotest.test_case "stop" `Quick timer_stop;
           Alcotest.test_case "every" `Quick timer_every;
           Alcotest.test_case "every with start" `Quick timer_every_start;
-        ] );
+          Alcotest.test_case "re-arm allocates nothing warm" `Quick
+            timer_rearm_zero_alloc;
+          Alcotest.test_case "re-arm after compaction" `Quick
+            timer_rearm_after_compaction;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ timer_qcheck_rearm_matches_old ] );
     ]

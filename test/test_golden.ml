@@ -1,8 +1,8 @@
-(* Golden regression: the Fig 2 summary tables, a compressed Fig 3 CSV
-   and the flows churn CSV must render byte-exactly as the checked-in
-   expected files. Any change to the estimator, the TCP model, the DES
-   engine, the network layer or the report renderer that moves a single
-   cell shows up as a diff here. *)
+(* Golden regression: the Fig 2 summary tables, a compressed Fig 3 CSV,
+   the flows churn CSV and the churn faults CSV must render byte-exactly
+   as the checked-in expected files. Any change to the estimator, the
+   TCP model, the DES engine, the network layer or the report renderer
+   that moves a single cell shows up as a diff here. *)
 
 (* Under [dune runtest] the cwd is the test directory and the (deps ...)
    stanza stages the golden files there; under [dune exec] the cwd is the
@@ -88,6 +88,15 @@ let flows_csv () =
         (Cluster.Sharded.flows ~shards ~n:8192 ()).Cluster.Sharded.csv)
     [ 1; 2 ]
 
+(* The default churn run: the only golden with packet loss, whose
+   burst drives retransmission and RTO backoff through the TCP
+   timers. *)
+let churn_csv () =
+  Alcotest.(check string)
+    "churn faults CSV (default run)"
+    (read_file "golden_churn.expected")
+    (Cluster.Csv.churn_faults (Cluster.Churn.run ()))
+
 let () =
   Alcotest.run "golden"
     [
@@ -102,4 +111,5 @@ let () =
             fig3_remap_preserve;
         ] );
       ("flows", [ Alcotest.test_case "flows CSV" `Slow flows_csv ]);
+      ("churn", [ Alcotest.test_case "churn CSV" `Slow churn_csv ]);
     ]

@@ -326,7 +326,7 @@ let fabric_routes_by_next_hop () =
   (* Default next hop = destination ip. *)
   Netsim.Fabric.send fabric ~from:1 (mk_packet ~src:(addr 1 1) ~dst:(addr 2 1) ());
   (* Explicit next hop overrides (DSR forwarding): dst says 2, carry to 3. *)
-  Netsim.Fabric.send fabric ~from:1 ~next_hop:3
+  Netsim.Fabric.forward fabric ~from:1 ~hop:3
     (mk_packet ~src:(addr 1 1) ~dst:(addr 2 1) ());
   Des.Engine.run engine;
   check_int "default hop" 1 !got_at_2;

@@ -57,6 +57,19 @@ let keyspace_zipf_indices_in_range () =
     if i < 0 || i >= 17 then Alcotest.failf "index out of range: %d" i
   done
 
+let keyspace_name_matches_format =
+  (* The hand-written name is the [%s%08d] rendering, past 8 digits
+     too, for the default and a custom prefix. *)
+  let fixed = [ 0; 9; 10; 99_999_999; 123_456_789 ] in
+  QCheck.Test.make ~count:500 ~name:"key names equal Fmt %s%08d"
+    QCheck.(pair (int_bound 999_999_999) (oneofl [ "memtier-"; "x:"; "" ]))
+    (fun (i, prefix) ->
+      List.for_all
+        (fun i ->
+          String.equal (Workload.Keyspace.name ~prefix i)
+            (Fmt.str "%s%08d" prefix i))
+        (i :: fixed))
+
 let keyspace_rejects_zero () =
   let rng = Des.Rng.create ~seed:5 in
   Alcotest.check_raises "count 0" (Invalid_argument "Keyspace.create: count")
@@ -311,6 +324,7 @@ let () =
           Alcotest.test_case "zipf skews" `Quick keyspace_zipf_skews;
           Alcotest.test_case "zipf in range" `Quick keyspace_zipf_indices_in_range;
           Alcotest.test_case "rejects zero" `Quick keyspace_rejects_zero;
+          QCheck_alcotest.to_alcotest keyspace_name_matches_format;
         ] );
       ( "latency_log",
         [ Alcotest.test_case "records" `Quick latency_log_records ] );
