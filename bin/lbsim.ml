@@ -3,17 +3,26 @@
    Subcommands mirror the paper's experiments with the knobs exposed:
 
      lbsim fig2   [--duration 6] [--step-at 3] [--step-ms 1.0] ...
-     lbsim fig3   [--duration 30] [--inject-at 10] [--policy ...] [--law ...]
-     lbsim sweep  (alpha | epoch | timing | policy | herd | law | ...)
+     lbsim fig3   [--duration 30] [--inject-at 10] [--policies ...] [--law ...]
+     lbsim sweep  (alpha | epoch | timing | policy | far | law | ... | remap)
      lbsim herd   [--coord none|gossip|leader|all] [--law ...] [--lbs 1,2,4]
+                  [--check]
      lbsim run    [--faults FILE] [--assert-pcc] ...  (free-form scenario)
      lbsim churn  [--faults FILE] [--assert-recovery]
+     lbsim soak   [--minutes 30] [--lbs N] [--coord ...] [--check]
+     lbsim flows  [-n 65536] [--shards K] [--check]
      lbsim estimate --help      (run the estimator over a bulk flow)
 
    Two orthogonal selection axes recur: --policy is the routing policy
    (which backend each new connection goes to); --law is the control
    law (how the feedback controller moves the weight vector, under the
-   latency-aware policy only). *)
+   latency-aware policy only).
+
+   Five experiments carry a contract, checked by the module that owns
+   the experiment: the law and remap sweeps on every run, herd, soak
+   and flows under --check. Each prints one verdict line naming the
+   tripwires that failed and exits 1 on any; the CI smoke gates are
+   these runs. *)
 
 open Cmdliner
 
@@ -127,6 +136,14 @@ let metrics_interval_arg =
     & info [ "metrics-interval" ] ~docv:"SECONDS"
         ~doc:"Telemetry snapshot period, seconds.")
 
+(* An experiment contract's verdict, named after its CI gate: one line,
+   and exit 1 when any tripwire failed. *)
+let verdict gate = function
+  | [] -> Fmt.pr "%s: ok@." gate
+  | failed ->
+      Fmt.epr "%s FAILED (tripwire: %s)@." gate (String.concat ", " failed);
+      exit 1
+
 let jobs_arg =
   Arg.(
     value
@@ -179,13 +196,17 @@ let fig2_cmd =
 let fig3_cmd =
   let run duration inject_at inject_ms policies servers connections alpha law
       remap seed csv metrics_csv metrics_interval jobs =
+    let base = Cluster.Fig3.default_scenario in
     let scenario =
       {
-        Cluster.Scenario.default_config with
+        base with
         Cluster.Scenario.n_servers = servers;
-        lb = { Inband.Config.default with Inband.Config.alpha; remap };
+        lb = { base.Cluster.Scenario.lb with Inband.Config.alpha; remap };
         memtier =
-          { Workload.Memtier.default_config with Workload.Memtier.connections };
+          {
+            base.Cluster.Scenario.memtier with
+            Workload.Memtier.connections;
+          };
         seed;
       }
     in
@@ -266,13 +287,10 @@ let sweep_cmd =
         dump_metrics result
     | `Far ->
         Cluster.Ablations.print_far (Cluster.Ablations.far_clients ~jobs ())
-    | `Herd ->
-        Cluster.Ablations.print_coord
-          (Cluster.Ablations.coord_sweep ~jobs ~law
-             ~policies:[ Cluster.Coordination.Uncoordinated ]
-             ())
     | `Law ->
-        Cluster.Ablations.print_laws (Cluster.Ablations.law_sweep ~jobs ())
+        let rows = Cluster.Ablations.law_sweep ~jobs () in
+        Cluster.Ablations.print_laws rows;
+        verdict "law-smoke" (Cluster.Ablations.law_check rows)
     | `Dependency ->
         Cluster.Dependency.print (Cluster.Dependency.run_cases ~jobs ())
     | `Estimator ->
@@ -281,7 +299,10 @@ let sweep_cmd =
     | `Source ->
         Cluster.Ablations.print_source
           (Cluster.Ablations.source_comparison ~jobs ())
-    | `Remap -> Cluster.Frontier.print (Cluster.Frontier.run ~jobs ())
+    | `Remap ->
+        let result = Cluster.Frontier.run ~jobs () in
+        Cluster.Frontier.print result;
+        verdict "frontier-smoke" (Cluster.Frontier.check result)
   in
   let sweeps =
     [
@@ -290,7 +311,6 @@ let sweep_cmd =
       ("timing", `Timing);
       ("policy", `Policy);
       ("far", `Far);
-      ("herd", `Herd);
       ("law", `Law);
       ("dependency", `Dependency);
       ("estimator", `Estimator);
@@ -307,16 +327,19 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Ablation sweeps: alpha, epoch, timing, policy, far, herd, law, \
+         "Ablation sweeps: alpha, epoch, timing, policy, far, law, \
           dependency, estimator, source, remap. The law sweep compares \
           control laws (shift-worst/knapsack/gradient — the $(b,--law) \
           axis) across fleet sizes; the policy sweep compares routing \
           policies (the $(b,--policy) axis) and honours \
           $(b,--metrics-csv)/$(b,--metrics-interval); the remap sweep \
           maps the PCC-violation / recovery-latency frontier across \
-          remap policies and fault intensities. $(b,--law) selects the \
-          control law for the policy and herd sweeps; all sweeps honour \
-          $(b,--jobs) and render identically at any job count.")
+          remap policies and fault intensities. The law and remap \
+          sweeps check their contracts (the CI law-smoke and \
+          frontier-smoke gates) and exit 1 if a tripwire fails. \
+          $(b,--law) selects the control law for the policy sweep; all \
+          sweeps honour $(b,--jobs) and render identically at any job \
+          count.")
     Term.(
       const run $ which $ law_arg $ metrics_csv_arg $ metrics_interval_arg
       $ jobs_arg)
@@ -347,20 +370,13 @@ let report_pcc ?(hard = true) oracle =
   end
 
 let herd_cmd =
-  let run policies law remap lbs duration inject_at assert_pcc jobs =
+  let run policies law remap lbs duration inject_at check jobs =
     let rows =
       Cluster.Ablations.coord_sweep ~jobs ~law ~remap ~policies ~lb_counts:lbs
         ~duration ~inject_at ()
     in
     Cluster.Ablations.print_coord rows;
-    if assert_pcc then begin
-      let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-      let violations = sum (fun r -> r.Cluster.Ablations.pcc_violations) in
-      Fmt.pr "pcc: %d packets checked, %d violations@."
-        (sum (fun r -> r.Cluster.Ablations.pcc_checked))
-        violations;
-      if violations > 0 then exit 1
-    end
+    if check then verdict "coord-smoke" (Cluster.Ablations.coord_check rows)
   in
   let all = Cluster.Coordination.[ Uncoordinated; Gossip_average; Leader ] in
   let policies =
@@ -401,6 +417,17 @@ let herd_cmd =
       & opt sec (Des.Time.sec 4)
       & info [ "inject-at" ] ~doc:"Injection time, seconds.")
   in
+  let check =
+    Arg.(
+      value & flag
+      & info [ "check" ]
+          ~doc:
+            "Exit nonzero if any established flow changed backend, or if, \
+             at the largest fleet size, gossip or leader took more than \
+             half of uncoordinated's control actions (judged when \
+             $(b,--coord) runs $(b,none) and a coordinated policy). The \
+             CI coord-smoke gate.")
+  in
   Cmd.v
     (Cmd.info "herd"
        ~doc:
@@ -410,7 +437,7 @@ let herd_cmd =
           every controller runs (default the paper's shift-worst).")
     Term.(
       const run $ coord $ law_arg $ remap_arg $ lbs $ duration $ inject_at
-      $ assert_pcc_arg $ jobs_arg)
+      $ check $ jobs_arg)
 
 (* --- run: free-form scenario ------------------------------------------- *)
 
@@ -732,10 +759,7 @@ let soak_cmd =
     in
     let result = Cluster.Soak.run ~config () in
     Cluster.Soak.print ~config result;
-    if check && not (Cluster.Soak.ok result) then begin
-      Fmt.epr "soak: flatness, stuck-state or PCC check failed@.";
-      exit 1
-    end
+    if check then verdict "soak-smoke" (Cluster.Soak.check config result)
   in
   let minutes =
     Arg.(
@@ -763,8 +787,9 @@ let soak_cmd =
           ~doc:
             "Exit nonzero unless every watched gauge stayed flat, no \
              flow or connection was stuck after the drain, the latency \
-             estimator stayed finite, and the PCC oracle saw zero \
-             violations (CI soak-smoke check).")
+             estimator stayed finite, the PCC oracle saw zero \
+             violations, and a gap flood, when one attacks, hit the \
+             reassembly cap (the CI soak-smoke gate).")
   in
   let lbs =
     Arg.(
@@ -802,7 +827,7 @@ let soak_cmd =
 (* --- flows: sharded flow-scale churn ---------------------------------- *)
 
 let flows_cmd =
-  let run n shards seed csv =
+  let run n shards seed check csv =
     let shards = Cluster.Sharded.resolve_shards shards in
     let r = Cluster.Sharded.flows ~shards ~seed ~n () in
     let s = r.Cluster.Sharded.stats in
@@ -819,12 +844,32 @@ let flows_cmd =
       Fmt.pr "  windows=%d  cross-shard posts=%d  max barrier stall=%.3fs@."
         s.Des.Shard.windows s.Des.Shard.remote_posts max_stall
     end;
-    match csv with
+    (match csv with
     | None -> ()
     | Some path ->
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc r.Cluster.Sharded.csv);
-        Fmt.pr "wrote %s@." path
+        Fmt.pr "wrote %s@." path);
+    if check then begin
+      (* A sharded run is judged against the same scenario with
+         fixed-width windows and on one shard. *)
+      let fixed, one_shard =
+        if shards < 2 then (None, None)
+        else
+          let f = Cluster.Sharded.flows ~shards ~seed ~adaptive:false ~n () in
+          let r1 = Cluster.Sharded.flows ~shards:1 ~seed ~n () in
+          Fmt.pr
+            "  fixed-width drain windows=%d (adaptive %d)  1-shard \
+             rerun=%.0f events/s@."
+            f.Cluster.Sharded.drain_windows r.drain_windows
+            r1.Cluster.Sharded.events_per_sec;
+          (Some f, Some r1)
+      in
+      let cores = Domain.recommended_domain_count () in
+      verdict
+        (if shards < 2 then "flow-smoke" else "shard-smoke")
+        (Cluster.Sharded.check ~cores ?one_shard ?fixed r)
+    end
   in
   let n =
     Arg.(
@@ -848,13 +893,27 @@ let flows_cmd =
             "Deterministically perturb the flow-to-client map and flow \
              port space (0 = the historical workload).")
   in
+  let check =
+    Arg.(
+      value & flag
+      & info [ "check" ]
+          ~doc:
+            "Exit nonzero if the single-engine rate falls below half, or \
+             live words per flow exceed 1.5x, the record in \
+             BENCH_pr4.json. With two or more shards, also rerun the \
+             scenario with fixed-width windows and on one shard: both \
+             CSVs must equal this run's, fixed-width must take at least \
+             3x the adaptive drain windows, and with a core per shard \
+             the aggregate rate must reach 2x that record. The CI \
+             flow-smoke and shard-smoke gates.")
+  in
   Cmd.v
     (Cmd.info "flows"
        ~doc:
          "Run the flow-scale churn workload (N concurrent flows, FIN + \
           reincarnation churn, idle-expiry drain) on K parallel engine \
           shards synchronized in lookahead-bounded windows.")
-    Term.(const run $ n $ shards $ seed $ csv_arg)
+    Term.(const run $ n $ shards $ seed $ check $ csv_arg)
 
 (* --- estimate: run the estimators over a packet-timestamp trace ------- *)
 

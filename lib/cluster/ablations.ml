@@ -429,6 +429,85 @@ let print_laws rows =
             @ [ pcc_cell r ])
           rows))
 
+(* --- A7/A8 contracts (the CI coord-smoke and law-smoke gates) ----------- *)
+
+let pcc_clean rows = List.for_all (fun r -> r.pcc_violations = 0) rows
+
+let coord_check rows =
+  let max_lbs = List.fold_left (fun m r -> Int.max m r.n_lbs) 0 rows in
+  let actions_at policy =
+    List.find_map
+      (fun r ->
+        if r.coord = policy && r.n_lbs = max_lbs then Some r.total_actions
+        else None)
+      rows
+  in
+  let halves_churn =
+    match actions_at Coordination.Uncoordinated with
+    | None -> true
+    | Some base ->
+        List.for_all
+          (fun policy ->
+            match actions_at policy with
+            | Some a -> 2 * a <= base
+            | None -> true)
+          Coordination.[ Gossip_average; Leader ]
+  in
+  Report.failed [ ("pcc", pcc_clean rows); ("churn", halves_churn) ]
+
+(* BENCH_pr6.json's [law_baseline_converged_ms]: shift-worst at 1 LB,
+   uncoordinated, when the A8 sweep was first recorded. *)
+let law_baseline_converged_ms = 4100.0
+
+let law_check rows =
+  let find law coord n_lbs =
+    List.find_opt
+      (fun r -> r.law = law && r.coord = coord && r.n_lbs = n_lbs)
+      rows
+  in
+  let converges =
+    match find Inband.Control_law.Shift_worst Coordination.Uncoordinated 1 with
+    | Some r ->
+        (not (Float.is_nan r.converged_ms))
+        && r.converged_ms <= 1.25 *. law_baseline_converged_ms
+    | None -> false
+  in
+  (* (LBs, shift-worst, gradient, gradient+gossip) at every fleet size
+     that ran the first two. *)
+  let sizes =
+    List.filter_map
+      (fun n_lbs ->
+        match
+          ( find Inband.Control_law.Shift_worst Coordination.Uncoordinated n_lbs,
+            find Inband.Control_law.Gradient Coordination.Uncoordinated n_lbs )
+        with
+        | Some base, Some grad ->
+            Some
+              ( n_lbs,
+                base,
+                grad,
+                find Inband.Control_law.Gradient Coordination.Gossip_average
+                  n_lbs )
+        | _ -> None)
+      (List.sort_uniq Int.compare (List.map (fun r -> r.n_lbs) rows))
+  in
+  Report.failed
+    [
+      ("pcc", pcc_clean rows);
+      ("convergence", converges);
+      ( "p95",
+        List.for_all
+          (fun (_, base, grad, _) ->
+            grad.p95_after_us <= 1.10 *. base.p95_after_us)
+          sizes );
+      ( "churn",
+        List.for_all
+          (fun (n_lbs, _, grad, gossip) ->
+            match gossip with
+            | Some g when n_lbs > 1 -> g.total_actions < grad.total_actions
+            | Some _ | None -> true)
+          sizes );
+    ]
 
 (* --- A6: far, non-equidistant clients ---------------------------------- *)
 

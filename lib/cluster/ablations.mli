@@ -170,6 +170,31 @@ val law_sweep :
 val print_coord : herd_row list -> unit
 val print_laws : herd_row list -> unit
 
+val coord_check : herd_row list -> string list
+(** The A7 contract (the CI coord-smoke gate) over a {!coord_sweep}:
+    the names of the failed tripwires, [[]] when it holds.
+
+    - ["pcc"]: some run broke per-connection consistency;
+    - ["churn"]: at the largest fleet size, gossip or leader took more
+      than half of uncoordinated's fleet-total actions (judged only
+      when the rows hold [none] and a coordinated policy there). *)
+
+val law_baseline_converged_ms : float
+(** Shift-worst's convergence time at 1 LB, uncoordinated, as recorded
+    in [BENCH_pr6.json] (4 100 ms). *)
+
+val law_check : herd_row list -> string list
+(** The A8 contract (the CI law-smoke gate) over a {!law_sweep}: the
+    names of the failed tripwires, [[]] when it holds.
+
+    - ["pcc"]: some law broke per-connection consistency;
+    - ["convergence"]: shift-worst at 1 LB never converged, or took
+      more than 1.25 × {!law_baseline_converged_ms};
+    - ["p95"]: at some fleet size, gradient's post-injection p95 is
+      above 1.1 × shift-worst's;
+    - ["churn"]: at some fleet size above 1 LB, gradient+gossip took no
+      fewer actions than uncoordinated gradient. *)
+
 (** {1 A6 — far, non-equidistant clients (§5 Q1)} *)
 
 type far_row = {

@@ -239,3 +239,37 @@ let print result =
       result.cells
   in
   print_endline (Report.table ~headers rows)
+
+(* The trade-off's required shape. Preserve is the paper's contract and
+   holds in every cell; down the heavy-fault column each step of remap
+   aggression must buy recovery time and cost stickiness. *)
+let check result =
+  let heavy pred =
+    List.find_opt
+      (fun c -> pred c.remap && c.intensity = "heavy")
+      result.cells
+  in
+  let preserve_clean =
+    List.for_all
+      (fun c -> c.remap <> Inband.Remap.Preserve || c.violations = 0)
+      result.cells
+  in
+  let shape =
+    match
+      ( heavy (( = ) Inband.Remap.Preserve),
+        heavy (function Inband.Remap.Ttl _ -> true | _ -> false),
+        heavy (( = ) Inband.Remap.Immediate) )
+    with
+    | Some pre, Some ttl, Some imm ->
+        let recovery c = Option.value c.recovery_ms ~default:infinity in
+        [
+          ( "rate-monotone",
+            pre.violation_rate < ttl.violation_rate
+            && ttl.violation_rate < imm.violation_rate );
+          ( "recovery-monotone",
+            recovery pre > recovery ttl && recovery ttl > recovery imm );
+          ("recovery-p95", imm.post_p95_us < pre.post_p95_us);
+        ]
+    | _ -> [ ("grid", false) ]
+  in
+  Report.failed (("preserve-pcc", preserve_clean) :: shape)

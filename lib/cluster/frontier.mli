@@ -58,3 +58,17 @@ val run :
     changing any result. *)
 
 val print : result -> unit
+
+val check : result -> string list
+(** The frontier's required shape (the CI frontier-smoke contract): the
+    names of the tripwires the grid fails, [[]] when it holds.
+
+    - ["preserve-pcc"]: a preserve cell counted a violation;
+    - ["grid"]: the heavy intensity lacks a preserve, a ttl or an
+      immediate cell, so the shape below cannot be judged;
+    - ["rate-monotone"]: on the heavy column the violation rate is not
+      strictly increasing preserve → ttl → immediate;
+    - ["recovery-monotone"]: nor is the recovery time strictly
+      decreasing (never recovered counts as infinite);
+    - ["recovery-p95"]: immediate's during-fault p95 does not beat
+      preserve's. *)

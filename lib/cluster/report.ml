@@ -59,3 +59,8 @@ let registry reg =
 let section title =
   let bar = String.make (String.length title + 8) '=' in
   Fmt.str "%s\n=== %s ===\n%s" bar title bar
+
+let failed tripwires =
+  List.filter_map
+    (fun (name, holds) -> if holds then None else Some name)
+    tripwires

@@ -15,3 +15,7 @@ val registry : Telemetry.Registry.t -> string
 
 val section : string -> string
 (** A banner line for experiment output. *)
+
+val failed : (string * bool) list -> string list
+(** An experiment contract's verdict: the names of the tripwires whose
+    condition does not hold, in order; [[]] when the contract holds. *)

@@ -1,6 +1,6 @@
 (* Sharded flow-scale churn workload (DESIGN.md §14).
 
-   The single-engine `bench flows` scenario, partitioned across K
+   The single-engine flow-churn scenario, partitioned across K
    shards: client c lives on shard [c mod K], server s on [s mod K], and
    every shard runs a full balancer replica behind its own copy of the
    VIP. Replicas are configured identically — same server names, same
@@ -46,8 +46,6 @@ type result = {
   events_per_sec : float;
   words_per_flow : float;
   full_major_s : float;
-  major_collections : int;
-  major_words : float;
   csv : string; (* K-invariant summary; byte-identical for any shards *)
   drain_windows : int; (* windows spent in the idle-expiry drain phase *)
   stats : Des.Shard.stats;
@@ -199,7 +197,6 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ~n () =
     Des.Engine.post_call engine ~at:(Des.Engine.now engine + Des.Time.us 1)
       pacer ()
   done;
-  let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   (* Phase 1: drive all sends plus in-flight drain, then measure live
      memory at peak concurrency under a forced full major. All engines
@@ -223,7 +220,6 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ~n () =
      wheel-scheduled sweeps must walk every flow out, on every shard. *)
   Des.Shard.run shard ~until:(send_horizon + Des.Time.ms 200);
   let wall_s = Unix.gettimeofday () -. t0 -. full_major_s in
-  let gc1 = Gc.quick_stat () in
   let active_end =
     Array.fold_left
       (fun acc b -> acc + Inband.Balancer.active_flows b)
@@ -263,9 +259,33 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ~n () =
     words_per_flow =
       float_of_int (live_at_peak - base_live) /. float_of_int n;
     full_major_s;
-    major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
-    major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
     csv;
     drain_windows = stats.Des.Shard.windows - windows_at_horizon;
     stats;
   }
+
+(* BENCH_pr4.json's [flows_baseline_*] fields: the single-engine rate
+   and live words per flow the flows gates have judged against since
+   that file was written. *)
+let baseline_events_per_sec = 2_284_397.439
+let baseline_words_per_flow = 61.743
+
+let check ~cores ?one_shard ?fixed r =
+  let same_csv other =
+    match other with Some o -> String.equal o.csv r.csv | None -> true
+  in
+  let sequential = Option.value one_shard ~default:r in
+  Report.failed
+    [
+      ("rate", sequential.events_per_sec >= 0.5 *. baseline_events_per_sec);
+      ("words", r.words_per_flow <= 1.5 *. baseline_words_per_flow);
+      ("determinism", same_csv one_shard);
+      ("adaptive-determinism", same_csv fixed);
+      ( "adaptive-windows",
+        match fixed with
+        | Some f -> 3 * r.drain_windows <= f.drain_windows
+        | None -> true );
+      ( "parallel-rate",
+        one_shard = None || cores < r.shards
+        || r.events_per_sec >= 2.0 *. baseline_events_per_sec );
+    ]

@@ -12,20 +12,18 @@
     historical single-engine bench exactly. DESIGN.md §14 has the
     determinism argument. *)
 
-val clients : int
-(** Client hosts in the workload (64); flow i lives on client
-    [i land 63]. *)
-
 val servers : int
-(** Backend servers (8), spread round-robin over the shards. *)
+(** Backend servers (8), spread round-robin over the shards. The 64
+    client hosts are spread the same way; flow i lives on client
+    [i land 63]. *)
 
 val rounds : int
 (** Sends per flow over the whole run (12). *)
 
 val resolve_shards : int -> int
 (** A [--shards] value: [k > 0] is [k]; [0] means one shard per
-    available core ([Domain.recommended_domain_count]), capped at
-    {!clients}. *)
+    available core ([Domain.recommended_domain_count]), capped at the
+    64 clients. *)
 
 type result = {
   n : int;
@@ -38,8 +36,6 @@ type result = {
   events_per_sec : float;  (** aggregate: [events] / [wall_s] *)
   words_per_flow : float;
   full_major_s : float;
-  major_collections : int;
-  major_words : float;
   csv : string;  (** K-invariant per-client summary (see above) *)
   drain_windows : int;
       (** synchronized windows spent in the idle-expiry drain phase —
@@ -66,3 +62,30 @@ val flows :
 
     @raise Invalid_argument if [shards < 1], [n < 1] or [seed < 0].
     @raise Failure if any flow survives the idle-expiry drain. *)
+
+val baseline_events_per_sec : float
+(** The single-engine rate recorded in [BENCH_pr4.json]'s
+    [flows_baseline_events_per_sec] (2 284 397 events/s). *)
+
+val baseline_words_per_flow : float
+(** The live words per flow recorded with it (61.743). *)
+
+val check : cores:int -> ?one_shard:result -> ?fixed:result -> result -> string list
+(** The flows contract (the CI flow-smoke and shard-smoke gates) over a
+    run [r] on [cores] cores: the names of the failed tripwires, [[]]
+    when it holds. [one_shard] is the same scenario rerun on one shard
+    and [fixed] rerun with [~adaptive:false]; a run on two or more
+    shards passes both.
+
+    - ["rate"]: the single-engine rate, [one_shard]'s when given and
+      [r]'s otherwise, is below half {!baseline_events_per_sec};
+    - ["words"]: [r]'s live words per flow exceed 1.5 ×
+      {!baseline_words_per_flow};
+    - ["determinism"]: [one_shard]'s CSV differs from [r]'s;
+    - ["adaptive-determinism"]: [fixed]'s CSV differs from [r]'s;
+    - ["adaptive-windows"]: [fixed] did not take at least 3x [r]'s
+      drain windows;
+    - ["parallel-rate"]: with [one_shard] given and a core for each of
+      [r]'s shards, [r]'s aggregate rate is below 2 ×
+      {!baseline_events_per_sec}. Oversubscribed shards time-slice, so
+      their aggregate rate is not judged. *)

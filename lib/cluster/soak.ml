@@ -235,11 +235,22 @@ type result = {
   rows : Telemetry.Snapshot.row list;
 }
 
-let flat result = List.for_all (fun v -> v.flat) result.verdicts
+let check config result =
+  let gap_flood =
+    List.exists
+      (function Workload.Pathology.Gap_flood _, conns -> conns > 0 | _ -> false)
+      config.pathologies
+  in
+  Report.failed
+    [
+      ("flatness", List.for_all (fun v -> v.flat) result.verdicts);
+      ("stuck", result.stuck_flows = 0 && result.stuck_conns = 0);
+      ("estimator", result.estimator_ok);
+      ("pcc", result.pcc_violations = 0);
+      ("reasm-cap", (not gap_flood) || result.reasm_drops > 0);
+    ]
 
-let ok result =
-  flat result && result.stuck_flows = 0 && result.stuck_conns = 0
-  && result.estimator_ok && result.pcc_violations = 0
+let ok config result = check config result = []
 
 (* Pathology clients live at IPs 200+, clear of the scenario's servers
    (10+) and memtier clients (100+). *)
@@ -489,4 +500,4 @@ let print ?(config = default_config) result =
     result.gap_segments result.rsts_sent;
   Fmt.pr "throughput: %d responses  p95=%.1fus  events=%d  verdict=%s@."
     result.responses result.p95_us result.events_fired
-    (if ok result then "PASS" else "FAIL")
+    (if ok config result then "PASS" else "FAIL")

@@ -16,15 +16,16 @@
       connection table must be empty;
     - {b estimator health} — no post-warmup latency estimate may go NaN
       or infinite;
-    - {b PCC} — zero per-connection-consistency violations.
+    - {b PCC} — zero per-connection-consistency violations;
+    - {b reassembly cap} — a gap flood, when one attacks, must be
+      refused at the cap rather than buffered.
 
     A fleet soak is the same run over a fleet scenario ([n_lbs > 1],
     usually coordinated): gauges sum over the balancers, adversaries
     round-robin over the VIPs, PCC oracles watch every LB, and the
     control plane's backlog ([coord.backlog]) is growth-checked too.
 
-    [bench soak] and [lbsim soak] wire this to the command line and
-    CI. *)
+    [lbsim soak] wires this to the command line and CI. *)
 
 type config = {
   scenario : Scenario.config;
@@ -115,11 +116,20 @@ type result = {
 
 val run : ?config:config -> unit -> result
 
-val flat : result -> bool
-(** All watched metrics passed their flatness windows. *)
+val check : config -> result -> string list
+(** The soak verdict (the CI soak-smoke gate) of a run under [config]:
+    the names of the failed tripwires, [[]] when it holds.
 
-val ok : result -> bool
-(** {!flat} plus zero stuck flows/conns, healthy estimator, zero PCC
-    violations. *)
+    - ["flatness"]: a watched metric failed its flatness windows;
+    - ["stuck"]: a flow or server connection survived the drain;
+    - ["estimator"]: a post-warmup latency estimate went NaN or
+      infinite;
+    - ["pcc"]: the oracle saw a per-connection-consistency violation;
+    - ["reasm-cap"]: [config] attacks with a [Gap_flood], yet no
+      segment was refused at the reassembly cap — the flood is broken,
+      or out-of-order memory is unbounded. *)
+
+val ok : config -> result -> bool
+(** {!check} finds no failed tripwire. *)
 
 val print : ?config:config -> result -> unit

@@ -576,7 +576,7 @@ let soak_short_run_is_clean () =
     }
   in
   let r = Cluster.Soak.run ~config () in
-  check_bool "soak ok" true (Cluster.Soak.ok r);
+  check_bool "soak ok" true (Cluster.Soak.ok config r);
   check_int "no stuck flows" 0 r.Cluster.Soak.stuck_flows;
   check_int "no stuck conns" 0 r.Cluster.Soak.stuck_conns;
   check_int "pcc clean" 0 r.Cluster.Soak.pcc_violations;
@@ -613,7 +613,7 @@ let soak_fleet_is_clean () =
     }
   in
   let r = Cluster.Soak.run ~config () in
-  check_bool "fleet soak ok" true (Cluster.Soak.ok r);
+  check_bool "fleet soak ok" true (Cluster.Soak.ok config r);
   check_bool "control plane ran" true (r.Cluster.Soak.coord_msgs > 0);
   check_int "pcc clean" 0 r.Cluster.Soak.pcc_violations;
   check_bool "served traffic" true (r.Cluster.Soak.responses > 10_000)
