@@ -4,7 +4,7 @@
 
      lbsim fig2   [--duration 6] [--step-at 3] [--step-ms 1.0] ...
      lbsim fig3   [--duration 30] [--inject-at 10] [--policies ...] [--law ...]
-     lbsim sweep  (alpha | epoch | timing | policy | far | law | ... | remap)
+     lbsim sweep  (alpha | epoch | timing | far | law | ... | remap)
      lbsim herd   [--coord none|gossip|leader|all] [--law ...] [--lbs 1,2,4]
                   [--check]
      lbsim run    [--faults FILE] [--assert-pcc] ...  (free-form scenario)
@@ -201,18 +201,18 @@ let fig3_cmd =
       {
         base with
         Cluster.Scenario.n_servers = servers;
-        lb = { base.Cluster.Scenario.lb with Inband.Config.alpha; remap };
+        lb = { base.Cluster.Scenario.lb with Inband.Config.alpha; law; remap };
         memtier =
           {
             base.Cluster.Scenario.memtier with
             Workload.Memtier.connections;
           };
+        metrics_interval;
         seed;
       }
     in
     let result =
-      Cluster.Fig3.run ~scenario ~law ~metrics_interval ~jobs ~policies
-        ~duration ~inject_at
+      Cluster.Fig3.run ~scenario ~jobs ~policies ~duration ~inject_at
         ~inject_delay:(Des.Time.of_float_s (inject_ms /. 1e3))
         ()
     in
@@ -264,14 +264,7 @@ let fig3_cmd =
 (* --- sweeps ------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run which law metrics_csv metrics_interval jobs =
-    let dump_metrics result =
-      match metrics_csv with
-      | Some path ->
-          Cluster.Csv.write_file ~path (Cluster.Csv.fig3_metrics result);
-          Fmt.pr "wrote %s@." path
-      | None -> ()
-    in
+  let run which jobs =
     match which with
     | `Alpha ->
         Cluster.Ablations.print_alpha (Cluster.Ablations.alpha_sweep ~jobs ())
@@ -279,12 +272,6 @@ let sweep_cmd =
         Cluster.Ablations.print_epoch (Cluster.Ablations.epoch_sweep ~jobs ())
     | `Timing ->
         Cluster.Ablations.print_timing (Cluster.Ablations.timing_sweep ~jobs ())
-    | `Policy ->
-        let result =
-          Cluster.Ablations.policy_comparison ~jobs ~law ~metrics_interval ()
-        in
-        Cluster.Fig3.print result;
-        dump_metrics result
     | `Far ->
         Cluster.Ablations.print_far (Cluster.Ablations.far_clients ~jobs ())
     | `Law ->
@@ -309,7 +296,6 @@ let sweep_cmd =
       ("alpha", `Alpha);
       ("epoch", `Epoch);
       ("timing", `Timing);
-      ("policy", `Policy);
       ("far", `Far);
       ("law", `Law);
       ("dependency", `Dependency);
@@ -327,22 +313,17 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Ablation sweeps: alpha, epoch, timing, policy, far, law, \
-          dependency, estimator, source, remap. The law sweep compares \
-          control laws (shift-worst/knapsack/gradient — the $(b,--law) \
-          axis) across fleet sizes; the policy sweep compares routing \
-          policies (the $(b,--policy) axis) and honours \
-          $(b,--metrics-csv)/$(b,--metrics-interval); the remap sweep \
-          maps the PCC-violation / recovery-latency frontier across \
-          remap policies and fault intensities. The law and remap \
+         "Ablation sweeps: alpha, epoch, timing, far, law, dependency, \
+          estimator, source, remap. The law sweep compares control laws \
+          (shift-worst/knapsack/gradient) across fleet sizes; the remap \
+          sweep maps the PCC-violation / recovery-latency frontier \
+          across remap policies and fault intensities. The law and remap \
           sweeps check their contracts (the CI law-smoke and \
-          frontier-smoke gates) and exit 1 if a tripwire fails. \
-          $(b,--law) selects the control law for the policy sweep; all \
+          frontier-smoke gates) and exit 1 if a tripwire fails. All \
           sweeps honour $(b,--jobs) and render identically at any job \
-          count.")
-    Term.(
-      const run $ which $ law_arg $ metrics_csv_arg $ metrics_interval_arg
-      $ jobs_arg)
+          count. The routing-policy comparison is $(b,lbsim fig3) \
+          $(b,--policies) maglev,latency-aware,round-robin,least-conn,p2c.")
+    Term.(const run $ which $ jobs_arg)
 
 (* --- herd: coordinated LB fleet (extended A7) --------------------------- *)
 

@@ -173,14 +173,6 @@ let print_timing rows =
             ])
           rows))
 
-(* --- A5: policy comparison --------------------------------------------- *)
-
-let policy_comparison ?jobs ?law ?(duration = Des.Time.sec 15)
-    ?(inject_at = Des.Time.sec 5) ?metrics_interval () =
-  Fig3.run ?law ?metrics_interval ?jobs ~policies:Inband.Policy.all ~duration
-    ~inject_at
-    ()
-
 (* --- A7/A8: LB fleets (§5 Q4) -------------------------------------------- *)
 
 (* Every LB runs its own estimator and controller over one shared pool.

@@ -3,14 +3,15 @@
     - A2: controller shift fraction α (speed vs stability),
     - A3: ensemble epoch length E,
     - A4: client/server packet-timing assumption violations (§5 Q2),
-    - A5: routing-policy comparison under the Fig. 3 injection,
     - A7: LB fleet coordination (uncoordinated/gossip/leader) across
       fleet sizes (§5 Q4),
     - A8: control-law comparison (shift-worst/knapsack/gradient) across
       fleet sizes,
     - A6, A9, A10: far clients, robust estimation, measurement source.
 
-    (A1, the fixed-δ sweep, is part of the Fig. 2 output itself.) *)
+    (A1, the fixed-δ sweep, is part of the Fig. 2 output itself; A5,
+    the routing-policy comparison, is {!Fig3.run} over
+    {!Inband.Policy.all}.) *)
 
 (** {1 A2 — shift fraction α} *)
 
@@ -69,21 +70,6 @@ val timing_sweep : ?jobs:int -> unit -> timing_row list
     sender. *)
 
 val print_timing : timing_row list -> unit
-
-(** {1 A5 — policy comparison} *)
-
-val policy_comparison :
-  ?jobs:int ->
-  ?law:Inband.Control_law.kind ->
-  ?duration:Des.Time.t ->
-  ?inject_at:Des.Time.t ->
-  ?metrics_interval:Des.Time.t ->
-  unit ->
-  Fig3.result
-(** Fig. 3 under all five routing policies. [law] selects the control
-    law the latency-aware run's controller uses (default the paper's
-    shift-worst); the other policies run no controller and ignore
-    it. *)
 
 (** {1 A7/A8 — LB fleets (§5 Q4)}
 

@@ -26,26 +26,22 @@ type result = {
 
 let victim = 1
 
-let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
-    ~recovery_factor ~injection =
+(* A bucket counts as recovered once its p95 is back within this factor
+   of the pre-injection baseline. *)
+let recovery_factor = 1.5
+
+let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay =
   let config = { scenario with Scenario.policy } in
   let s = Scenario.build config in
-  (* Both arms schedule the delay step before the injection-time snap,
-     so same-instant event order — and hence the whole run — is
-     identical; the timeline arm additionally records the ground-truth
-     interval and fault.* telemetry. *)
-  (match injection with
-  | `Direct ->
-      Scenario.inject_server_delay s ~server:victim ~at:inject_at
-        ~delay:inject_delay
-  | `Timeline ->
-      ignore
-        (Scenario.install_faults s
-           [
-             Faults.Timeline.event ~at:inject_at
-               ~target:(Faults.Timeline.Link (Fmt.str "lb->s%d" victim))
-               ~fault:(Faults.Timeline.Delay inject_delay) ();
-           ]));
+  (* Scheduled before the injection-time snap, so the delay step fires
+     first at that instant. *)
+  ignore
+    (Scenario.install_faults s
+       [
+         Faults.Timeline.event ~at:inject_at
+           ~target:(Faults.Timeline.Link (Fmt.str "lb->s%d" victim))
+           ~fault:(Faults.Timeline.Delay inject_delay) ();
+       ]);
   (* An out-of-cadence snapshot at injection time captures the exact
      per-server flow assignment, splitting the victim's share into
      before/after; a final one closes the run. *)
@@ -157,32 +153,16 @@ let default_scenario =
       { Inband.Config.default with Inband.Config.relative_threshold = 1.3 };
   }
 
-let run ?(scenario = default_scenario) ?law ?metrics_interval ?jobs
+let run ?(scenario = default_scenario) ?jobs
     ?(policies = [ Inband.Policy.Static_maglev; Inband.Policy.Latency_aware ])
     ?(duration = Des.Time.sec 30) ?(inject_at = Des.Time.sec 10)
-    ?(inject_delay = Des.Time.ms 1) ?(recovery_factor = 1.5)
-    ?(injection = `Timeline) () =
-  let scenario =
-    match metrics_interval with
-    | None -> scenario
-    | Some interval -> { scenario with Scenario.metrics_interval = interval }
-  in
-  let scenario =
-    match law with
-    | None -> scenario
-    | Some law ->
-        {
-          scenario with
-          Scenario.lb = { scenario.Scenario.lb with Inband.Config.law };
-        }
-  in
+    ?(inject_delay = Des.Time.ms 1) () =
   let runs =
     (* One fully independent simulation per policy; run order does not
        affect results, so the per-policy runs parallelise freely. *)
     Parallel.map ?jobs
       (fun policy ->
-        run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
-          ~recovery_factor ~injection)
+        run_one ~scenario ~policy ~duration ~inject_at ~inject_delay)
       policies
   in
   { duration; inject_at; inject_delay; runs }

@@ -6,8 +6,8 @@
     [inject_at]. For each policy the run reports the p95 GET latency
     time series, aggregate p95 before/after injection, the controller's
     reaction time (first control action after injection) and recovery
-    time (first time-series bucket back within [recovery_factor] of the
-    pre-injection baseline). *)
+    time (first time-series bucket back within 1.5x the pre-injection
+    baseline). *)
 
 type series_row = { t_s : float; count : int; p95_us : float; mean_us : float }
 
@@ -47,38 +47,29 @@ val default_scenario : Scenario.config
 
 val run :
   ?scenario:Scenario.config ->
-  ?law:Inband.Control_law.kind ->
-  ?metrics_interval:Des.Time.t ->
   ?jobs:int ->
   ?policies:Inband.Policy.t list ->
   ?duration:Des.Time.t ->
   ?inject_at:Des.Time.t ->
   ?inject_delay:Des.Time.t ->
-  ?recovery_factor:float ->
-  ?injection:[ `Timeline | `Direct ] ->
   unit ->
   result
 (** Defaults: [Static_maglev] and [Latency_aware]; 30 s runs with the
     injection at t = 10 s (a compressed version of the paper's 200 s /
     t = 100 s timeline; timing constants scale); +1 ms; recovery when a
-    bucket p95 falls below [recovery_factor] (default 1.5) × baseline.
-    The default scenario sets [relative_threshold = 1.3] — one
-    stabiliser over the paper's always-act rule, without which the
-    controller wanders before the injection (DESIGN.md §5); pass your
-    own [scenario] for the paper-exact profile. [law] overrides the
-    scenario's control law ([Inband.Control_law], default the paper's
-    shift-worst).
+    bucket p95 falls below 1.5 × baseline. The default scenario sets
+    [relative_threshold = 1.3] — one stabiliser over the paper's
+    always-act rule, without which the controller wanders before the
+    injection (DESIGN.md §5); pass your own [scenario] for the
+    paper-exact profile, a different control law ([lb.law]) or
+    snapshot period ([metrics_interval]).
+
+    The delay step is a one-event fault timeline replayed through
+    {!Scenario.install_faults}.
 
     [jobs] runs the per-policy simulations on that many domains
     ({!Parallel.map}); each run is independent and seeded, so the
     result — and any figure or CSV rendered from it — is byte-identical
-    at any [jobs].
-
-    [injection] selects how the delay step is applied: [`Timeline]
-    (default) replays a one-event fault timeline through
-    {!Scenario.install_faults}; [`Direct] calls
-    {!Scenario.inject_server_delay} directly. The two are
-    event-for-event identical (same seed ⇒ same series); [`Direct]
-    survives as the cross-check. *)
+    at any [jobs]. *)
 
 val print : result -> unit

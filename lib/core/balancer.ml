@@ -69,7 +69,7 @@ type t = {
   config : Config.t;
   pool : Maglev.Pool.t;
   controller : Controller.t option;
-  own_stats : Server_stats.t option; (* when no controller *)
+  stats : Server_stats.t; (* the controller's, or the balancer's own *)
   ensemble : Ensemble.t;
   flows : Netsim.Flow_table.t; (* key -> slab slot *)
   (* Slot-indexed flow state, grown in step with the ensemble slab. *)
@@ -304,11 +304,7 @@ let record_sample t ~now ~key ~server sample =
   (match t.controller with
   | Some controller ->
       ignore (Controller.on_sample controller ~now ~server sample)
-  | None -> begin
-      match t.own_stats with
-      | Some stats -> Server_stats.record stats ~server ~sample ~at:now
-      | None -> ()
-    end);
+  | None -> Server_stats.record t.stats ~server ~sample ~at:now);
   (* Guarded (not [publish_with]) so the event record is not even built
      — and no closure is captured — when nobody listens. *)
   if not (Telemetry.Bus.is_empty t.sample_bus) then
@@ -361,13 +357,12 @@ let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
       Some (Controller.create ~config ~pool ~telemetry:registry ())
     else None
   in
-  let own_stats =
+  let stats =
     match controller with
-    | Some _ -> None
+    | Some c -> Controller.stats c
     | None ->
-        Some
-          (Server_stats.create ~n ~ewma_alpha:config.Config.ewma_alpha
-             ~window:config.Config.estimate_window ())
+        Server_stats.create ~n ~ewma_alpha:config.Config.ewma_alpha
+          ~window:config.Config.estimate_window ()
   in
   let rng =
     match rng with Some r -> r | None -> Des.Rng.create ~seed:0x1b5eed
@@ -385,7 +380,7 @@ let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
       config;
       pool;
       controller;
-      own_stats;
+      stats;
       ensemble = Ensemble.create ~config;
       flows = Netsim.Flow_table.create ~initial:1024 ();
       fl_server = lane_empty;
@@ -432,17 +427,10 @@ let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
     Telemetry.Registry.gauge_fn registry ~index:i "lb.active_conns" (fun () ->
         float_of_int t.conn_gauge.(i))
   done;
-  let stats_of t =
-    match t.controller with
-    | Some controller -> Controller.stats controller
-    | None -> begin
-        match t.own_stats with Some stats -> stats | None -> assert false
-      end
-  in
   for i = 0 to n - 1 do
     Telemetry.Registry.gauge_fn registry ~index:i "lb.est_latency_ns"
       (fun () ->
-        match Server_stats.estimate (stats_of t) i with
+        match Server_stats.estimate stats i with
         | Some est -> est
         | None -> Float.nan)
   done;
@@ -471,14 +459,7 @@ let policy t = t.policy
 let pool t = t.pool
 let controller t = t.controller
 
-let server_stats t =
-  match t.controller with
-  | Some controller -> Controller.stats controller
-  | None -> begin
-      match t.own_stats with
-      | Some stats -> stats
-      | None -> assert false
-    end
+let server_stats t = t.stats
 
 let ensemble t = t.ensemble
 let n_servers t = Array.length t.server_ips

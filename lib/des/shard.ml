@@ -39,15 +39,14 @@
    and the drain walks contiguous memory. The dominant cross-shard
    effect (deliver a packet to an ip on the destination fabric) is
    encoded as (tag = ip, payload = packet) and re-posted closure-free
-   via [Engine.post_tagged]; anything else rides the closure lane
-   (tag = -1, payload = the closure). *)
+   via [Engine.post_tagged] to the destination's sink. *)
 
 type inbox = {
   (* Lanes; only the (src) shard's domain writes during a window, only
      the coordinating domain reads at the barrier. All three share
      [len]/capacity and grow together. *)
   mutable at : Time.t array;
-  mutable tag : int array; (* >= 0: tagged effect; -1: closure lane *)
+  mutable tag : int array;
   mutable arg : Obj.t array;
   mutable len : int;
 }
@@ -60,7 +59,7 @@ let inbox_capacity b = Array.length b.at
 
 let inbox_realloc b n =
   let at = Array.make n 0
-  and tag = Array.make n (-1)
+  and tag = Array.make n 0
   and arg = Array.make n null_arg in
   Array.blit b.at 0 at 0 b.len;
   Array.blit b.tag 0 tag 0 b.len;
@@ -118,15 +117,6 @@ let shards (t : t) = t.shards
 let lookahead (t : t) = t.lookahead
 let adaptive (t : t) = t.adaptive
 let engine (t : t) k = t.engines.(k)
-
-let post_remote (t : t) ~src ~dst ~at run =
-  let b = t.inboxes.(src).(dst) in
-  if b.len >= inbox_capacity b then inbox_grow b;
-  let i = b.len in
-  b.at.(i) <- at;
-  b.tag.(i) <- -1;
-  b.arg.(i) <- Obj.repr run;
-  b.len <- i + 1
 
 let post_remote_tagged (t : t) ~src ~dst ~at ~tag arg =
   if tag < 0 then invalid_arg "Shard.post_remote_tagged: tag must be >= 0";
@@ -245,9 +235,7 @@ let drain (t : t) ~floor =
                  "Des.Shard: lookahead violation: shard %d -> %d entry at \
                   t=%d inside window ending at t=%d (lookahead %d)"
                  src dst at floor t.lookahead);
-          let tag = b.tag.(i) in
-          if tag >= 0 then Engine.post_tagged e ~at ~tag b.arg.(i)
-          else Engine.post e ~at (Obj.obj b.arg.(i) : unit -> unit)
+          Engine.post_tagged e ~at ~tag:b.tag.(i) b.arg.(i)
         done;
         t.remote_posts <- t.remote_posts + b.len
       end;

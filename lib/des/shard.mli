@@ -20,13 +20,13 @@
 
     Cross-shard packets are posted into per-(src, dst) single-producer
     flat inboxes via {!post_remote_tagged} (zero-allocation once the
-    lanes are warm; {!post_remote} is the closure fallback) and drained
-    at the window barrier by the coordinating domain, in deterministic
-    (src, dst, append) order, into the destination engines. Simulation
-    results are therefore a pure function of the scenario and seed —
-    independent of K, of thread scheduling, and of the adaptivity flag —
-    provided the scenario partitions its state so that each host touches
-    only its own shard (see [Cluster.Sharded]).
+    lanes are warm) and drained at the window barrier by the
+    coordinating domain, in deterministic (src, dst, append) order,
+    into the destination engines. Simulation results are therefore a
+    pure function of the scenario and seed — independent of K, of
+    thread scheduling, and of the adaptivity flag — provided the
+    scenario partitions its state so that each host touches only its
+    own shard (see [Cluster.Sharded]).
 
     With [shards = 1] the runner degenerates to a bare [Engine.run] on
     the calling domain: no domains, no barriers, byte-identical behavior
@@ -56,16 +56,7 @@ val engine : t -> int -> Engine.t
 (** The engine owned by shard [k]. Scenario construction registers each
     host's timers and callbacks on its owning shard's engine; during
     {!run}, shard [k]'s callbacks execute on shard [k]'s domain and must
-    touch only shard-[k] state (plus the [post_remote] family). *)
-
-val post_remote : t -> src:int -> dst:int -> at:Time.t -> (unit -> unit) -> unit
-(** Hand an effect across the shard boundary: [f] will execute on shard
-    [dst]'s engine at time [at]. Must be called from shard [src]'s
-    domain during its window (single-producer per (src, dst) pair); the
-    entry is buffered in the closure lane of the flat inbox and
-    scheduled at the next window barrier. Prefer
-    {!post_remote_tagged} for the packet-delivery fast path — this
-    variant costs the caller's closure allocation. *)
+    touch only shard-[k] state (plus {!post_remote_tagged}). *)
 
 val set_sink : t -> dst:int -> (int -> Obj.t -> unit) -> unit
 (** Install shard [dst]'s tagged-delivery handler (typically
@@ -75,12 +66,15 @@ val set_sink : t -> dst:int -> (int -> Obj.t -> unit) -> unit
 
 val post_remote_tagged :
   t -> src:int -> dst:int -> at:Time.t -> tag:int -> Obj.t -> unit
-(** Closure-free {!post_remote} for the dominant cross-shard effect:
-    at [at], shard [dst]'s {!set_sink} handler is applied to
-    [(tag, arg)] — e.g. (destination ip, packet). Three array stores
-    into preallocated lanes; allocates nothing once the inbox has grown
-    to the flow's burst size (Gc-proved by the tests), and the barrier
-    re-posts it via [Engine.post_tagged], which is closure-free too.
+(** Hand an effect across the shard boundary: at [at], shard [dst]'s
+    {!set_sink} handler is applied to [(tag, arg)] — e.g. (destination
+    ip, packet). Must be called from shard [src]'s domain during its
+    window (single-producer per (src, dst) pair); the entry is buffered
+    in the flat inbox and scheduled at the next window barrier. Three
+    array stores into preallocated lanes; allocates nothing once the
+    inbox has grown to the flow's burst size (Gc-proved by the tests),
+    and the barrier re-posts it via [Engine.post_tagged], which is
+    closure-free too.
 
     @raise Invalid_argument if [tag < 0]. *)
 

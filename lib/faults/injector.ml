@@ -4,14 +4,6 @@ type env = {
   controller : int -> Inband.Controller.t list;
 }
 
-type phase = Applied | Reverted
-
-type notification = {
-  at : Des.Time.t;
-  event : Timeline.event;
-  phase : phase;
-}
-
 type interval = {
   event : Timeline.event;
   applied_at : Des.Time.t;
@@ -20,7 +12,6 @@ type interval = {
 
 type t = {
   engine : Des.Engine.t;
-  bus : notification Telemetry.Bus.t;
   mutable intervals_rev : interval list;
   mutable active : int;
   m_applied : Telemetry.Registry.counter;
@@ -29,17 +20,6 @@ type t = {
 
 (* How many discrete steps a ramp is applied in. *)
 let ramp_steps = 16
-
-let note t event phase =
-  let at = Des.Engine.now t.engine in
-  (match phase with
-  | Applied ->
-      t.active <- t.active + 1;
-      Telemetry.Registry.Counter.incr t.m_applied
-  | Reverted ->
-      t.active <- t.active - 1;
-      Telemetry.Registry.Counter.incr t.m_reverted);
-  Telemetry.Bus.publish t.bus { at; event; phase }
 
 (* Resolve an event against the environment, failing fast on unknown
    targets so a typo in a timeline dies at install, not mid-run. The
@@ -152,7 +132,8 @@ let schedule t (e : Timeline.event) apply =
            { event = e; applied_at = Des.Engine.now t.engine; reverted_at = None }
          in
          t.intervals_rev <- interval :: t.intervals_rev;
-         note t e Applied;
+         t.active <- t.active + 1;
+         Telemetry.Registry.Counter.incr t.m_applied;
          match (e.duration, e.fault) with
          | None, _ | Some _, Timeline.Ramp _ ->
              (* Permanent faults (and ramps, whose duration is the
@@ -163,7 +144,8 @@ let schedule t (e : Timeline.event) apply =
                (Des.Engine.schedule_after t.engine ~delay:duration (fun () ->
                     undo ();
                     interval.reverted_at <- Some (Des.Engine.now t.engine);
-                    note t e Reverted))))
+                    t.active <- t.active - 1;
+                    Telemetry.Registry.Counter.incr t.m_reverted))))
 
 let install engine ~env ?telemetry timeline =
   let registry =
@@ -174,7 +156,6 @@ let install engine ~env ?telemetry timeline =
   let t =
     {
       engine;
-      bus = Telemetry.Bus.create ();
       intervals_rev = [];
       active = 0;
       m_applied = Telemetry.Registry.counter registry "fault.applied";
@@ -193,4 +174,3 @@ let intervals t = List.rev t.intervals_rev
 let active_faults t = t.active
 let applied_count t = Telemetry.Registry.Counter.value t.m_applied
 let reverted_count t = Telemetry.Registry.Counter.value t.m_reverted
-let bus t = t.bus

@@ -8,9 +8,9 @@
     overlapping faults on distinct targets compose naturally.
 
     Every application/revert is counted in the telemetry registry
-    ([fault.applied], [fault.reverted], plus a [fault.active] gauge),
-    published on a {!bus}, and recorded as a ground-truth {!interval}
-    so reports can compute per-fault detection and recovery latency. *)
+    ([fault.applied], [fault.reverted], plus a [fault.active] gauge)
+    and recorded as a ground-truth {!interval} so reports can compute
+    per-fault detection and recovery latency. *)
 
 type env = {
   link : string -> Netsim.Link.t list;
@@ -24,10 +24,6 @@ type env = {
           feedback control (drain unsupported). A drain pins, and
           restores, all of them together. *)
 }
-
-type phase = Applied | Reverted
-
-type notification = { at : Des.Time.t; event : Timeline.event; phase : phase }
 
 type interval = {
   event : Timeline.event;
@@ -57,6 +53,3 @@ val intervals : t -> interval list
 val active_faults : t -> int
 val applied_count : t -> int
 val reverted_count : t -> int
-
-val bus : t -> notification Telemetry.Bus.t
-(** Notified synchronously at each apply/revert. *)

@@ -102,9 +102,10 @@ let add_link t ~src ~dst link =
       add t.links (link_key ~src ~dst) link
 
 (* A cross-shard link: [dst] lives on another shard's fabric, so there
-   is no local handler to connect. The remote sink (typically built from
-   [Des.Shard.post_remote] plus the destination fabric's [deliver])
-   carries the packet across the shard boundary at its arrival time. *)
+   is no local handler to connect. The remote sink (typically
+   [Des.Shard.post_remote_tagged] with the destination ip as tag, and
+   the destination fabric's [deliver] as that shard's sink) carries the
+   packet across the shard boundary at its arrival time. *)
 let add_remote_link t ~src ~dst ~remote link =
   check_ip ~who:"Fabric.add_remote_link" src;
   check_ip ~who:"Fabric.add_remote_link" dst;

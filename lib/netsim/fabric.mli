@@ -53,8 +53,9 @@ val add_remote_link :
     shard's fabric. [dst] need not be registered here; the link's
     receiving end is [remote] (see {!Link.connect_remote}), which the
     shard runtime uses to hand the packet to the owning engine at its
-    arrival time — typically [Des.Shard.post_remote] wrapping the remote
-    fabric's {!deliver}.
+    arrival time — typically [Des.Shard.post_remote_tagged] with the
+    destination ip as tag, whose sink is the remote fabric's
+    {!deliver}.
 
     @raise Invalid_argument if a [src]→[dst] link already exists. *)
 

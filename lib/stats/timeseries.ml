@@ -1,11 +1,3 @@
-(* A bucket starts as a bare scalar and upgrades to a histogram on its
-   second observation. Metric snapshotters record exactly one reading
-   per metric per interval — with an eager histogram each of those
-   buckets carried a ~2k-word counts array to hold a single sample, so
-   retained memory grew at O(metrics x duration) for the life of the
-   run (the dominant "leak" the soak battery flushed out). *)
-type cell = Single of int | Hist of Histogram.t
-
 (* [record] runs once per response. [Int.equal] keys, not the generic
    table's [compare_val]; the hash (and so every bucket) is the same. *)
 module Tbl = Hashtbl.Make (struct
@@ -19,41 +11,34 @@ end)
    touched last and probes the table only when a bucket ends. *)
 type t = {
   bucket : Des.Time.t;
-  table : cell ref Tbl.t;
+  table : Histogram.t Tbl.t;
   mutable last_idx : int; (* [min_int] before the first record *)
-  mutable last : cell ref;
+  mutable last : Histogram.t;
 }
+
+(* [last] before the first record: the smallest histogram, since no
+   bucket index equals [min_int] and nothing is ever recorded into it. *)
+let unused = Histogram.create ~sub_bucket_bits:1 ()
 
 let create ~bucket =
   if bucket <= 0 then invalid_arg "Timeseries.create: bucket";
-  { bucket; table = Tbl.create 64; last_idx = min_int; last = ref (Single 0) }
-
-let add cell v =
-  match !cell with
-  | Single v0 ->
-      let h = Histogram.create () in
-      Histogram.record h v0;
-      Histogram.record h v;
-      cell := Hist h
-  | Hist h -> Histogram.record h v
+  { bucket; table = Tbl.create 64; last_idx = min_int; last = unused }
 
 let record t ~at v =
   let idx = at / t.bucket in
-  if idx = t.last_idx then add t.last v
-  else begin
-    let cell =
+  if idx <> t.last_idx then begin
+    let hist =
       match Tbl.find t.table idx with
-      | cell ->
-          add cell v;
-          cell
+      | hist -> hist
       | exception Not_found ->
-          let cell = ref (Single v) in
-          Tbl.add t.table idx cell;
-          cell
+          let hist = Histogram.create () in
+          Tbl.add t.table idx hist;
+          hist
     in
     t.last_idx <- idx;
-    t.last <- cell
-  end
+    t.last <- hist
+  end;
+  Histogram.record t.last v
 
 type row = {
   t_start : Des.Time.t;
@@ -63,23 +48,11 @@ type row = {
 }
 
 let rows t ~q =
-  Tbl.fold (fun idx cell acc -> (idx, cell) :: acc) t.table []
+  Tbl.fold (fun idx hist acc -> (idx, hist) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map (fun (idx, cell) ->
-         let t_start = idx * t.bucket in
-         let hist =
-           (* Render single-sample buckets through a scratch histogram so
-              rows are bit-identical to the eager representation
-              (quantiles are bucket-rounded either way). *)
-           match !cell with
-           | Hist hist -> hist
-           | Single v ->
-               let h = Histogram.create () in
-               Histogram.record h v;
-               h
-         in
+  |> List.map (fun (idx, hist) ->
          {
-           t_start;
+           t_start = idx * t.bucket;
            count = Histogram.count hist;
            mean = Histogram.mean hist;
            quantile = Histogram.quantile hist q;

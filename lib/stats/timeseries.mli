@@ -3,12 +3,9 @@
     Figure 3 of the paper plots the 95th-percentile GET latency over
     wall-clock time; this module accumulates (timestamp, value) pairs
     into fixed-width buckets and extracts per-bucket quantile/mean/count
-    series. A bucket holds its first observation as a bare scalar and
-    only upgrades to a {!Histogram} on the second, so series that
-    receive one reading per bucket (every metric snapshotter) cost a few
-    words per bucket instead of a histogram's ~2k-word counts array —
-    long-horizon runs would otherwise grow retained memory at
-    O(metrics x duration). *)
+    series. Each non-empty bucket is one {!Histogram} (about 2k words),
+    so a series suits many observations per bucket, such as a client's
+    response latencies. *)
 
 type t
 (** A mutable bucketed series. *)

@@ -7,7 +7,6 @@ type metric =
   | Counter of counter
   | Gauge of gauge
   | Histogram of Stats.Histogram.t
-  | Series of Stats.Timeseries.t
 
 type key = { name : string; idx : int option }
 
@@ -67,11 +66,7 @@ let histogram t ?index name =
   h
 
 let attach_histogram t ?index name h = register t ?index name (Histogram h)
-let attach_series t ?index name s = register t ?index name (Series s)
 let find t ?index name = Hashtbl.find_opt t.table { name; idx = index }
-
-let series t ?index name =
-  match find t ?index name with Some (Series s) -> Some s | _ -> None
 
 let find_histogram t ?index name =
   match find t ?index name with Some (Histogram h) -> Some h | _ -> None
@@ -82,7 +77,7 @@ let value t ?index name =
   match find t ?index name with
   | Some (Counter c) -> Some (float_of_int c.count)
   | Some (Gauge g) -> Some (Gauge.read g)
-  | Some (Histogram _) | Some (Series _) | None -> None
+  | Some (Histogram _) | None -> None
 
 let size t = List.length t.rev_order
 
@@ -102,8 +97,7 @@ let read t =
           :: one ~suffix:".mean_ns" (Stats.Histogram.mean h)
           :: one ~suffix:".p95_ns"
                (float_of_int (Stats.Histogram.quantile h 0.95))
-          :: acc
-      | Series _ -> acc)
+          :: acc)
     [] t.rev_order
 
 (* [Gc.quick_stat] reads the allocation counters without forcing a heap

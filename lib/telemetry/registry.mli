@@ -58,20 +58,12 @@ val histogram : t -> ?index:int -> string -> Stats.Histogram.t
 val attach_histogram : t -> ?index:int -> string -> Stats.Histogram.t -> unit
 (** Register an existing histogram a component already maintains. *)
 
-val attach_series : t -> ?index:int -> string -> Stats.Timeseries.t -> unit
-(** Register an existing time-bucketed series. Series are already
-    time-indexed, so the snapshotter skips them; readers fetch them
-    whole via {!series}. *)
-
-val series : t -> ?index:int -> string -> Stats.Timeseries.t option
-(** Look up an attached series by name. *)
-
 val find_histogram : t -> ?index:int -> string -> Stats.Histogram.t option
 val mem : t -> ?index:int -> string -> bool
 
 val value : t -> ?index:int -> string -> float option
 (** Current scalar reading of a counter or gauge; [None] for unknown
-    names and for histogram/series metrics. *)
+    names and for histogram metrics. *)
 
 val size : t -> int
 (** Number of registered metrics. *)
@@ -81,8 +73,7 @@ type sample = { metric : string; index : int option; value : float }
     [name.count], [name.mean_ns] and [name.p95_ns]. *)
 
 val read : t -> sample list
-(** Read every counter, gauge and histogram, in registration order.
-    Attached series are skipped (they are not instantaneous). *)
+(** Read every counter, gauge and histogram, in registration order. *)
 
 val install_gc_metrics : t -> unit
 (** Register polled gauges over the runtime's {!Gc} counters:

@@ -12,7 +12,6 @@ type t = {
   timer : Des.Timer.t;
   mutable rows_rev : row list;
   mutable snaps : int;
-  series : (string * int option, Stats.Timeseries.t) Hashtbl.t;
 }
 
 let snap t =
@@ -20,21 +19,7 @@ let snap t =
   t.snaps <- t.snaps + 1;
   List.iter
     (fun { Registry.metric; index; value } ->
-      t.rows_rev <- { at; metric; index; value } :: t.rows_rev;
-      (* The bucketed mirror only accepts what Histogram can store:
-         finite non-negative values. *)
-      if Float.is_finite value && value >= 0.0 then begin
-        let key = (metric, index) in
-        let ts =
-          match Hashtbl.find_opt t.series key with
-          | Some ts -> ts
-          | None ->
-              let ts = Stats.Timeseries.create ~bucket:t.interval in
-              Hashtbl.add t.series key ts;
-              ts
-        in
-        Stats.Timeseries.record ts ~at (int_of_float value)
-      end)
+      t.rows_rev <- { at; metric; index; value } :: t.rows_rev)
     (Registry.read t.registry)
 
 let start engine registry ~interval =
@@ -50,7 +35,6 @@ let start engine registry ~interval =
               snap (Lazy.force t));
         rows_rev = [];
         snaps = 0;
-        series = Hashtbl.create 64;
       }
   in
   Lazy.force t
@@ -59,11 +43,9 @@ let stop t = Des.Timer.stop t.timer
 let rows t = List.rev t.rows_rev
 
 let retained_words t =
-  (* Only the accumulated history — rows and the bucketed mirror — not
-     the registry or engine (those belong to the system under test).
-     Lets a memory-flatness monitor subtract its own O(duration)
-     footprint from what it judges. *)
-  Obj.reachable_words (Obj.repr (t.rows_rev, t.series))
+  (* Only the accumulated rows, not the registry or engine (those belong
+     to the system under test). Lets a memory-flatness monitor subtract
+     its own O(duration) footprint from what it judges. *)
+  Obj.reachable_words (Obj.repr t.rows_rev)
 let snap_count t = t.snaps
 let interval t = t.interval
-let series t ?index name = Hashtbl.find_opt t.series (name, index)

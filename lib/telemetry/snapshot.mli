@@ -1,10 +1,8 @@
 (** Periodic sampler of a metric {!Registry}.
 
     A snapshotter reads every registered counter, gauge and histogram on
-    a DES timer and accumulates the readings twice over: as a flat,
-    chronological row stream (for CSV dumps and time-indexed lookups)
-    and as one {!Stats.Timeseries} per metric (for bucketed quantile
-    extraction, same machinery as the figure pipelines). *)
+    a DES timer and accumulates the readings as a flat, chronological
+    row stream (for CSV dumps and time-indexed lookups). *)
 
 type row = {
   at : Des.Time.t;  (** Simulated time the reading was taken. *)
@@ -29,10 +27,10 @@ val stop : t -> unit
 (** Stop the periodic timer. Already-collected rows remain readable. *)
 
 val retained_words : t -> int
-(** Heap words retained by the collected history itself (the row stream
-    and the bucketed mirror) — inherently O(duration). A memory-flatness
-    monitor (the soak battery) subtracts this from the live-word count
-    so the monitoring's own history does not fail its verdicts. *)
+(** Heap words retained by the collected row stream — inherently
+    O(duration). A memory-flatness monitor (the soak battery) subtracts
+    this from the live-word count so the monitoring's own history does
+    not fail its verdicts. *)
 
 val rows : t -> row list
 (** All rows, chronological (metrics in registration order within one
@@ -42,8 +40,3 @@ val snap_count : t -> int
 (** Snapshots taken so far (periodic and manual). *)
 
 val interval : t -> Des.Time.t
-
-val series : t -> ?index:int -> string -> Stats.Timeseries.t option
-(** Per-metric series of sampled readings, bucketed at [interval].
-    Non-finite and negative readings (e.g. a gauge with no value yet)
-    are present in {!rows} but skipped here. *)

@@ -33,8 +33,6 @@ let create engine ?(bucket = Des.Time.ms 500) ?telemetry () =
     t.get_hist;
   Telemetry.Registry.attach_histogram registry "client.latency_set_ns"
     t.set_hist;
-  Telemetry.Registry.attach_series registry "client.latency.get" t.get_series;
-  Telemetry.Registry.attach_series registry "client.latency.set" t.set_series;
   t
 
 let record t ~op ~latency =

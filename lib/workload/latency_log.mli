@@ -17,10 +17,9 @@ val create :
 (** [bucket] is the time-series bucket width (default 500 ms).
 
     When [telemetry] is given, the log registers its metrics there: the
-    [client.responses] counter, per-op latency histograms
-    ([client.latency_get_ns]/[client.latency_set_ns]) and the bucketed
-    time series ([client.latency.get]/[client.latency.set], readable
-    via {!Telemetry.Registry.series}). *)
+    [client.responses] counter and per-op latency histograms
+    ([client.latency_get_ns]/[client.latency_set_ns]). The bucketed
+    time series are read with {!series}. *)
 
 val record : t -> op:op -> latency:Des.Time.t -> unit
 (** Record one completed request at the current simulated time. *)

@@ -303,24 +303,52 @@ let source_comparison_blindspots () =
 
 (* --- Faults -------------------------------------------------------------------- *)
 
-let fig3_timeline_matches_direct_injection () =
-  (* The acceptance bar for the fault layer: replaying fig3's delay
-     step through a timeline must be event-for-event identical to the
-     hand-wired injection. Same seed, same series — not just close. *)
-  let run injection =
-    Cluster.Fig3.run ~injection
-      ~policies:[ Inband.Policy.Latency_aware ]
-      ~duration:(Des.Time.sec 4) ~inject_at:(Des.Time.sec 2) ()
+let timeline_matches_direct_injection () =
+  (* The acceptance bar for the fault layer: replaying Fig. 3's delay
+     step through a timeline must be event-for-event identical to
+     scheduling the link change by hand. Same seed, same series — not
+     just close. *)
+  let at = Des.Time.sec 2 and delay = Des.Time.ms 1 in
+  let run inject =
+    let s =
+      Cluster.Scenario.build
+        {
+          Cluster.Fig3.default_scenario with
+          Cluster.Scenario.policy = Inband.Policy.Latency_aware;
+        }
+    in
+    inject s;
+    Cluster.Scenario.run s ~until:(Des.Time.sec 4);
+    let log = Cluster.Scenario.log s in
+    let weights =
+      Option.map Inband.Controller.weights
+        (Inband.Balancer.controller (Cluster.Scenario.balancer s))
+    in
+    let r =
+      ( Workload.Latency_log.series log ~op:Workload.Latency_log.Get ~q:0.95,
+        Workload.Latency_log.count log,
+        weights )
+    in
+    Cluster.Scenario.shutdown s;
+    r
   in
-  match ((run `Timeline).runs, (run `Direct).runs) with
-  | [ t ], [ d ] ->
-      check_bool "identical p95 series" true
-        (t.Cluster.Fig3.series = d.Cluster.Fig3.series);
-      check_int "identical response counts" t.Cluster.Fig3.responses
-        d.Cluster.Fig3.responses;
-      check_bool "identical final weights" true
-        (t.Cluster.Fig3.weights_final = d.Cluster.Fig3.weights_final)
-  | _ -> Alcotest.fail "expected one run per arm"
+  let t_series, t_responses, t_weights =
+    run (fun s ->
+        ignore
+          (Cluster.Scenario.install_faults s
+             [
+               Faults.Timeline.event ~at
+                 ~target:(Faults.Timeline.Link "lb->s1")
+                 ~fault:(Faults.Timeline.Delay delay) ();
+             ]))
+  in
+  let d_series, d_responses, d_weights =
+    run (fun s -> Cluster.Scenario.inject_server_delay s ~server:1 ~at ~delay)
+  in
+  check_bool "identical p95 series" true (t_series = d_series);
+  check_int "identical response counts" t_responses d_responses;
+  check_bool "identical final weights" true (t_weights = d_weights);
+  check_bool "the controller ran" true (t_weights <> None)
 
 let churn_reports_detection_and_recovery () =
   (* One short delay fault: the report must carry ground truth for the
@@ -682,7 +710,7 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "timeline matches direct injection" `Slow
-            fig3_timeline_matches_direct_injection;
+            timeline_matches_direct_injection;
           Alcotest.test_case "churn reports detection and recovery" `Slow
             churn_reports_detection_and_recovery;
           Alcotest.test_case "fleet drain reaches every LB" `Quick

@@ -476,28 +476,6 @@ let fabric_replace_handler_in_flight () =
   check_int "old handler not called" 0 !first;
   check_int "new handler called" 1 !second
 
-(* --- Trace -------------------------------------------------------------- *)
-
-let trace_records () =
-  let engine = Des.Engine.create () in
-  let trace = Netsim.Trace.create engine in
-  ignore
-    (Des.Engine.schedule engine ~at:(Des.Time.us 7) (fun () ->
-         Netsim.Trace.tap trace (mk_packet ~payload:"ab" ())));
-  Des.Engine.run engine;
-  check_int "length" 1 (Netsim.Trace.length trace);
-  (match Netsim.Trace.entries trace with
-  | [ e ] ->
-      check_int "timestamp" (Des.Time.us 7) e.Netsim.Trace.at;
-      check_int "payload" 2 e.Netsim.Trace.payload_len;
-      check_bool "not pure ack" true (not e.Netsim.Trace.pure_ack)
-  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
-  let csv = Netsim.Trace.to_csv trace in
-  check_bool "csv has header" true
-    (String.length csv > 0 && String.sub csv 0 4 = "t_ns");
-  Netsim.Trace.clear trace;
-  check_int "cleared" 0 (Netsim.Trace.length trace)
-
 let () =
   Alcotest.run "netsim"
     [
@@ -553,5 +531,4 @@ let () =
           Alcotest.test_case "warm send allocates nothing" `Quick
             fabric_send_zero_alloc;
         ] );
-      ("trace", [ Alcotest.test_case "records" `Quick trace_records ]);
     ]

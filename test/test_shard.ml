@@ -51,12 +51,13 @@ let cross_shard_barrier_boundary () =
   let note tag engine () =
     trace := (tag, Des.Engine.now engine) :: !trace
   in
+  Des.Shard.set_sink t ~dst:1 (fun _tag arg -> note (Obj.obj arg) e1 ());
   ignore (Des.Engine.schedule e1 ~at:(us 150) (note "local@150" e1));
   ignore (Des.Engine.schedule e1 ~at:(us 160) (note "local@160" e1));
   ignore
     (Des.Engine.schedule e0 ~at:(us 50) (fun () ->
-         Des.Shard.post_remote t ~src:0 ~dst:1 ~at:(us 150)
-           (note "remote@150" e1)));
+         Des.Shard.post_remote_tagged t ~src:0 ~dst:1 ~at:(us 150) ~tag:0
+           (Obj.repr "remote@150")));
   Des.Shard.run t ~until:(ms 1);
   Des.Shard.shutdown t;
   Alcotest.(check (list (pair string int)))
@@ -73,10 +74,11 @@ let cross_shard_across_phases () =
   let t = Des.Shard.create ~shards:2 ~lookahead:(us 100) () in
   let e0 = Des.Shard.engine t 0 and e1 = Des.Shard.engine t 1 in
   let fired = ref None in
+  Des.Shard.set_sink t ~dst:1 (fun _ _ -> fired := Some (Des.Engine.now e1));
   ignore
     (Des.Engine.schedule e0 ~at:(us 380) (fun () ->
-         Des.Shard.post_remote t ~src:0 ~dst:1 ~at:(us 700) (fun () ->
-             fired := Some (Des.Engine.now e1))));
+         Des.Shard.post_remote_tagged t ~src:0 ~dst:1 ~at:(us 700) ~tag:0
+           (Obj.repr 0)));
   Des.Shard.run t ~until:(us 400);
   Alcotest.(check (option int)) "not yet" None !fired;
   Des.Shard.run t ~until:(ms 1);
@@ -117,13 +119,13 @@ let widened_horizon_boundary_post () =
   let e0 = Des.Shard.engine t 0 and e1 = Des.Shard.engine t 1 in
   let fired = ref None in
   let gap_event = ms 10 in
+  Des.Shard.set_sink t ~dst:1 (fun _ _ -> fired := Some (Des.Engine.now e1));
   ignore
     (Des.Engine.schedule e0 ~at:gap_event (fun () ->
          (* The widened window is [.., gap_event + L): gap_event was the
             fleet minimum at the preceding barrier. *)
-         Des.Shard.post_remote t ~src:0 ~dst:1
-           ~at:(gap_event + us 100)
-           (fun () -> fired := Some (Des.Engine.now e1))));
+         Des.Shard.post_remote_tagged t ~src:0 ~dst:1
+           ~at:(gap_event + us 100) ~tag:0 (Obj.repr 0)));
   Des.Shard.run t ~until:(ms 20);
   Des.Shard.shutdown t;
   Alcotest.(check (option int))
@@ -200,9 +202,11 @@ let lookahead_violation_fails () =
   (* An arrival inside the window that produced it: t=50 posting for
      t=60 < horizon 100. A silently-late delivery would corrupt the
      destination's causal order, so the barrier must refuse. *)
+  Des.Shard.set_sink t ~dst:1 (fun _ _ -> ());
   ignore
     (Des.Engine.schedule e0 ~at:(us 50) (fun () ->
-         Des.Shard.post_remote t ~src:0 ~dst:1 ~at:(us 60) ignore));
+         Des.Shard.post_remote_tagged t ~src:0 ~dst:1 ~at:(us 60) ~tag:0
+           (Obj.repr 0)));
   let raised =
     match Des.Shard.run t ~until:(ms 1) with
     | () -> false

@@ -4,60 +4,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let checkf tol = Alcotest.(check (float tol))
 
-(* --- Welford ------------------------------------------------------------ *)
-
-let welford_known () =
-  let w = Stats.Welford.create () in
-  List.iter (Stats.Welford.add w) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check_int "count" 8 (Stats.Welford.count w);
-  checkf 1e-9 "mean" 5.0 (Stats.Welford.mean w);
-  checkf 1e-9 "variance (unbiased)" (32.0 /. 7.0) (Stats.Welford.variance w);
-  checkf 1e-9 "min" 2.0 (Stats.Welford.min w);
-  checkf 1e-9 "max" 9.0 (Stats.Welford.max w);
-  checkf 1e-9 "sum" 40.0 (Stats.Welford.sum w)
-
-let welford_empty () =
-  let w = Stats.Welford.create () in
-  check_bool "mean nan" true (Float.is_nan (Stats.Welford.mean w));
-  check_bool "variance nan" true (Float.is_nan (Stats.Welford.variance w))
-
-let welford_single () =
-  let w = Stats.Welford.create () in
-  Stats.Welford.add w 3.5;
-  checkf 1e-9 "mean" 3.5 (Stats.Welford.mean w);
-  check_bool "variance still nan" true (Float.is_nan (Stats.Welford.variance w))
-
-let welford_merge_qcheck =
-  QCheck.Test.make ~count:200 ~name:"welford merge equals single pass"
-    QCheck.(pair (list (float_range 0.0 1000.0)) (list (float_range 0.0 1000.0)))
-    (fun (xs, ys) ->
-      QCheck.assume (List.length xs >= 2 && List.length ys >= 2);
-      let wa = Stats.Welford.create () and wb = Stats.Welford.create () in
-      let wall = Stats.Welford.create () in
-      List.iter (Stats.Welford.add wa) xs;
-      List.iter (Stats.Welford.add wb) ys;
-      List.iter (Stats.Welford.add wall) (xs @ ys);
-      let merged = Stats.Welford.merge wa wb in
-      let close a b = Float.abs (a -. b) < 1e-6 *. (1.0 +. Float.abs b) in
-      Stats.Welford.count merged = Stats.Welford.count wall
-      && close (Stats.Welford.mean merged) (Stats.Welford.mean wall)
-      && close (Stats.Welford.variance merged) (Stats.Welford.variance wall))
-
-let welford_oracle_qcheck =
-  QCheck.Test.make ~count:200 ~name:"welford matches naive mean/variance"
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_range 0.0 100.0))
-    (fun xs ->
-      let w = Stats.Welford.create () in
-      List.iter (Stats.Welford.add w) xs;
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0.0 xs /. n in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs
-        /. (n -. 1.0)
-      in
-      Float.abs (Stats.Welford.mean w -. mean) < 1e-6
-      && Float.abs (Stats.Welford.variance w -. var) < 1e-6)
-
 (* --- Ewma --------------------------------------------------------------- *)
 
 let ewma_first_sample () =
@@ -119,9 +65,12 @@ let hist_negative_rejected () =
     (Invalid_argument "Histogram.record: negative value") (fun () ->
       Stats.Histogram.record h (-1))
 
+(* The name stays short enough for alcotest's 80-column line to print it
+   uncut, so its id does not shift when a group name changes width; the
+   reference is the exact rank quantile of the sorted sample. *)
 let hist_quantile_relative_error =
   QCheck.Test.make ~count:100
-    ~name:"histogram quantiles within ~3.2% of exact"
+    ~name:"histogram quantiles within ~3.2% of"
     QCheck.(list_of_size Gen.(int_range 10 400) (int_bound 1_000_000_000))
     (fun xs ->
       let h = Stats.Histogram.create () in
@@ -169,48 +118,6 @@ let hist_bucket_bounds_contain =
       Stats.Histogram.record h v;
       Stats.Histogram.fold_buckets h ~init:true ~f:(fun acc ~lo ~hi ~count ->
           acc && count = 1 && lo <= v && v <= hi))
-
-(* --- P2 quantile -------------------------------------------------------- *)
-
-let p2_small_sample_exact () =
-  let p = Stats.P2_quantile.create ~q:0.5 in
-  List.iter (Stats.P2_quantile.add p) [ 5.0; 1.0; 9.0 ];
-  checkf 1e-9 "exact median under five samples" 5.0 (Stats.P2_quantile.value p)
-
-let p2_empty_nan () =
-  let p = Stats.P2_quantile.create ~q:0.5 in
-  check_bool "empty is nan" true (Float.is_nan (Stats.P2_quantile.value p))
-
-let p2_accuracy_uniform () =
-  let p = Stats.P2_quantile.create ~q:0.95 in
-  let rng = Des.Rng.create ~seed:3 in
-  for _ = 1 to 50_000 do
-    Stats.P2_quantile.add p (Des.Rng.float rng 1000.0)
-  done;
-  let v = Stats.P2_quantile.value p in
-  check_bool "p95 of U(0,1000) near 950" true (Float.abs (v -. 950.0) < 15.0)
-
-let p2_accuracy_exponential () =
-  let p = Stats.P2_quantile.create ~q:0.5 in
-  let rng = Des.Rng.create ~seed:4 in
-  for _ = 1 to 50_000 do
-    Stats.P2_quantile.add p (Des.Rng.exponential rng ~mean:100.0)
-  done;
-  (* Median of exp(mean=100) is 100 ln 2 = 69.3. *)
-  let v = Stats.P2_quantile.value p in
-  check_bool "median near 69.3" true (Float.abs (v -. 69.3) < 5.0)
-
-let p2_bad_q () =
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "P2_quantile.create: q") (fun () ->
-      ignore (Stats.P2_quantile.create ~q:1.0))
-
-let p2_monotone_count () =
-  let p = Stats.P2_quantile.create ~q:0.9 in
-  for i = 1 to 100 do
-    Stats.P2_quantile.add p (float_of_int i);
-    Alcotest.(check int) "count tracks adds" i (Stats.P2_quantile.count p)
-  done
 
 (* --- Dist --------------------------------------------------------------- *)
 
@@ -319,17 +226,67 @@ let timeseries_quantile_per_bucket () =
         (abs (row.Stats.Timeseries.quantile - 95_000) <= 3_000)
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
+(* A stream of (at, v) observations at bucket width 100: mostly
+   non-decreasing times that either stay near the current bucket or jump
+   past it (leaving one-sample buckets), with an occasional revisit of
+   an earlier bucket. *)
+let timeseries_stream =
+  let open QCheck.Gen in
+  let move =
+    frequency
+      [
+        (6, map (fun d -> `Ahead d) (int_bound 20));
+        (3, map (fun d -> `Ahead d) (int_range 100 300));
+        (1, map (fun f -> `Back f) (float_bound_inclusive 1.0));
+      ]
+  in
+  let stream steps =
+    List.fold_left
+      (fun (now, acc) (m, v) ->
+        match m with
+        | `Ahead d -> (now + d, (now + d, v) :: acc)
+        | `Back f -> (now, (int_of_float (f *. float_of_int now), v) :: acc))
+      (0, []) steps
+    |> snd |> List.rev
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list (pair int int))
+    (map stream
+       (list_size (int_range 1 200) (pair move (int_bound 50_000_000))))
+
+let timeseries_matches_histogram_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"rows match per-bucket histograms" timeseries_stream
+    (fun obs ->
+      let bucket = 100 in
+      let ts = Stats.Timeseries.create ~bucket in
+      List.iter (fun (at, v) -> Stats.Timeseries.record ts ~at v) obs;
+      let idxs =
+        List.sort_uniq Int.compare (List.map (fun (at, _) -> at / bucket) obs)
+      in
+      let oracle q =
+        List.map
+          (fun idx ->
+            let h = Stats.Histogram.create () in
+            List.iter
+              (fun (at, v) ->
+                if at / bucket = idx then Stats.Histogram.record h v)
+              obs;
+            {
+              Stats.Timeseries.t_start = idx * bucket;
+              count = Stats.Histogram.count h;
+              mean = Stats.Histogram.mean h;
+              quantile = Stats.Histogram.quantile h q;
+            })
+          idxs
+      in
+      List.for_all
+        (fun q -> Stats.Timeseries.rows ts ~q = oracle q)
+        [ 0.5; 0.95 ])
+
 let () =
   Alcotest.run "stats"
     [
-      ( "welford",
-        [
-          Alcotest.test_case "known values" `Quick welford_known;
-          Alcotest.test_case "empty" `Quick welford_empty;
-          Alcotest.test_case "single" `Quick welford_single;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ welford_merge_qcheck; welford_oracle_qcheck ] );
       ( "ewma",
         [
           Alcotest.test_case "first sample" `Quick ewma_first_sample;
@@ -348,15 +305,6 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ hist_quantile_relative_error; hist_bucket_bounds_contain ] );
-      ( "p2_quantile",
-        [
-          Alcotest.test_case "small sample exact" `Quick p2_small_sample_exact;
-          Alcotest.test_case "empty nan" `Quick p2_empty_nan;
-          Alcotest.test_case "uniform p95" `Quick p2_accuracy_uniform;
-          Alcotest.test_case "exponential median" `Quick p2_accuracy_exponential;
-          Alcotest.test_case "bad q" `Quick p2_bad_q;
-          Alcotest.test_case "count" `Quick p2_monotone_count;
-        ] );
       ( "dist",
         [
           Alcotest.test_case "constant" `Quick dist_constant;
@@ -371,5 +319,7 @@ let () =
           Alcotest.test_case "bad bucket" `Quick timeseries_bad_bucket;
           Alcotest.test_case "per-bucket quantile" `Quick
             timeseries_quantile_per_bucket;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ timeseries_matches_histogram_oracle ] );
     ]

@@ -227,11 +227,16 @@ let snapshot_manual_snap_and_series () =
   in
   Alcotest.(check (float 1e-9))
     "manual snapshot caught the value" 7.0 at_50.Telemetry.Snapshot.value;
-  match Telemetry.Snapshot.series snap "n" with
-  | None -> Alcotest.fail "per-metric series missing"
-  | Some ts ->
-      check_bool "series mirrors the samples" true
-        (List.length (Stats.Timeseries.rows ts ~q:0.5) > 0)
+  (* The row stream is the metric's series: one reading per snapshot,
+     manual and periodic interleaved in time order. *)
+  let series =
+    List.filter_map
+      (fun (row : Telemetry.Snapshot.row) ->
+        if row.metric = "n" then Some (row.at, row.value) else None)
+      (Telemetry.Snapshot.rows snap)
+  in
+  check_bool "series holds every reading in time order" true
+    (series = [ (ms 50, 7.0); (ms 100, 7.0); (ms 200, 7.0) ])
 
 (* --- Balancer integration ---------------------------------------------- *)
 
