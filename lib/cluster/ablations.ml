@@ -38,8 +38,6 @@ let alpha_sweep ?jobs ?(alphas = [ 0.025; 0.05; 0.1; 0.2; 0.4 ])
       | [] | _ :: _ -> assert false)
     alphas
 
-let opt_ms = function None -> "-" | Some ms -> Fmt.str "%.1fms" ms
-
 let print_alpha rows =
   print_endline
     (Report.section "Ablation A2: shift fraction alpha (latency-aware, Fig 3 setup)");
@@ -53,8 +51,8 @@ let print_alpha rows =
               Report.pct r.alpha;
               Fmt.str "%.1fus" r.p95_before_us;
               Fmt.str "%.1fus" r.p95_after_us;
-              opt_ms r.reaction_ms;
-              opt_ms r.recovery_ms;
+              Report.opt_ms r.reaction_ms;
+              Report.opt_ms r.recovery_ms;
               string_of_int r.actions;
               Fmt.str "%.2f" r.disruption;
             ])
@@ -507,9 +505,7 @@ type far_row = {
   label : string;
   est_s0_us : float;
   est_s1_us : float;
-  actions : int;
   p95_us : float;
-  min_weight_seen : float;
 }
 
 let far_one ~label ~n_clients ~overrides ~duration =
@@ -539,9 +535,7 @@ let far_one ~label ~n_clients ~overrides ~duration =
     label;
     est_s0_us = est 0;
     est_s1_us = est 1;
-    actions = 0;
     p95_us = float_of_int (Stats.Histogram.quantile hist 0.95) /. 1e3;
-    min_weight_seen = nan;
   }
 
 let far_clients ?jobs ?(duration = Des.Time.sec 10) () =

@@ -187,10 +187,7 @@ type far_row = {
   label : string;
   est_s0_us : float;  (** LB's smoothed latency estimate for server 0. *)
   est_s1_us : float;
-  actions : int;  (** Always 0: the run uses static Maglev so estimates
-                      are pure measurement. *)
   p95_us : float;
-  min_weight_seen : float;  (** [nan] (no controller). *)
 }
 
 val far_clients : ?jobs:int -> ?duration:Des.Time.t -> unit -> far_row list

@@ -138,8 +138,6 @@ let all_recovered result =
     (fun r -> r.detection_ms <> None && r.recovered)
     result.reports
 
-let opt_ms = function None -> "-" | Some ms -> Fmt.str "%.1fms" ms
-
 let print result =
   print_endline
     (Report.section
@@ -156,8 +154,8 @@ let print result =
           (match r.interval.Faults.Injector.reverted_at with
           | Some t -> Fmt.str "%a" Des.Time.pp t
           | None -> "-");
-          opt_ms r.detection_ms;
-          opt_ms r.recovery_ms;
+          Report.opt_ms r.detection_ms;
+          Report.opt_ms r.recovery_ms;
         ])
       result.reports
   in

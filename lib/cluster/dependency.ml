@@ -66,18 +66,28 @@ let run_one ~wiring ~duration ~inject_at =
         ~key_of:(Workload.Keyspace.key_of names)
         ~value_size:64)
     backends;
-  (* Frontends, each wired to its backend. *)
+  (* Frontends: memcached servers with ~20 us of their own compute, each
+     forwarding every request to its backend. *)
   let backend_of_frontend i =
     match wiring with Private_backends -> i | Shared_backend -> 0
   in
-  let _frontends =
-    Array.init 2 (fun i ->
-        Memcache.Frontend.create fabric ~host_ip:(frontend_ip i)
-          ~listen_addr:vip
-          ~upstream:(Netsim.Addr.v (backend_ip (backend_of_frontend i)) backend_port)
-          ~rng:(Des.Rng.split rng ~label:(Fmt.str "frontend-%d" i))
-          ())
+  let own_service = Stats.Dist.Lognormal { mu = log 20_000.0; sigma = 0.25 } in
+  let frontend_config =
+    {
+      Memcache.Server.default_config with
+      Memcache.Server.service_get = own_service;
+      service_set = own_service;
+    }
   in
+  for i = 0 to 1 do
+    ignore
+      (Memcache.Server.create fabric ~host_ip:(frontend_ip i) ~listen_addr:vip
+         ~config:frontend_config
+         ~upstream:
+           (Netsim.Addr.v (backend_ip (backend_of_frontend i)) backend_port)
+         ~rng:(Des.Rng.split rng ~label:(Fmt.str "frontend-%d" i))
+         ())
+  done;
   (* The memtier client. *)
   let log = Workload.Latency_log.create engine ~bucket:(Des.Time.ms 500) () in
   let keyspace =

@@ -167,10 +167,6 @@ let run ?(scenario = default_scenario) ?jobs
   in
   { duration; inject_at; inject_delay; runs }
 
-let opt_ms = function
-  | None -> "-"
-  | Some ms -> Fmt.str "%.1fms" ms
-
 let print result =
   print_endline
     (Report.section
@@ -196,8 +192,8 @@ let print result =
           Inband.Policy.to_string r.policy;
           Fmt.str "%.1fus" r.p95_before_us;
           Fmt.str "%.1fus" r.p95_after_us;
-          opt_ms r.reaction_ms;
-          opt_ms r.recovery_ms;
+          Report.opt_ms r.reaction_ms;
+          Report.opt_ms r.recovery_ms;
           string_of_int r.actions;
           Fmt.str "%.0f" r.throughput_rps;
           Fmt.str "%s / %s"

@@ -36,6 +36,7 @@ let ns v =
   else Fmt.str "%.3fs" (v /. 1e9)
 
 let pct f = Fmt.str "%.1f%%" (100.0 *. f)
+let opt_ms = function None -> "-" | Some ms -> Fmt.str "%.1fms" ms
 
 let registry reg =
   let fmt_value metric v =

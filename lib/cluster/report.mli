@@ -8,6 +8,9 @@ val table : headers:string list -> string list list -> string
 val pct : float -> string
 (** Format a fraction as a percentage ("12.5%"). *)
 
+val opt_ms : float option -> string
+(** Format a duration in ms ("3.9ms"), or "-" when there is none. *)
+
 val registry : Telemetry.Registry.t -> string
 (** Render a registry's current readings as a table (one row per
     metric, in registration order; [_ns]-suffixed metrics formatted

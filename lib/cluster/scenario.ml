@@ -93,7 +93,6 @@ let build config =
   let server_ips = Array.init config.n_servers server_ip in
   (* The cluster-wide registry: LB 0, servers, clients and their links. *)
   let telemetry = Telemetry.Registry.create () in
-  Telemetry.Registry.install_gc_metrics telemetry;
   (* Engine health gauges: a stuck-timer leak grows the pending count
      without bound; the wheel gauges catch cascade pathologies. Every
      scenario consumer (soak monitor, --metrics-csv) watches the engine

@@ -274,7 +274,7 @@ let run ?(config = default_config) () =
      subtracted: collecting rows every interval is inherently
      O(duration), and the monitor must not fail its own flatness
      verdict. The same correction applies to [soak.heap_words] (total
-     heap chunks): the raw [gc.heap_words] necessarily ratchets up as
+     heap chunks): the raw heap size necessarily ratchets up as
      the monitor's live history grows — OCaml rarely returns chunks to
      the OS — so only the history-corrected figure can be
      growth-checked. Cached per instant so all gauges share one

@@ -8,7 +8,7 @@
     and then judges the run on graceful degradation rather than
     throughput:
 
-    - {b flatness} — windowed means of live words/flow, [gc.*] heap
+    - {b flatness} — windowed means of live words/flow, the heap
       gauges, reassembly/send-queue byte gauges, flow-table tombstones
       and the DES pending-event count must not grow across the run;
     - {b no stuck flows} — after the clients stop and an idle-timeout

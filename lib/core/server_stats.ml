@@ -1,6 +1,5 @@
 type entry = {
   ewma : Stats.Ewma.t;
-  hist : Stats.Histogram.t;
   ring : int array; (* last [window] samples, circular; unused if empty *)
   mutable ring_len : int;
   mutable ring_idx : int;
@@ -18,7 +17,6 @@ let create ~n ~ewma_alpha ?(window = 0) () =
       Array.init n (fun _ ->
           {
             ewma = Stats.Ewma.create ~alpha:ewma_alpha;
-            hist = Stats.Histogram.create ();
             ring = Array.make (Stdlib.max 1 window) 0;
             ring_len = 0;
             ring_idx = 0;
@@ -27,12 +25,9 @@ let create ~n ~ewma_alpha ?(window = 0) () =
           });
   }
 
-let n t = Array.length t.entries
-
 let record t ~server ~sample ~at =
   let e = t.entries.(server) in
   Stats.Ewma.add e.ewma (float_of_int sample);
-  Stats.Histogram.record e.hist sample;
   if t.window > 0 then begin
     e.ring.(e.ring_idx) <- sample;
     e.ring_idx <- (e.ring_idx + 1) mod t.window;
@@ -57,30 +52,3 @@ let sample_count t i = t.entries.(i).count
 let last_sample_at t i =
   let e = t.entries.(i) in
   if e.count = 0 then None else Some e.last_at
-
-let hist t i = t.entries.(i).hist
-
-let extreme t ~better =
-  let acc = ref None in
-  Array.iteri
-    (fun i e ->
-      if e.count > 0 then begin
-        match estimate t i with
-        | None -> ()
-        | Some v -> begin
-            match !acc with
-            | None -> acc := Some (i, v)
-            | Some (_, incumbent) ->
-                if better v incumbent then acc := Some (i, v)
-          end
-      end)
-    t.entries;
-  !acc
-
-let worst t = extreme t ~better:(fun v best -> v > best)
-let best t = extreme t ~better:(fun v best -> v < best)
-
-let servers_with_samples t =
-  Array.fold_left
-    (fun acc e -> if e.count > 0 then acc + 1 else acc)
-    0 t.entries

@@ -2,7 +2,7 @@
 
     Every in-band sample produced by the estimator is attributed to the
     server its flow is pinned to; the controller acts on the smoothed
-    (EWMA) per-server estimates. Histograms are kept for reporting. *)
+    (EWMA) per-server estimates. *)
 
 type t
 
@@ -14,8 +14,6 @@ val create : n:int -> ewma_alpha:float -> ?window:int -> unit -> t
 
     @raise Invalid_argument if [window < 0]. *)
 
-val n : t -> int
-
 val record : t -> server:int -> sample:Des.Time.t -> at:Des.Time.t -> unit
 (** Fold in one latency sample (ns) for [server]. *)
 
@@ -25,13 +23,3 @@ val estimate : t -> int -> float option
 
 val sample_count : t -> int -> int
 val last_sample_at : t -> int -> Des.Time.t option
-val hist : t -> int -> Stats.Histogram.t
-
-val worst : t -> (int * float) option
-(** Server with the highest estimate (among those with samples), ties to
-    the lower index. *)
-
-val best : t -> (int * float) option
-(** Server with the lowest estimate. *)
-
-val servers_with_samples : t -> int

@@ -93,9 +93,6 @@ type t = {
   mutable skipped_windows : int;
   mutable remote_posts : int;
   mutable inbox_peak_bytes : int;
-  s_pending : int array;
-  s_queue_length : int array;
-  s_wheel_size : int array;
   s_events_fired : int array;
   stall_seconds : float array;
 }
@@ -106,9 +103,6 @@ type stats = {
   skipped_windows : int;
   remote_posts : int;
   inbox_peak_bytes : int;
-  pending : int array;
-  queue_length : int array;
-  wheel_size : int array;
   events_fired : int array;
   stall_seconds : float array;
 }
@@ -196,9 +190,6 @@ let create ?(adaptive = true) ~shards ~lookahead () =
       skipped_windows = 0;
       remote_posts = 0;
       inbox_peak_bytes = 0;
-      s_pending = Array.make shards 0;
-      s_queue_length = Array.make shards 0;
-      s_wheel_size = Array.make shards 0;
       s_events_fired = Array.make shards 0;
       stall_seconds = Array.make shards 0.0;
     }
@@ -265,11 +256,7 @@ let inboxes_empty (t : t) =
 
 let capture (t : t) =
   for k = 0 to t.shards - 1 do
-    let e = t.engines.(k) in
-    t.s_pending.(k) <- Engine.pending e;
-    t.s_queue_length.(k) <- Engine.queue_length e;
-    t.s_wheel_size.(k) <- Engine.wheel_size e;
-    t.s_events_fired.(k) <- Engine.events_fired e
+    t.s_events_fired.(k) <- Engine.events_fired t.engines.(k)
   done
 
 let reraise (t : t) =
@@ -352,9 +339,6 @@ let stats (t : t) : stats =
     skipped_windows = t.skipped_windows;
     remote_posts = t.remote_posts;
     inbox_peak_bytes = t.inbox_peak_bytes;
-    pending = Array.copy t.s_pending;
-    queue_length = Array.copy t.s_queue_length;
-    wheel_size = Array.copy t.s_wheel_size;
     events_fired = Array.copy t.s_events_fired;
     stall_seconds = Array.copy t.stall_seconds;
   }

@@ -107,10 +107,6 @@ type stats = {
       (** high-water mark of total flat-inbox capacity (bytes), observed
           at barriers; buffers shrink back once occupancy falls far
           below capacity *)
-  pending : int array;  (** live events per shard at last barrier *)
-  queue_length : int array;
-      (** {!Engine.queue_length} per shard at last barrier *)
-  wheel_size : int array;  (** wheel occupancy per shard at last barrier *)
   events_fired : int array;  (** events executed per shard, cumulative *)
   stall_seconds : float array;
       (** wall-clock time each shard spent parked at window barriers *)
@@ -118,8 +114,7 @@ type stats = {
 
 val stats : t -> stats
 (** Snapshot of the barrier-captured per-shard counters. Safe to call
-    from the coordinating domain between or after {!run} calls, and from
-    telemetry gauges polled at barrier-aligned times. *)
+    from the coordinating domain between or after {!run} calls. *)
 
 val shutdown : t -> unit
 (** Join the worker domain team. Idempotent; {!run} must not be called

@@ -16,6 +16,74 @@ let default_config =
     idle_timeout = Des.Time.sec 60;
   }
 
+(* The persistent client of a server with an upstream: one TCP
+   connection, opened on first use and reopened as soon as it closes.
+   Responses come back in request order, so each goes to the oldest
+   waiting continuation. *)
+module Upstream = struct
+  type t = {
+    endpoint : Tcpsim.Endpoint.t;
+    host_ip : int;
+    remote : Netsim.Addr.t;
+    tcp : Tcpsim.Conn.config;
+    mutable conn : Tcpsim.Conn.t option;
+    mutable reader : Protocol.response Protocol.Reader.t;
+    pending : (Protocol.response -> unit) Queue.t;
+    mutable next_port : int;
+  }
+
+  let create endpoint ~host_ip ~remote ~tcp =
+    {
+      endpoint;
+      host_ip;
+      remote;
+      tcp;
+      conn = None;
+      reader = Protocol.Reader.responses ();
+      pending = Queue.create ();
+      next_port = 30_000;
+    }
+
+  let rec ensure_conn t =
+    match t.conn with
+    | Some conn -> conn
+    | None ->
+        let port = t.next_port in
+        t.next_port <- t.next_port + 1;
+        let conn =
+          Tcpsim.Endpoint.connect t.endpoint ~config:t.tcp
+            ~local:(Netsim.Addr.v t.host_ip port) ~remote:t.remote ()
+        in
+        t.conn <- Some conn;
+        t.reader <- Protocol.Reader.responses ();
+        Tcpsim.Conn.set_on_data conn (fun chunk ->
+            match Protocol.Reader.feed t.reader chunk with
+            | Ok responses ->
+                List.iter
+                  (fun response ->
+                    match Queue.take_opt t.pending with
+                    | Some k -> k response
+                    | None -> ())
+                  responses
+            | Error _ -> Tcpsim.Conn.abort conn);
+        Tcpsim.Conn.set_on_close conn (fun () ->
+            t.conn <- None;
+            (* Fail outstanding calls as misses: each caller answers its
+               client with what it got. *)
+            Queue.iter (fun k -> k Protocol.Miss) t.pending;
+            Queue.clear t.pending;
+            ignore (ensure_conn t));
+        conn
+
+  and call t request k =
+    let conn = ensure_conn t in
+    match Tcpsim.Conn.state conn with
+    | Established | Syn_sent | Syn_received | Close_wait ->
+        Queue.add k t.pending;
+        Tcpsim.Conn.send conn (Protocol.encode_request request)
+    | Fin_wait | Last_ack | Closed -> k Protocol.Miss
+end
+
 type job = { request : Protocol.request; arrived : Des.Time.t }
 
 let no_job = { request = Protocol.Get { key = "" }; arrived = 0 }
@@ -49,18 +117,21 @@ and t = {
   sojourn : Stats.Histogram.t;
   live : (int, conn_state) Hashtbl.t; (* for the idle-connection reaper *)
   mutable next_conn_id : int;
-  mutable endpoint : Tcpsim.Endpoint.t option; (* set once in [create] *)
+  endpoint : Tcpsim.Endpoint.t;
+  upstream : Upstream.t option;
 }
 
-let process t = function
+let count t = function
+  | Protocol.Get _ -> Telemetry.Registry.Counter.incr t.m_gets
+  | Protocol.Set _ -> Telemetry.Registry.Counter.incr t.m_sets
+
+let local_response t = function
   | Protocol.Get { key } -> begin
-      Telemetry.Registry.Counter.incr t.m_gets;
       match Store.get t.store ~key with
       | Some (flags, value) -> Protocol.Value { key; flags; value }
       | None -> Protocol.Miss
     end
   | Protocol.Set { key; flags; value; _ } ->
-      Telemetry.Registry.Counter.incr t.m_sets;
       Store.set t.store ~key ~flags ~value;
       Protocol.Stored
 
@@ -105,14 +176,28 @@ let rec dispatch t =
   end
 
 (* A service completion: a [post_call] of this one function on the
-   connection, so posting it builds no closure. *)
+   connection, so posting it builds no closure. A server with an
+   upstream forwards the request now and holds the worker until the
+   upstream answers. *)
 and complete cs =
+  match cs.server.upstream with
+  | None -> finish cs None
+  | Some up ->
+      Upstream.call up cs.serving.request (fun answer ->
+          finish cs (Some answer))
+
+(* Free the worker and answer the client: with the upstream's [answer],
+   or from the store. *)
+and finish cs answer =
   let t = cs.server and job = cs.serving in
   t.free_workers <- t.free_workers + 1;
   cs.in_service <- false;
   cs.serving <- no_job;
   if conn_sendable cs then begin
-    let response = process t job.request in
+    count t job.request;
+    let response =
+      match answer with Some r -> r | None -> local_response t job.request
+    in
     Tcpsim.Conn.send cs.conn (Protocol.encode_response response);
     Stats.Histogram.record t.sojourn (Des.Engine.now t.engine - job.arrived)
   end;
@@ -196,7 +281,7 @@ let accept t conn =
       maybe_close cs)
 
 let create fabric ~host_ip ~listen_addr ?(config = default_config)
-    ?interference ?telemetry ?index ~rng () =
+    ?interference ?telemetry ?index ?upstream ~rng () =
   let engine = Netsim.Fabric.engine fabric in
   let interference =
     match interference with Some i -> i | None -> Interference.none engine
@@ -206,6 +291,7 @@ let create fabric ~host_ip ~listen_addr ?(config = default_config)
     | Some r -> r
     | None -> Telemetry.Registry.create ()
   in
+  let endpoint = Tcpsim.Endpoint.create fabric ~host_ip in
   let t =
     {
       engine;
@@ -222,7 +308,12 @@ let create fabric ~host_ip ~listen_addr ?(config = default_config)
       sojourn = Stats.Histogram.create ();
       live = Hashtbl.create 64;
       next_conn_id = 0;
-      endpoint = None;
+      endpoint;
+      upstream =
+        Option.map
+          (fun remote ->
+            Upstream.create endpoint ~host_ip ~remote ~tcp:config.tcp)
+          upstream;
     }
   in
   if config.idle_timeout > 0 then
@@ -238,7 +329,6 @@ let create fabric ~host_ip ~listen_addr ?(config = default_config)
       float_of_int (t.config.workers - t.free_workers));
   Telemetry.Registry.attach_histogram registry ?index "server.sojourn_ns"
     t.sojourn;
-  let endpoint = Tcpsim.Endpoint.create fabric ~host_ip in
   Tcpsim.Endpoint.listen endpoint ~addr:listen_addr ~config:config.tcp
     (fun conn -> accept t conn);
   (* Bounded-datapath gauges: how much memory the TCP stack is holding
@@ -254,13 +344,10 @@ let create fabric ~host_ip ~listen_addr ?(config = default_config)
   ep_gauge "conn.send_backlog" Tcpsim.Endpoint.send_backlog;
   ep_gauge "conn.send_drops" Tcpsim.Endpoint.send_drops;
   ep_gauge "conn.active" Tcpsim.Endpoint.active_connections;
-  t.endpoint <- Some endpoint;
   t
 
 let store t = t.store
-
-let endpoint t =
-  match t.endpoint with Some ep -> ep | None -> assert false
+let endpoint t = t.endpoint
 
 let set_slow_factor t f =
   if not (f > 0.0) || Float.is_nan f then

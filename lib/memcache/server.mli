@@ -8,7 +8,14 @@
     count, queueing beyond it. Service times are drawn per operation
     from configurable distributions, and an {!Interference} process can
     stall service, producing the fast-varying server performance the
-    paper's controller reacts to. *)
+    paper's controller reacts to.
+
+    A server created with an [upstream] is a tier with a synchronous
+    downstream dependency (§5 Q3): once a request's service time ends,
+    its worker forwards it to the upstream memcached and stays busy
+    until the answer comes back, which it then sends to the client. A
+    slow upstream makes this server look slow to the LB although its
+    own compute is fine. *)
 
 type config = {
   workers : int;  (** Parallel service capacity. *)
@@ -39,11 +46,17 @@ val create :
   ?interference:Interference.t ->
   ?telemetry:Telemetry.Registry.t ->
   ?index:int ->
+  ?upstream:Netsim.Addr.t ->
   rng:Des.Rng.t ->
   unit ->
   t
 (** Build the server host: creates its TCP endpoint on [host_ip] and
     listens on [listen_addr] (use the VIP address to model DSR).
+
+    With [upstream], every request is answered by the memcached at that
+    address, over one persistent connection from [host_ip] that is
+    reopened when it closes; calls outstanding at a close answer as
+    misses. The store is then unused.
 
     When [telemetry] is given, the server registers its metrics there
     under [index] (typically the backend's position in the pool):

@@ -8,7 +8,6 @@ let flag_fin_ack = { flags_none with fin = true; ack = true }
 let flag_rst = { flags_none with rst = true }
 
 type t = {
-  id : int;
   src : Addr.t;
   dst : Addr.t;
   seq : int;
@@ -18,13 +17,8 @@ type t = {
   flow_key : Flow_key.t;
 }
 
-(* Atomic so concurrent scenario domains (Cluster.Parallel) never tear
-   or duplicate ids; per-scenario output does not depend on id values. *)
-let next_id = Atomic.make 0
-
 let[@inline] make_on (flow_key : Flow_key.t) ~seq ~ack ~flags ~payload =
   {
-    id = Atomic.fetch_and_add next_id 1 + 1;
     src = flow_key.src;
     dst = flow_key.dst;
     seq;
@@ -37,11 +31,9 @@ let[@inline] make_on (flow_key : Flow_key.t) ~seq ~ack ~flags ~payload =
 let make ~src ~dst ~seq ~ack ~flags ~payload =
   make_on (Flow_key.v ~src ~dst) ~seq ~ack ~flags ~payload
 
-(* Built directly so it takes no id from the counter. *)
 let none =
   let src = Addr.v 0 0 in
-  { id = 0; src; dst = src; seq = 0; ack = 0; flags = flags_none;
-    payload = ""; flow_key = Flow_key.v ~src ~dst:src }
+  make ~src ~dst:src ~seq:0 ~ack:0 ~flags:flags_none ~payload:""
 
 let header_bytes = 54
 let wire_size t = header_bytes + String.length t.payload
@@ -61,5 +53,5 @@ let pp_flags ppf f =
     (tag f.rst "R")
 
 let pp ppf t =
-  Fmt.pf ppf "#%d %a>%a seq=%d ack=%d [%a] len=%d" t.id Addr.pp t.src Addr.pp
-    t.dst t.seq t.ack pp_flags t.flags (String.length t.payload)
+  Fmt.pf ppf "%a>%a seq=%d ack=%d [%a] len=%d" Addr.pp t.src Addr.pp t.dst
+    t.seq t.ack pp_flags t.flags (String.length t.payload)

@@ -13,7 +13,6 @@ val flag_fin_ack : flags
 val flag_rst : flags
 
 type t = private {
-  id : int;  (** Unique per-process packet id, for tracing. *)
   src : Addr.t;
   dst : Addr.t;
   seq : int;  (** Sequence number of the first payload byte. *)
@@ -34,7 +33,6 @@ val make :
   flags:flags ->
   payload:string ->
   t
-(** Allocate a packet with a fresh [id]. *)
 
 val make_on :
   Flow_key.t -> seq:int -> ack:int -> flags:flags -> payload:string -> t
@@ -43,9 +41,8 @@ val make_on :
     packet allocates a key or mixes its hash again. *)
 
 val none : t
-(** A placeholder that is never sent (id 0, all addresses 0), for
-    clearing the slots of packet buffers. Takes no id from {!make}'s
-    counter. *)
+(** A placeholder that is never sent (all addresses 0), for clearing the
+    slots of packet buffers. *)
 
 val header_bytes : int
 (** Ethernet + IP + TCP header overhead charged per packet (54 bytes). *)

@@ -99,19 +99,3 @@ let read t =
                (float_of_int (Stats.Histogram.quantile h 0.95))
           :: acc)
     [] t.rev_order
-
-(* [Gc.quick_stat] reads the allocation counters without forcing a heap
-   walk, so polling these from a periodic snapshot is cheap enough for
-   flow-scale runs. Reported word counts are process-wide, which is why
-   installation is opt-in per registry rather than automatic. *)
-let install_gc_metrics t =
-  gauge_fn t "gc.minor_words" (fun () -> (Gc.quick_stat ()).Gc.minor_words);
-  gauge_fn t "gc.major_words" (fun () -> (Gc.quick_stat ()).Gc.major_words);
-  gauge_fn t "gc.minor_collections" (fun () ->
-      float_of_int (Gc.quick_stat ()).Gc.minor_collections);
-  gauge_fn t "gc.major_collections" (fun () ->
-      float_of_int (Gc.quick_stat ()).Gc.major_collections);
-  gauge_fn t "gc.heap_words" (fun () ->
-      float_of_int (Gc.quick_stat ()).Gc.heap_words);
-  gauge_fn t "gc.compactions" (fun () ->
-      float_of_int (Gc.quick_stat ()).Gc.compactions)

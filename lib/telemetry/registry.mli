@@ -74,11 +74,3 @@ type sample = { metric : string; index : int option; value : float }
 
 val read : t -> sample list
 (** Read every counter, gauge and histogram, in registration order. *)
-
-val install_gc_metrics : t -> unit
-(** Register polled gauges over the runtime's {!Gc} counters:
-    ["gc.minor_words"], ["gc.major_words"], ["gc.minor_collections"],
-    ["gc.major_collections"], ["gc.heap_words"] and ["gc.compactions"].
-    Values are process-wide (from [Gc.quick_stat]), so flow-scale memory
-    regressions surface in any metrics CSV without extra plumbing; call
-    at most once per registry. *)

@@ -19,9 +19,10 @@
       churning balancer admit/release paths.
 
     A well-behaved system survives all five with flat memory telemetry
-    ([reasm.*], [conn.*], [gc.*]), no stuck flows, and finite estimator
-    state — the graceful-degradation checks asserted by the qcheck
-    battery in [test/test_workload.ml] and by [Cluster.Soak]. *)
+    ([reasm.*], [conn.*], the soak's heap gauges), no stuck flows, and
+    finite estimator state — the graceful-degradation checks asserted by
+    the qcheck battery in [test/test_workload.ml] and by
+    [Cluster.Soak]. *)
 
 type kind =
   | Slowloris of { drip : Des.Time.t }

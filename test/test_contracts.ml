@@ -321,9 +321,6 @@ let flows ~shards ~events_per_sec ~words_per_flow ~drain_windows =
         skipped_windows = 0;
         remote_posts = 0;
         inbox_peak_bytes = 0;
-        pending = [||];
-        queue_length = [||];
-        wheel_size = [||];
         events_fired = [||];
         stall_seconds = [||];
       };

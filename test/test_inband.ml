@@ -389,22 +389,17 @@ let ensemble_scope_equivalence =
 let server_stats_basic () =
   let s = Inband.Server_stats.create ~n:3 ~ewma_alpha:0.5 () in
   check_bool "no estimate yet" true (Inband.Server_stats.estimate s 0 = None);
-  check_bool "no worst yet" true (Inband.Server_stats.worst s = None);
   Inband.Server_stats.record s ~server:0 ~sample:(us 100) ~at:(ms 1);
   Inband.Server_stats.record s ~server:2 ~sample:(us 500) ~at:(ms 2);
-  check_int "samples with data" 2 (Inband.Server_stats.servers_with_samples s);
-  (match Inband.Server_stats.worst s with
-  | Some (i, v) ->
-      check_int "worst is server 2" 2 i;
-      Alcotest.(check (float 1.0)) "worst value" 500_000.0 v
-  | None -> Alcotest.fail "expected worst");
-  (match Inband.Server_stats.best s with
-  | Some (i, _) -> check_int "best is server 0" 0 i
-  | None -> Alcotest.fail "expected best");
+  Alcotest.(check (float 1.0)) "first sample is the estimate" 500_000.0
+    (Option.get (Inband.Server_stats.estimate s 2));
+  check_bool "unsampled server has none" true
+    (Inband.Server_stats.estimate s 1 = None);
   check_int "count" 1 (Inband.Server_stats.sample_count s 0);
+  check_int "no samples" 0 (Inband.Server_stats.sample_count s 1);
   check_bool "last at" true (Inband.Server_stats.last_sample_at s 2 = Some (ms 2));
-  check_int "histogram populated" 1
-    (Stats.Histogram.count (Inband.Server_stats.hist s 2))
+  check_bool "never sampled" true
+    (Inband.Server_stats.last_sample_at s 1 = None)
 
 let server_stats_ewma_smooths () =
   let s = Inband.Server_stats.create ~n:1 ~ewma_alpha:0.5 () in

@@ -1011,10 +1011,12 @@ let server_parallel_connections_use_workers () =
     (fun at -> check_bool "served in parallel (~10ms, not ~20ms)" true (at < Des.Time.ms 15))
     !finished
 
-(* --- Frontend (dependent server) ---------------------------------------- *)
+(* --- Server with an upstream (a dependent tier) ------------------------ *)
 
-(* Client -> frontend -> backend chain over real links. *)
-let frontend_rig ~dependency_ratio =
+(* Client -> frontend -> backend chain over real links. The frontend is
+   a server with an upstream; its own store holds a different value for
+   "k", so a response shows which store answered. *)
+let frontend_rig () =
   let engine = Des.Engine.create () in
   let fabric = Netsim.Fabric.create engine in
   let rng = Des.Rng.create ~seed:8 in
@@ -1027,12 +1029,11 @@ let frontend_rig ~dependency_ratio =
   Memcache.Store.set (Memcache.Server.store backend) ~key:"k" ~flags:7
     ~value:"from-backend";
   let frontend =
-    Memcache.Frontend.create fabric ~host_ip:2 ~listen_addr:fe_addr
+    Memcache.Server.create fabric ~host_ip:2 ~listen_addr:fe_addr
       ~upstream:be_addr
-      ~config:{ Memcache.Frontend.default_config with dependency_ratio }
       ~rng:(Des.Rng.split rng ~label:"fe") ()
   in
-  Memcache.Store.set (Memcache.Frontend.store frontend) ~key:"k" ~flags:1
+  Memcache.Store.set (Memcache.Server.store frontend) ~key:"k" ~flags:1
     ~value:"from-frontend";
   let client_ep = Tcpsim.Endpoint.create fabric ~host_ip:1 in
   let mk () = Netsim.Link.create engine ~delay:(Des.Time.us 20) () in
@@ -1050,10 +1051,10 @@ let frontend_rig ~dependency_ratio =
       match P.Reader.feed reader chunk with
       | Ok ms -> responses := !responses @ ms
       | Error e -> Alcotest.fail e);
-  (engine, frontend, conn, responses)
+  (engine, frontend, backend, conn, responses)
 
 let frontend_forwards_to_backend () =
-  let engine, frontend, conn, responses = frontend_rig ~dependency_ratio:1.0 in
+  let engine, frontend, backend, conn, responses = frontend_rig () in
   Tcpsim.Conn.set_on_connect conn (fun () ->
       Tcpsim.Conn.send conn (P.encode_request (P.Get { key = "k" })));
   Des.Engine.run ~until:(Des.Time.sec 1) engine;
@@ -1062,23 +1063,12 @@ let frontend_forwards_to_backend () =
       check_str "backend value wins" "from-backend" value;
       check_int "backend flags" 7 flags
   | l -> Alcotest.failf "unexpected responses (%d)" (List.length l));
-  check_int "one upstream call" 1 (Memcache.Frontend.upstream_calls frontend);
-  check_int "served" 1 (Memcache.Frontend.requests_served frontend);
-  check_int "nothing outstanding" 0
-    (Memcache.Frontend.upstream_outstanding frontend)
-
-let frontend_serves_locally_without_dependency () =
-  let engine, frontend, conn, responses = frontend_rig ~dependency_ratio:0.0 in
-  Tcpsim.Conn.set_on_connect conn (fun () ->
-      Tcpsim.Conn.send conn (P.encode_request (P.Get { key = "k" })));
-  Des.Engine.run ~until:(Des.Time.sec 1) engine;
-  (match !responses with
-  | [ P.Value { value; _ } ] -> check_str "local value" "from-frontend" value
-  | l -> Alcotest.failf "unexpected responses (%d)" (List.length l));
-  check_int "no upstream calls" 0 (Memcache.Frontend.upstream_calls frontend)
+  check_int "one upstream call" 1 (Memcache.Server.gets_served backend);
+  check_int "served" 1 (Memcache.Server.gets_served frontend);
+  check_int "no worker left waiting" 0 (Memcache.Server.busy_workers frontend)
 
 let frontend_pipelines_in_order () =
-  let engine, _frontend, conn, responses = frontend_rig ~dependency_ratio:1.0 in
+  let engine, _frontend, _backend, conn, responses = frontend_rig () in
   Tcpsim.Conn.set_on_connect conn (fun () ->
       for i = 0 to 9 do
         Tcpsim.Conn.send conn
@@ -1144,8 +1134,6 @@ let () =
         [
           Alcotest.test_case "forwards to backend" `Quick
             frontend_forwards_to_backend;
-          Alcotest.test_case "serves locally" `Quick
-            frontend_serves_locally_without_dependency;
           Alcotest.test_case "pipeline order" `Quick frontend_pipelines_in_order;
         ] );
       ( "server",

@@ -170,10 +170,6 @@ let packet_pure_ack () =
   check_bool "fin is not pure ack" false
     (Netsim.Packet.is_pure_ack (mk_packet ~flags:Netsim.Packet.flag_fin_ack ()))
 
-let packet_ids_unique () =
-  let a = mk_packet () and b = mk_packet () in
-  check_bool "fresh ids" true (a.Netsim.Packet.id <> b.Netsim.Packet.id)
-
 let packet_flow () =
   let p = mk_packet () in
   let k = Netsim.Packet.flow p in
@@ -221,8 +217,8 @@ let link_fifo_order () =
       Des.Engine.run engine;
       match arrivals () with
       | [ (_, q1); (_, q2) ] ->
-          check_int "first in first out" p1.Netsim.Packet.id q1.Netsim.Packet.id;
-          check_int "second" p2.Netsim.Packet.id q2.Netsim.Packet.id
+          check_bool "first in first out" true (p1 == q1);
+          check_bool "second" true (p2 == q2)
       | l -> Alcotest.failf "expected 2 arrivals, got %d" (List.length l))
 
 let link_queue_overflow_drops () =
@@ -430,10 +426,11 @@ let link_ring_wrap_and_growth () =
   let tx = Des.Time.us 464 in
   with_link ~delay:(Des.Time.us 5) ~rate_bps:1_000_000 ~queue_capacity:6
     (fun engine link arrivals ->
-      let accepted = ref [] in
+      let accepted = ref [] and sent = ref 0 in
       let send ~keep =
-        let pkt = mk_packet ~payload:"pppp" () in
-        if keep then accepted := pkt.Netsim.Packet.id :: !accepted;
+        incr sent;
+        let pkt = mk_packet ~seq:!sent ~payload:"pppp" () in
+        if keep then accepted := !sent :: !accepted;
         Netsim.Link.send link pkt
       in
       for _ = 1 to 3 do
@@ -453,7 +450,7 @@ let link_ring_wrap_and_growth () =
       check_int "drained" 0 (Netsim.Link.queue_len link);
       Alcotest.(check (list int))
         "FIFO order across wrap and growth" (List.rev !accepted)
-        (List.map (fun (_, p) -> p.Netsim.Packet.id) (arrivals ()));
+        (List.map (fun (_, p) -> p.Netsim.Packet.seq) (arrivals ()));
       check_int "packets_sent" 9 (Netsim.Link.packets_sent link))
 
 let fabric_replace_handler_in_flight () =
@@ -499,7 +496,6 @@ let () =
         [
           Alcotest.test_case "wire size" `Quick packet_wire_size;
           Alcotest.test_case "pure ack" `Quick packet_pure_ack;
-          Alcotest.test_case "unique ids" `Quick packet_ids_unique;
           Alcotest.test_case "flow" `Quick packet_flow;
         ] );
       ( "link",
