@@ -361,10 +361,21 @@ let wire_client_host ?(lb = 0) t ~host_ip =
         (link t.config.server_client_delay))
     t.servers
 
+(* Every LB's controller records its first shift at or after a fault
+   instant, for [Controller.first_action_after]. *)
+let register_fault_instant t at =
+  Array.iter
+    (fun b ->
+      Option.iter
+        (fun c -> Inband.Controller.register_instant c at)
+        (Inband.Balancer.controller b))
+    t.balancers
+
 (* The server is slow from every LB's point of view: one event delays
    each LB's link to it. *)
 let inject_server_delay t ~server ~at ~delay =
   let links = Array.map (fun links -> links.(server)) t.lb_server_links in
+  register_fault_instant t at;
   ignore
     (Des.Engine.schedule t.engine ~at (fun () ->
          Array.iter (fun link -> Netsim.Link.set_extra_delay link delay) links))
@@ -400,8 +411,14 @@ let fault_env t =
   }
 
 let install_faults t timeline =
-  Faults.Injector.install t.engine ~env:(fault_env t) ~telemetry:(telemetry t)
-    timeline
+  let injector =
+    Faults.Injector.install t.engine ~env:(fault_env t)
+      ~telemetry:(telemetry t) timeline
+  in
+  List.iter
+    (fun (e : Faults.Timeline.event) -> register_fault_instant t e.at)
+    timeline;
+  injector
 
 let attach_pcc t =
   Array.mapi (fun l b -> Oracle.attach ~telemetry:t.registries.(l) b)

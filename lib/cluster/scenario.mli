@@ -171,7 +171,9 @@ val wire_client_host : ?lb:int -> t -> host_ip:int -> unit
 val inject_server_delay :
   t -> server:int -> at:Des.Time.t -> delay:Des.Time.t -> unit
 (** Schedule [Link.set_extra_delay] at time [at] on every LB's link to
-    [server] — the paper's netem injection. *)
+    [server] — the paper's netem injection — and register [at] with
+    every LB's controller, so [Controller.first_action_after] answers
+    the reaction to it. Call before {!run}. *)
 
 val install_faults : t -> Faults.Timeline.t -> Faults.Injector.t
 (** {!Faults.Injector.install} against the cluster's fault targets,
@@ -179,7 +181,8 @@ val install_faults : t -> Faults.Timeline.t -> Faults.Injector.t
     ["lb->sN"] is every LB's link to server N, ["cN->lb"] client N's
     request link; servers and backends are indexed as built, and a
     backend drain acts on every LB's controller (latency-aware policy
-    only). Call before {!run}. *)
+    only). Each event's instant is registered with every LB's
+    controller, as in {!inject_server_delay}. Call before {!run}. *)
 
 val attach_pcc : t -> Oracle.t array
 (** Attach a per-connection-consistency {!Oracle} to every LB, in LB

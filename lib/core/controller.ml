@@ -14,6 +14,10 @@ type t = {
   mutable updated_once : bool;
   mutable actions_rev : action list;
   mutable actions_len : int;
+  (* Registered instants no action has reached yet, ascending, and
+     each reached one with the first action at or after it. *)
+  mutable waiting : Des.Time.t list;
+  mutable reactions : (Des.Time.t * Des.Time.t) list;
   drained : bool array; (* administratively pinned at the weight floor *)
   m_actions : Telemetry.Registry.counter;
   (* Coordination hooks (lib/cluster/coordination). All default to the
@@ -62,6 +66,8 @@ let create ~config ~pool ?telemetry () =
       updated_once = false;
       actions_rev = [];
       actions_len = 0;
+      waiting = [];
+      reactions = [];
       drained = Array.make n false;
       m_actions = Telemetry.Registry.counter registry "ctl.actions";
       est_override = None;
@@ -94,6 +100,16 @@ let set_shift_gate t g = t.shift_gate <- g
 let set_on_rebuild t f = t.on_rebuild <- f
 let set_autonomous t b = t.autonomous <- b
 let is_autonomous t = t.autonomous
+
+(* An action at [now] is the first at or after every waiting instant
+   it has reached. *)
+let rec answer_waiting t ~now =
+  match t.waiting with
+  | at :: rest when at <= now ->
+      t.waiting <- rest;
+      t.reactions <- (at, now) :: t.reactions;
+      answer_waiting t ~now
+  | _ -> ()
 
 (* The estimate the decision loop sees for one server: the coordination
    override (merged fleet view) when installed, the local smoothed
@@ -237,6 +253,7 @@ let on_sample t ~now ~server sample =
           in
           t.actions_rev <- action :: t.actions_rev;
           t.actions_len <- t.actions_len + 1;
+          if t.waiting <> [] then answer_waiting t ~now;
           (* The history exists for post-run analysis of bounded
              experiments; a soak shifting every few control intervals
              for hours would grow it without limit. Keep the most
@@ -266,9 +283,22 @@ let impose_weights t ~now w =
   t.imposed_count <- t.imposed_count + 1;
   Telemetry.Registry.Counter.incr t.m_actions
 
+let registered t at = List.mem at t.waiting || List.mem_assoc at t.reactions
+
+let register_instant t at =
+  if not (registered t at) then begin
+    (match last_action_at t with
+    | Some last when last >= at ->
+        invalid_arg
+          "Controller.register_instant: an action at or after it was taken"
+    | Some _ | None -> ());
+    t.waiting <- List.merge Des.Time.compare [ at ] t.waiting
+  end
+
 let first_action_after t at =
-  let rec scan = function
-    | [] -> None
-    | action :: rest -> if action.at >= at then Some action.at else scan rest
-  in
-  scan (List.rev t.actions_rev)
+  match List.assoc_opt at t.reactions with
+  | Some _ as first -> first
+  | None ->
+      if List.mem at t.waiting then None
+      else
+        invalid_arg "Controller.first_action_after: instant not registered"

@@ -126,6 +126,20 @@ val action_count : t -> int
 val weights : t -> float array
 (** Current weight vector (sums to 1). *)
 
+val register_instant : t -> Des.Time.t -> unit
+(** Record the first shift action at or after this instant when it is
+    taken, for {!first_action_after}. Register before the run reaches
+    the instant: the capped {!actions} history cannot answer later.
+    [Cluster.Scenario] registers every fault instant it schedules with
+    every LB's controller. Registering an instant again is a no-op.
+
+    @raise Invalid_argument if the instant is new and an action at or
+    after it was already taken. *)
+
 val first_action_after : t -> Des.Time.t -> Des.Time.t option
-(** Time of the first control action at or after the given instant —
-    the paper's "reacts in milliseconds" reaction-time metric. *)
+(** Time of the first shift action at or after a registered instant —
+    the paper's "reacts in milliseconds" reaction-time metric; [None]
+    while no such action was taken. Exact however much of the
+    {!actions} history was trimmed since.
+
+    @raise Invalid_argument if the instant was never registered. *)

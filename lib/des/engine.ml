@@ -7,15 +7,15 @@
    maps each slot to its event record; it is written when an event
    enters the heap and read when it leaves. The 4-ary layout halves the
    sift depth of a binary heap and puts a node's four child times in 32
-   contiguous bytes. Four further disciplines keep the queue lean:
+   contiguous bytes. Five further disciplines keep the queue lean:
 
    - Cancelled events stay in the heap as tombstones but are counted
      exactly ([tombstones] is incremented by [cancel] and decremented
      whenever a cancelled head is drained). When tombstones exceed half
-     the queue it is compacted in place and re-heapified, so
-     cancel-heavy workloads keep the queue proportional to the live
-     event count instead of accumulating garbage until the original
-     expiry times come around.
+     the queue (heap and in-order FIFO) the heap is compacted in place
+     and re-heapified, so cancel-heavy workloads keep the queue
+     proportional to the live event count instead of accumulating
+     garbage until the original expiry times come around.
 
    - [post] / [post_after] / [post_call] / [post_tagged] serve the
      dominant schedule-then-fire pattern (link transmissions, service
@@ -29,20 +29,24 @@
      slot when it enters the heap and returns it when it leaves (fired,
      drained as a tombstone, or compacted away).
 
-   - A pooled post for the current instant skips the heap: it joins the
-     same-instant lane, a FIFO ring of (seq, slot). Every lane entry's
-     time is [now] (the clock cannot pass a pending lane entry), and
-     seqs only grow, so the lane is in (time, seq) order by
-     construction. [step] fires the lane head unless the heap root is
-     also at [now] with a smaller seq, which merges the two exactly.
-     Zero-delay hops (rate-0 links, replies posted from a handler) thus
-     cost two int stores instead of a sift down a deep heap. Cancellable
-     events never enter the lane, so it holds no tombstones.
+   - Pooled posts made in time order skip the heap: they join one of
+     two FIFO rings of (time, seq, slot) beside it. A post for the
+     current instant joins the same-instant lane; a later one whose
+     time is at or after the in-order FIFO's tail joins that FIFO; only
+     the rest enter the heap. Seqs only grow, so each ring is in
+     (time, seq) order by construction, and the clock cannot pass a
+     pending entry, so every lane entry is due [now]. [step] fires the
+     least (time, seq) of the lane head, the FIFO head and the heap
+     root, which merges the three exactly. Zero-delay hops (rate-0
+     links, replies posted from a handler) and constant-delay
+     deliveries (a link's propagation) thus cost a few int stores
+     instead of a sift through a deep heap. Cancellable events never
+     enter a ring, so the rings hold no tombstones.
 
    - Cancellable events more than one wheel tick in the future park in a
      hierarchical timing wheel ({!Wheel}) instead of the heap: O(1) arm,
      O(1) cancel with no tombstone debt, and a slot flush into the heap
-     just before the clock can enter their tick. The heap alone decides
+     just before the clock can enter their tick. The queue alone decides
      firing order — a flushed record is pushed with its original
      (time, seq), so wheel-routed timers fire exactly as if they had
      been heap-resident all along. TCP RTO and delayed-ack timers,
@@ -60,12 +64,69 @@
 
 open Event
 
+(* A FIFO of (time, seq, slot) int triples: entry [k] of
+   [head .. head + size) (mod the power-of-two capacity) is
+   ([times.(k)], [seqs.(k)], [slots.(k)]). Callers append in
+   (time, seq) order only, so the head is the least entry. *)
+module Ring = struct
+  type t = {
+    mutable times : int array;
+    mutable seqs : int array;
+    mutable slots : int array;
+    mutable head : int;
+    mutable size : int;
+  }
+
+  let create () =
+    { times = [||]; seqs = [||]; slots = [||]; head = 0; size = 0 }
+
+  (* Double the capacity, unrolling the entries from [head]. *)
+  let grow r =
+    let cap = Array.length r.times in
+    let ncap = if cap = 0 then 64 else cap * 2 in
+    let unroll a =
+      let b = Array.make ncap 0 in
+      for k = 0 to r.size - 1 do
+        Array.unsafe_set b k (Array.unsafe_get a ((r.head + k) land (cap - 1)))
+      done;
+      b
+    in
+    r.times <- unroll r.times;
+    r.seqs <- unroll r.seqs;
+    r.slots <- unroll r.slots;
+    r.head <- 0
+
+  let[@inline] push r tm sq sl =
+    if r.size = Array.length r.times then grow r;
+    let k = (r.head + r.size) land (Array.length r.times - 1) in
+    Array.unsafe_set r.times k tm;
+    Array.unsafe_set r.seqs k sq;
+    Array.unsafe_set r.slots k sl;
+    r.size <- r.size + 1
+
+  (* The head's time and seq; the ring must not be empty. *)
+  let[@inline] time r = Array.unsafe_get r.times r.head
+  let[@inline] seq r = Array.unsafe_get r.seqs r.head
+
+  (* The tail's time; the ring must not be empty. *)
+  let[@inline] last_time r =
+    let k = (r.head + r.size - 1) land (Array.length r.times - 1) in
+    Array.unsafe_get r.times k
+
+  (* Remove the head and return its slot. *)
+  let pop r =
+    let sl = Array.unsafe_get r.slots r.head in
+    r.head <- (r.head + 1) land (Array.length r.slots - 1);
+    r.size <- r.size - 1;
+    sl
+end
+
 type event = t Event.t
 
 (* The six arrays share one capacity, at least [nslots]: a heap entry,
-   a lane entry, an idle pooled slot and a spare slot each name a
+   a ring entry, an idle pooled slot and a spare slot each name a
    distinct slot, so only handing out a new slot ever needs to grow
-   them. The lane ring grows on its own. *)
+   them. The rings grow on their own. *)
 and t = {
   mutable now : Time.t;
   mutable next_seq : int;
@@ -76,12 +137,8 @@ and t = {
   mutable slots : int array;
   mutable len : int;
   mutable tombstones : int; (* cancelled events still in the heap *)
-  (* Same-instant lane: entry [k] of [lhead .. lhead + llen) (mod the
-     power-of-two capacity) is ([lseqs.(k)], [lslots.(k)]), due [now]. *)
-  mutable lseqs : int array;
-  mutable lslots : int array;
-  mutable lhead : int;
-  mutable llen : int;
+  lane : Ring.t; (* pooled posts due [now] *)
+  fifo : Ring.t; (* later pooled posts, appended in time order *)
   mutable records : event array; (* slot -> record; [nil] if unbound *)
   mutable nslots : int; (* slots handed out so far *)
   mutable idle : int array; (* stack of slots holding idle pooled records *)
@@ -233,36 +290,6 @@ let recycle t s =
   Array.unsafe_set t.idle t.nidle s;
   t.nidle <- t.nidle + 1
 
-(* Double the lane ring, unrolling it from [lhead]. *)
-let lane_grow t =
-  let cap = Array.length t.lseqs in
-  let ncap = if cap = 0 then 64 else cap * 2 in
-  let unroll a =
-    let b = Array.make ncap 0 in
-    for k = 0 to t.llen - 1 do
-      Array.unsafe_set b k (Array.unsafe_get a ((t.lhead + k) land (cap - 1)))
-    done;
-    b
-  in
-  t.lseqs <- unroll t.lseqs;
-  t.lslots <- unroll t.lslots;
-  t.lhead <- 0
-
-(* Append (sq, sl) to the same-instant lane. *)
-let[@inline] lane_push t sq sl =
-  if t.llen = Array.length t.lseqs then lane_grow t;
-  let k = (t.lhead + t.llen) land (Array.length t.lseqs - 1) in
-  Array.unsafe_set t.lseqs k sq;
-  Array.unsafe_set t.lslots k sl;
-  t.llen <- t.llen + 1
-
-(* Remove the lane head and return its slot. *)
-let lane_pop t =
-  let sl = Array.unsafe_get t.lslots t.lhead in
-  t.lhead <- (t.lhead + 1) land (Array.length t.lslots - 1);
-  t.llen <- t.llen - 1;
-  sl
-
 let create () =
   let rec nil =
     {
@@ -288,10 +315,8 @@ let create () =
       slots = [||];
       len = 0;
       tombstones = 0;
-      lseqs = [||];
-      lslots = [||];
-      lhead = 0;
-      llen = 0;
+      lane = Ring.create ();
+      fifo = Ring.create ();
       records = [||];
       nslots = 0;
       idle = [||];
@@ -338,14 +363,22 @@ let compact t =
     sift_down t t.len i t.times.(i) t.seqs.(i) t.slots.(i)
   done
 
+(* The FIFO counts as heap here and in [drain_cancelled_heads]: the
+   queue keeps exactly the tombstones one heap holding both would keep,
+   so [queue_length] reads as if one heap held both, and the bound
+   [queue_length <= max 64 (2 * pending)] holds with a small heap. *)
 let maybe_compact t =
-  if t.len >= 64 && 2 * t.tombstones > t.len then compact t
+  let n = t.len + t.fifo.size in
+  if n >= 64 && 2 * t.tombstones > n then compact t
 
-let check_future t at =
-  if at < t.now then
-    invalid_arg
-      (Fmt.str "Engine.schedule: at=%a is before now=%a" Time.pp at Time.pp
-         t.now)
+let in_the_past t at =
+  invalid_arg
+    (Fmt.str "Engine.schedule: at=%a is before now=%a" Time.pp at Time.pp
+       t.now)
+
+(* Kept apart from the error branch so that every post and [schedule]
+   inlines the compare instead of calling it. *)
+let[@inline] check_future t at = if at < t.now then in_the_past t at
 
 let schedule t ~at f =
   check_future t at;
@@ -364,8 +397,9 @@ let schedule_after t ~delay f =
   schedule t ~at:(t.now + delay) f
 
 (* Queue an idle pooled record at [at] — in the lane when [at] is the
-   current instant, else in the heap — minting one if none is idle, and
-   load its payload [fn a b]. [fn] ([apply] or the sink) and often [a]
+   current instant, in the FIFO when no earlier than its tail, else in
+   the heap — minting one if none is idle, and load its payload
+   [fn a b]. [fn] ([apply] or the sink) and often [a]
    (the function of a call) are long-lived, so each is only written
    when it changes: a store into a major-heap record is a
    [caml_modify]. *)
@@ -387,7 +421,10 @@ let post_pooled t ~at fn a b =
   in
   let sq = t.next_seq in
   t.next_seq <- sq + 1;
-  if at = t.now then lane_push t sq s else push t at sq s;
+  let fifo = t.fifo in
+  if at = t.now then Ring.push t.lane at sq s
+  else if fifo.size = 0 || at >= Ring.last_time fifo then Ring.push fifo at sq s
+  else push t at sq s;
   let ev = Array.unsafe_get t.records s in
   if ev.fn != fn then ev.fn <- fn;
   if ev.a != a then ev.a <- a;
@@ -461,21 +498,34 @@ let rearm (ev : handle) ~delay f =
     ev
   end
 
+(* The heap root precedes the head of ring [r]; neither may be empty. *)
+let[@inline] root_precedes t (r : Ring.t) =
+  precedes (Array.unsafe_get t.times 0) (Array.unsafe_get t.seqs 0) r.times
+    r.seqs r.head
+
 (* Only [schedule] records have handles, so every tombstone holds a
    borrowed slot. [tombstones] is exact, so with none the root record
-   is not even read. *)
+   is not even read. A tombstone leaves once it is due before the FIFO
+   head, as it would from the root of a heap holding both. *)
 let rec drain_cancelled_heads t =
-  if t.tombstones > 0 && t.records.(t.slots.(0)).cancelled then begin
+  if
+    t.tombstones > 0
+    && t.records.(t.slots.(0)).cancelled
+    && (t.fifo.size = 0 || root_precedes t t.fifo)
+  then begin
     release t (pop t);
     t.tombstones <- t.tombstones - 1;
     drain_cancelled_heads t
   end
 
 (* Fire time of the next queued event once heads are drained: the
-   lane's entries are all due now and the heap never holds anything
-   earlier. [max_int] when both are empty (the wheel aside). *)
+   lane's entries are all due now, and nothing queued is earlier.
+   [max_int] when all three are empty (the wheel aside). *)
 let head_time t =
-  if t.llen > 0 then t.now else if t.len > 0 then t.times.(0) else max_int
+  if t.lane.size > 0 then t.now
+  else
+    let h = if t.len > 0 then Array.unsafe_get t.times 0 else max_int in
+    if t.fifo.size > 0 then Int.min h (Ring.time t.fifo) else h
 
 (* Make the next queued event the globally next one: flush every wheel
    tick at or below its time (wheel entries are never cancelled —
@@ -526,18 +576,33 @@ let[@inline] fire t s =
      [fn] would go through [caml_apply2]. *)
   if fn == apply then (Obj.obj a : Obj.t -> unit) b else fn a b
 
-(* After [settle] the heap root is live and no wheel entry is due
-   before the next queued event. The lane head goes first unless the
-   heap root shares its instant with a smaller seq. *)
+(* After [settle] no wheel entry is due before the next queued event,
+   and the heap root is live unless the FIFO head precedes it. Of the
+   lane head, the FIFO head and the heap root, the least (time, seq)
+   fires: [r] is the ring with the lesser head (the lane's is due now,
+   so it is never later than the FIFO's), and the heap root goes first
+   only if it precedes that. *)
 let step t =
   settle t;
-  if t.llen > 0 then begin
-    if
-      t.len > 0
-      && Array.unsafe_get t.times 0 = t.now
-      && Array.unsafe_get t.seqs 0 < Array.unsafe_get t.lseqs t.lhead
-    then fire t (pop t)
-    else fire t (lane_pop t);
+  let lane = t.lane and fifo = t.fifo in
+  let r =
+    if lane.size = 0 then fifo
+    else if
+      fifo.size = 0
+      || Ring.time fifo > t.now
+      || Ring.seq lane < Ring.seq fifo
+    then lane
+    else fifo
+  in
+  if r.size > 0 then begin
+    if t.len > 0 && root_precedes t r then begin
+      t.now <- Array.unsafe_get t.times 0;
+      fire t (pop t)
+    end
+    else begin
+      t.now <- Ring.time r;
+      fire t (Ring.pop r)
+    end;
     true
   end
   else if t.len = 0 then false
@@ -562,7 +627,7 @@ let run ?until t =
       done
 
 (* Lower bound on the next live event's fire time, [None] when idle.
-   The lane and the heap head are exact once tombstoned heads are
+   The ring and heap heads are exact once tombstoned heads are
    drained (a local mutation, safe between runs); the wheel contributes
    its conservative slot bound. The shard barrier feeds the fleet-wide
    minimum of these into the adaptive window horizon, so "lower bound"
@@ -574,8 +639,10 @@ let next_event_time t =
   let bound = if head < bound then head else bound in
   if bound = max_int then None else Some bound
 
-let pending t = t.len - t.tombstones + t.llen + Wheel.live (wheel_of t)
-let queue_length t = t.len + t.llen
+let pending t =
+  t.len - t.tombstones + t.lane.size + t.fifo.size + Wheel.live (wheel_of t)
+
+let queue_length t = t.len + t.lane.size + t.fifo.size
 let wheel_size t = Wheel.live (wheel_of t)
 let wheel_cascades t = Wheel.cascades (wheel_of t)
 let compactions t = t.compactions

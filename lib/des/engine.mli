@@ -5,12 +5,14 @@
     makes whole simulations deterministic given deterministic callbacks
     and seeded {!Rng} streams.
 
-    The queue has three parts that never change that order: a 4-ary heap
+    The queue has four parts that never change that order: a 4-ary heap
     of (time, seq) entries, a timing wheel for cancellable events further
-    out, and a same-instant lane. A fire-and-forget post ({!post},
-    {!post_call}, {!post_tagged}) for the current instant joins the lane,
-    a FIFO ring, instead of the heap; the engine merges lane and heap by
-    (time, seq) exactly. *)
+    out, and two FIFO rings. A fire-and-forget post ({!post},
+    {!post_call}, {!post_tagged}) for the current instant joins the
+    same-instant lane; a later one at or after the in-order FIFO's tail
+    (a constant-delay stream, such as a link's deliveries) joins that
+    FIFO; only other posts enter the heap. The engine merges the lane,
+    the FIFO and the heap by (time, seq) exactly. *)
 
 type t
 (** A simulation engine instance. *)
@@ -115,8 +117,9 @@ val rearm : handle -> delay:Time.t -> (unit -> unit) -> handle
 
 val step : t -> bool
 (** Fire the earliest pending event, in (time, seq) order across the
-    lane, the heap and the wheel. Returns [false] if the queue was empty
-    (clock unchanged), [true] otherwise. *)
+    same-instant lane, the in-order FIFO, the heap and the wheel.
+    Returns [false] if the queue was empty (clock unchanged), [true]
+    otherwise. *)
 
 val run : ?until:Time.t -> t -> unit
 (** [run t] fires events until the queue drains. With [?until], stops as
@@ -125,13 +128,15 @@ val run : ?until:Time.t -> t -> unit
 
 val pending : t -> int
 (** Number of scheduled, not-yet-cancelled events, whether heap-resident,
-    in the same-instant lane or parked in the timing wheel. O(1). *)
+    in the same-instant lane or the in-order FIFO, or parked in the
+    timing wheel. O(1). *)
 
 val next_event_time : t -> Time.t option
 (** Conservative lower bound on the next live event's fire time ([None]
-    when nothing is pending): the exact heap-head time ({!now} while the
-    same-instant lane is non-empty) combined with the timing wheel's
-    slot-granular bound ({!Wheel.next_time_lower_bound}).
+    when nothing is pending): the exact time of the earliest of the heap
+    root and the in-order FIFO's head ({!now} while the same-instant
+    lane is non-empty) combined with the timing wheel's slot-granular
+    bound ({!Wheel.next_time_lower_bound}).
     Never later than the true next event — the contract the adaptive
     shard barrier relies on to widen windows to
     [min_next_event + lookahead]. Intended to be called between runs
@@ -139,16 +144,17 @@ val next_event_time : t -> Time.t option
 
 val queue_length : t -> int
 (** Physical queue size: heap entries, including cancelled tombstones not
-    yet drained or compacted away, plus same-instant lane entries;
-    events parked in the timing wheel are excluded. For diagnostics and
-    boundedness tests. *)
+    yet drained or compacted away, plus same-instant lane and in-order
+    FIFO entries; events parked in the timing wheel are excluded. For
+    tombstones the FIFO counts as heap, so this reads as if one heap held
+    both. For diagnostics and boundedness tests. *)
 
 val wheel_size : t -> int
 (** Events currently parked in the hierarchical timing wheel. Cancellable
     events ({!schedule}/{!schedule_after}) more than one wheel tick
     ({!Wheel.tick_ns}) ahead park there and migrate to the heap just
     before the clock enters their tick, so firing order is still decided
-    solely by the heap's exact (time, seq) comparison. *)
+    solely by the queue's exact (time, seq) comparison. *)
 
 val wheel_cascades : t -> int
 (** Higher-level wheel slot redistributions performed (diagnostics). *)

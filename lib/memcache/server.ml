@@ -19,7 +19,9 @@ let default_config =
 (* The persistent client of a server with an upstream: one TCP
    connection, opened on first use and reopened as soon as it closes.
    Responses come back in request order, so each goes to the oldest
-   waiting continuation. *)
+   waiting continuation. When the upstream closes its side (its idle
+   reaper, say), no answer can follow: this side closes too, and calls
+   fail as misses until the connection is reopened. *)
 module Upstream = struct
   type t = {
     endpoint : Tcpsim.Endpoint.t;
@@ -66,6 +68,7 @@ module Upstream = struct
                     | None -> ())
                   responses
             | Error _ -> Tcpsim.Conn.abort conn);
+        Tcpsim.Conn.set_on_eof conn (fun () -> Tcpsim.Conn.close conn);
         Tcpsim.Conn.set_on_close conn (fun () ->
             t.conn <- None;
             (* Fail outstanding calls as misses: each caller answers its
@@ -78,10 +81,10 @@ module Upstream = struct
   and call t request k =
     let conn = ensure_conn t in
     match Tcpsim.Conn.state conn with
-    | Established | Syn_sent | Syn_received | Close_wait ->
+    | Established | Syn_sent | Syn_received ->
         Queue.add k t.pending;
         Tcpsim.Conn.send conn (Protocol.encode_request request)
-    | Fin_wait | Last_ack | Closed -> k Protocol.Miss
+    | Close_wait | Fin_wait | Last_ack | Closed -> k Protocol.Miss
 end
 
 type job = { request : Protocol.request; arrived : Des.Time.t }

@@ -18,31 +18,31 @@ type t = {
   mutable mask : int; (* capacity - 1; capacity is a power of two *)
   mutable len : int; (* occupied buckets *)
   mutable tombs : int; (* tombstone buckets *)
-  dummy : Flow_key.t; (* fills empty/tombstone key buckets *)
 }
 
 let empty = '\000'
 let occupied = '\001'
 let tombstone = '\002'
 
-(* IP 0 is reserved by Fabric, so the dummy can never equal a real key —
-   but correctness never relies on that: state bytes discriminate. *)
-let dummy_key =
-  lazy (Flow_key.v ~src:(Addr.v 0 0) ~dst:(Addr.v 0 0))
+(* Fills empty and tombstone key buckets. IP 0 is reserved by Fabric,
+   so the dummy can never equal a real key — but correctness never
+   relies on that: state bytes discriminate. A plain value, not a
+   [lazy]: domains building tables at once (a [Parallel.map] of
+   scenarios) would race to force it, and OCaml 5 raises
+   [CamlinternalLazy.Undefined] in the loser. *)
+let dummy_key = Flow_key.v ~src:(Addr.v 0 0) ~dst:(Addr.v 0 0)
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
 
 let create ?(initial = 16) () =
   let cap = pow2_at_least (Stdlib.max 16 initial) 16 in
-  let dummy = Lazy.force dummy_key in
   {
-    keys = Array.make cap dummy;
+    keys = Array.make cap dummy_key;
     vals = Array.make cap 0;
     state = Bytes.make cap empty;
     mask = cap - 1;
     len = 0;
     tombs = 0;
-    dummy;
   }
 
 let length t = t.len
@@ -79,7 +79,7 @@ let insert_fresh keys vals state mask key v =
   Array.unsafe_set vals !i v
 
 let resize t cap =
-  let keys = Array.make cap t.dummy in
+  let keys = Array.make cap dummy_key in
   let vals = Array.make cap 0 in
   let state = Bytes.make cap empty in
   let mask = cap - 1 in
@@ -153,7 +153,7 @@ let remove t key =
       ->
         Bytes.unsafe_set t.state !i tombstone;
         (* Drop the key record so expired flows don't pin it. *)
-        Array.unsafe_set t.keys !i t.dummy;
+        Array.unsafe_set t.keys !i dummy_key;
         t.len <- t.len - 1;
         t.tombs <- t.tombs + 1;
         continue := false

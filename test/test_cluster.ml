@@ -174,7 +174,14 @@ let multi_lb_builds_and_converges () =
       match Inband.Balancer.controller balancer with
       | Some c ->
           check_bool "each LB starves the victim" true
-            ((Inband.Controller.weights c).(1) < 0.2)
+            ((Inband.Controller.weights c).(1) < 0.2);
+          (* The injection registered its instant with every LB. *)
+          check_bool "each LB reacts to the injection" true
+            (match
+               Inband.Controller.first_action_after c (Des.Time.sec 2)
+             with
+            | Some at -> at >= Des.Time.sec 2
+            | None -> false)
       | None -> Alcotest.fail "expected a controller")
     (Cluster.Scenario.balancers t)
 
@@ -404,6 +411,15 @@ let fleet_drain_reaches_every_lb () =
   Alcotest.(check (list bool)) "both LBs drained" [ true; true ] (drained ());
   Cluster.Scenario.run s ~until:(Des.Time.ms 1500);
   Alcotest.(check (list bool)) "both restored" [ false; false ] (drained ());
+  (* Installing the timeline registered the fault's instant with every
+     LB: asking for the reaction to it does not raise. *)
+  Array.iter
+    (fun b ->
+      Option.iter
+        (fun c ->
+          ignore (Inband.Controller.first_action_after c (Des.Time.ms 100)))
+        (Inband.Balancer.controller b))
+    (Cluster.Scenario.balancers s);
   Cluster.Scenario.shutdown s
 
 (* "cN->lb" names client N's request link on any scenario: a fault on

@@ -274,7 +274,8 @@ let engine_post_fire_zero_alloc () =
 let engine_post_call_zero_alloc () =
   (* [post_call] keeps the function and its argument in the pooled
      record, so with both built once a warm post + fire allocates
-     nothing at all, on the heap path and on the same-instant lane. *)
+     nothing at all, whether the post joins the in-order FIFO, the heap
+     (due before the FIFO's tail) or the same-instant lane. *)
   let e = Des.Engine.create () in
   let hits = ref 0 in
   let f (r : int ref) = incr r in
@@ -285,7 +286,9 @@ let engine_post_call_zero_alloc () =
     done;
     for _ = 1 to 5_000 do
       Des.Engine.post_call e ~at:(Des.Engine.now e + 3) f hits;
+      Des.Engine.post_call e ~at:(Des.Engine.now e + 2) f hits;
       Des.Engine.post_call e ~at:(Des.Engine.now e) f hits;
+      ignore (Des.Engine.step e);
       ignore (Des.Engine.step e);
       ignore (Des.Engine.step e)
     done
@@ -295,29 +298,34 @@ let engine_post_call_zero_alloc () =
   burst ();
   let delta = Gc.minor_words () -. w0 in
   if delta > 64.0 then
-    Alcotest.failf "10000 warm post_call + step allocated %.0f minor words"
+    Alcotest.failf "20000 warm post_call + step allocated %.0f minor words"
       delta;
-  check_int "every call fired" 30_000 !hits;
+  check_int "every call fired" 40_000 !hits;
   check_int "drained" 0 (Des.Engine.pending e)
 
 let engine_fired_posts_retain_nothing () =
   (* Firing drops a posted thunk and a [post_call]'s argument: the idle
-     pooled record keeps neither alive (nor promotes it). *)
+     pooled record keeps neither alive (nor promotes it). The thunk and
+     the first argument are posted in time order (the in-order FIFO),
+     the second argument before the FIFO's tail (the heap). *)
   let e = Des.Engine.create () in
-  let w = Weak.create 2 in
+  let w = Weak.create 3 in
   let[@inline never] post () =
-    let a = ref 0 and b = ref 0 in
+    let a = ref 0 and b = ref 0 and c = ref 0 in
     let thunk () = incr a in
     Weak.set w 0 (Some (Obj.repr thunk));
     Weak.set w 1 (Some (Obj.repr b));
+    Weak.set w 2 (Some (Obj.repr c));
     Des.Engine.post_after e ~delay:5 thunk;
-    Des.Engine.post_call e ~at:(Des.Engine.now e + 7) incr b
+    Des.Engine.post_call e ~at:(Des.Engine.now e + 7) incr b;
+    Des.Engine.post_call e ~at:(Des.Engine.now e + 6) incr c
   in
   post ();
   Des.Engine.run e;
   Gc.full_major ();
   Alcotest.(check bool) "thunk dropped" false (Weak.check w 0);
-  Alcotest.(check bool) "argument dropped" false (Weak.check w 1);
+  Alcotest.(check bool) "FIFO argument dropped" false (Weak.check w 1);
+  Alcotest.(check bool) "heap argument dropped" false (Weak.check w 2);
   (* The engine, and with it every idle record, is still live here. *)
   check_int "drained" 0 (Des.Engine.pending e)
 
@@ -360,6 +368,115 @@ let engine_lane_is_visible () =
     (List.rev !fired);
   check_int "drained" 0 (Des.Engine.pending e);
   Alcotest.(check (option int)) "idle" None (Des.Engine.next_event_time e)
+
+let engine_fifo_is_visible () =
+  (* A later post at or after the in-order FIFO's tail waits in that
+     FIFO, not the heap: [pending], [queue_length], [next_event_time]
+     and the next run must all see one made between runs. *)
+  let e = Des.Engine.create () in
+  let fired = ref [] in
+  let note s () = fired := (s, Des.Engine.now e) :: !fired in
+  Des.Engine.run ~until:100 e;
+  Des.Engine.post e ~at:150 (note "fifo");
+  check_int "pending counts the FIFO" 1 (Des.Engine.pending e);
+  check_int "queue_length counts the FIFO" 1 (Des.Engine.queue_length e);
+  Alcotest.(check (option int))
+    "next event from the FIFO" (Some 150)
+    (Des.Engine.next_event_time e);
+  Des.Engine.post e ~at:120 (note "heap");
+  Des.Engine.post e ~at:150 (note "fifo tie");
+  Des.Engine.post e ~at:100 (note "lane");
+  check_int "pending counts all three" 4 (Des.Engine.pending e);
+  check_int "queue_length counts all three" 4 (Des.Engine.queue_length e);
+  Des.Engine.run ~until:149 e;
+  Alcotest.(check (option int))
+    "FIFO head next" (Some 150)
+    (Des.Engine.next_event_time e);
+  (* At 150 the FIFO head fires first; the heap event scheduled there
+     afterwards, and a post at its own instant from it, follow the FIFO
+     entry of the same instant. *)
+  ignore
+    (Des.Engine.schedule e ~at:150 (fun () ->
+         note "schedule" ();
+         Des.Engine.post e ~at:150 (note "chained")));
+  Des.Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "(time, seq) order across lane, FIFO and heap"
+    [
+      ("lane", 100);
+      ("heap", 120);
+      ("fifo", 150);
+      ("fifo tie", 150);
+      ("schedule", 150);
+      ("chained", 150);
+    ]
+    (List.rev !fired);
+  check_int "drained" 0 (Des.Engine.pending e);
+  Alcotest.(check (option int)) "idle" None (Des.Engine.next_event_time e)
+
+let engine_in_order_posts_zero_alloc () =
+  (* The link pattern: every firing posts the next delivery a constant
+     delay ahead, so each post is in time order and joins the FIFO. With
+     the function and its argument built once, a warm stream of 16 in
+     flight allocates nothing, through [post_call] or [post_tagged]. *)
+  let e = Des.Engine.create () in
+  let hits = ref 0 in
+  let rec deliver (r : int ref) =
+    incr r;
+    Des.Engine.post_call e ~at:(Des.Engine.now e + 16) deliver r
+  in
+  Des.Engine.set_tagged_sink e (fun tag arg ->
+      incr hits;
+      Des.Engine.post_tagged e ~at:(Des.Engine.now e + 16) ~tag arg);
+  for i = 1 to 16 do
+    if i land 1 = 0 then Des.Engine.post_call e ~at:i deliver hits
+    else Des.Engine.post_tagged e ~at:i ~tag:i (Obj.repr 0)
+  done;
+  let burst () =
+    for _ = 1 to 10_000 do
+      ignore (Des.Engine.step e)
+    done
+  in
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let delta = Gc.minor_words () -. w0 in
+  if delta > 64.0 then
+    Alcotest.failf "10000 warm in-order post + step allocated %.0f minor words"
+      delta;
+  check_int "every event fired" 20_000 !hits;
+  check_int "16 in flight" 16 (Des.Engine.pending e)
+
+let engine_fifo_tombstones_as_one_heap () =
+  (* For tombstones the FIFO counts as heap: a cancelled heap entry
+     leaves the queue once it is due before the FIFO head, and
+     compaction weighs tombstones against heap and FIFO together. So
+     [queue_length] reads as with one heap holding both, and stays
+     within max 64 (2 * pending) with a heap under 64 entries. *)
+  let far = Des.Wheel.span_ns * 2 in
+  let e = Des.Engine.create () in
+  Des.Engine.post e ~at:far ignore;
+  let first = Des.Engine.schedule e ~at:(far + 1) ignore in
+  Des.Engine.cancel first;
+  Alcotest.(check (option int))
+    "FIFO head next" (Some far)
+    (Des.Engine.next_event_time e);
+  check_int "a tombstone behind the FIFO head stays" 2
+    (Des.Engine.queue_length e);
+  let rest =
+    List.init 59 (fun i -> Des.Engine.schedule e ~at:(far + 2 + i) ignore)
+  in
+  for i = 1 to 29 do
+    Des.Engine.post e ~at:(far + 100 + i) ignore
+  done;
+  List.iter Des.Engine.cancel rest;
+  let q = Des.Engine.queue_length e and p = Des.Engine.pending e in
+  check_int "only the posts are live" 30 p;
+  if q > Stdlib.max 64 (2 * p) then
+    Alcotest.failf "queue_length %d not bounded by pending %d" q p;
+  check_bool "compaction ran" true (Des.Engine.compactions e > 0);
+  Des.Engine.run e;
+  check_int "drained" 0 (Des.Engine.pending e)
 
 let engine_stale_cancel_after_slot_reuse () =
   (* A fired [schedule] record gives its heap slot back and the next
@@ -484,6 +601,115 @@ let engine_qcheck_exact_order_interleaved =
                   if not (Hashtbl.mem done_ i) then Hashtbl.replace dead i ();
                   Des.Engine.cancel h)
           | `Pause d -> Des.Engine.run ~until:(Des.Engine.now e + d) e)
+        ops;
+      Des.Engine.run e;
+      let expected =
+        List.filter (fun (_, i) -> not (Hashtbl.mem dead i)) !events
+        |> List.sort compare |> List.map snd
+      in
+      List.rev !fired = expected && Des.Engine.pending e = 0)
+
+let engine_qcheck_in_order_runs =
+  (* Exact (time, seq) order when long runs of in-order posts (the
+     FIFO's traffic: a constant-delay stream from a cursor that only
+     moves forward) are broken by posts before the FIFO's tail (the
+     heap), at the current instant (the lane), chained posts that hop on
+     from their own firing, [post_tagged], [schedule]/[cancel]/[rearm]
+     and [run ~until] pauses. *)
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun n d -> `Run (n, d)) (int_range 1 60) (int_bound 4));
+          (2, map (fun d -> `Post d) (int_bound 40));
+          (1, return `Now);
+          (2, map (fun d -> `Chain d) (int_bound 40));
+          (2, map (fun d -> `Tagged d) (int_bound 40));
+          (2, map (fun d -> `Schedule d) (int_bound 40));
+          (1, map (fun k -> `Cancel k) nat);
+          (1, map2 (fun k d -> `Rearm (k, d)) nat (int_bound 40));
+          (1, map (fun d -> `Pause d) (int_bound 60));
+        ])
+  in
+  let print = function
+    | `Run (n, d) -> Fmt.str "run%dx+%d" n d
+    | `Post d -> Fmt.str "post+%d" d
+    | `Now -> "now"
+    | `Chain d -> Fmt.str "chain+%d" d
+    | `Tagged d -> Fmt.str "tagged+%d" d
+    | `Schedule d -> Fmt.str "schedule+%d" d
+    | `Cancel k -> Fmt.str "cancel#%d" k
+    | `Rearm (k, d) -> Fmt.str "rearm#%d+%d" k d
+    | `Pause d -> Fmt.str "pause+%d" d
+  in
+  QCheck.Test.make ~count:300 ~name:"exact order over in-order post runs"
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_bound 120) op))
+    (fun ops ->
+      let e = Des.Engine.create () in
+      let fired = ref [] and events = ref [] and next = ref 0 in
+      let dead = Hashtbl.create 16 and done_ = Hashtbl.create 16 in
+      (* Handles, each with the id of the event it last scheduled. *)
+      let handles = ref [||] and cursor = ref 0 in
+      let fresh at =
+        let i = !next in
+        incr next;
+        events := (at, i) :: !events;
+        i
+      in
+      let note i () =
+        Hashtbl.replace done_ i ();
+        fired := i :: !fired
+      in
+      Des.Engine.set_tagged_sink e (fun i _ -> note i ());
+      let now () = Des.Engine.now e in
+      let post at =
+        let i = fresh at in
+        Des.Engine.post e ~at (note i)
+      in
+      let kill i =
+        if not (Hashtbl.mem done_ i) then Hashtbl.replace dead i ()
+      in
+      List.iter
+        (function
+          | `Run (n, d) ->
+              for _ = 1 to n do
+                cursor := Int.max !cursor (now ()) + d;
+                post !cursor
+              done
+          | `Post d -> post (now () + d)
+          | `Now -> post (now ())
+          | `Chain d ->
+              let at = now () + d in
+              let i = fresh at in
+              Des.Engine.post e ~at (fun () ->
+                  note i ();
+                  post (now ());
+                  post (now () + 3))
+          | `Tagged d ->
+              let at = now () + d in
+              Des.Engine.post_tagged e ~at ~tag:(fresh at) (Obj.repr 0)
+          | `Schedule d ->
+              let at = now () + d in
+              let i = fresh at in
+              let h = Des.Engine.schedule e ~at (note i) in
+              handles := Array.append !handles [| (i, h) |]
+          | `Cancel k ->
+              let hs = !handles in
+              if Array.length hs > 0 then begin
+                let i, h = hs.(k mod Array.length hs) in
+                kill i;
+                Des.Engine.cancel h
+              end
+          | `Rearm (k, d) ->
+              let hs = !handles in
+              if Array.length hs > 0 then begin
+                let slot = k mod Array.length hs in
+                let i, h = hs.(slot) in
+                kill i;
+                let j = fresh (now () + d) in
+                hs.(slot) <- (j, Des.Engine.rearm h ~delay:d (note j))
+              end
+          | `Pause d -> Des.Engine.run ~until:(now () + d) e)
         ops;
       Des.Engine.run e;
       let expected =
@@ -963,6 +1189,12 @@ let () =
             engine_fired_posts_retain_nothing;
           Alcotest.test_case "pending, next_event_time and run see the lane"
             `Quick engine_lane_is_visible;
+          Alcotest.test_case "pending, next_event_time and run see the FIFO"
+            `Quick engine_fifo_is_visible;
+          Alcotest.test_case "in-order posts allocate nothing warm" `Quick
+            engine_in_order_posts_zero_alloc;
+          Alcotest.test_case "FIFO tombstones as in one heap" `Quick
+            engine_fifo_tombstones_as_one_heap;
           Alcotest.test_case "stale cancel after slot reuse" `Quick
             engine_stale_cancel_after_slot_reuse;
           Alcotest.test_case "compaction then slot reuse" `Quick
@@ -973,6 +1205,7 @@ let () =
               engine_qcheck_order;
               engine_qcheck_exact_order;
               engine_qcheck_exact_order_interleaved;
+              engine_qcheck_in_order_runs;
             ] );
       ( "wheel",
         [

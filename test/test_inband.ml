@@ -569,6 +569,7 @@ let controller_weight_simplex_qcheck =
 let controller_first_action_after () =
   let config = { Inband.Config.default with Inband.Config.control_interval = 0 } in
   let c, _ = mk_controller ~config () in
+  List.iter (Inband.Controller.register_instant c) [ ms 60; 0; ms 10 ];
   ignore (Inband.Controller.on_sample c ~now:(ms 1) ~server:0 (us 100));
   ignore (Inband.Controller.on_sample c ~now:(ms 2) ~server:1 (us 900));
   ignore (Inband.Controller.on_sample c ~now:(ms 50) ~server:1 (us 900));
@@ -577,7 +578,66 @@ let controller_first_action_after () =
   check_bool "between" true
     (Inband.Controller.first_action_after c (ms 10) = Some (ms 50));
   check_bool "after all" true
-    (Inband.Controller.first_action_after c (ms 60) = None)
+    (Inband.Controller.first_action_after c (ms 60) = None);
+  Alcotest.check_raises "unregistered"
+    (Invalid_argument "Controller.first_action_after: instant not registered")
+    (fun () -> ignore (Inband.Controller.first_action_after c (ms 20)));
+  Alcotest.check_raises "registered too late"
+    (Invalid_argument
+       "Controller.register_instant: an action at or after it was taken")
+    (fun () -> Inband.Controller.register_instant c (ms 40));
+  (* Registering an instant again is a no-op, answered or not. *)
+  List.iter (Inband.Controller.register_instant c) [ 0; ms 10; ms 60 ];
+  check_bool "re-registered" true
+    (List.map (Inband.Controller.first_action_after c) [ 0; ms 10; ms 60 ]
+    = [ Some (ms 2); Some (ms 50); None ])
+
+let controller_reaction_past_history_cap () =
+  (* Far more shifts than the capped history keeps (4096, trimmed at
+     8192), with the slow server flipping every 6 us. The first action
+     at or after a registered instant is recorded when it is taken, so
+     the reaction equals an unbounded log's, although the history has
+     long dropped it (a scan of it would answer with its oldest entry). *)
+  let config =
+    {
+      Inband.Config.default with
+      Inband.Config.control_interval = 0;
+      ewma_alpha = 1.0;
+    }
+  in
+  let c, _ = mk_controller ~config () in
+  let early = 500 and late = us 12_000 + 500 in
+  List.iter (Inband.Controller.register_instant c) [ early; late ];
+  let log = ref [] in
+  let sample ~now ~server latency =
+    match Inband.Controller.on_sample c ~now ~server latency with
+    | Some a -> log := a.Inband.Controller.at :: !log
+    | None -> ()
+  in
+  for i = 1 to 30_000 do
+    let slow = i / 6 mod 2 in
+    sample ~now:(us i) ~server:(1 - slow) (us 100);
+    sample ~now:(us i) ~server:slow (us 900)
+  done;
+  let all = List.rev !log in
+  let before at = List.length (List.filter (fun a -> a < at) all) in
+  check_bool "more actions before the late instant than the cap" true
+    (before late > 2 * 4096);
+  let reaction at first =
+    Option.map (fun a -> Des.Time.to_float_ms (a - at)) first
+  in
+  List.iter
+    (fun at ->
+      let unbounded = List.find_opt (fun a -> a >= at) all in
+      (match (Inband.Controller.actions c, unbounded) with
+      | oldest :: _, Some first ->
+          check_bool "the history dropped it" true
+            (oldest.Inband.Controller.at > first)
+      | _ -> Alcotest.fail "no action");
+      Alcotest.(check (option (float 0.0)))
+        "reaction in ms" (reaction at unbounded)
+        (reaction at (Inband.Controller.first_action_after c at)))
+    [ early; late ]
 
 let controller_recovery_dt_clamp () =
   let config =
@@ -987,6 +1047,8 @@ let () =
           Alcotest.test_case "relative threshold" `Quick controller_relative_threshold;
           Alcotest.test_case "recovery" `Quick controller_recovery_pulls_to_uniform;
           Alcotest.test_case "first action after" `Quick controller_first_action_after;
+          Alcotest.test_case "reaction past the history cap" `Quick
+            controller_reaction_past_history_cap;
           Alcotest.test_case "recovery dt clamp" `Quick controller_recovery_dt_clamp;
           Alcotest.test_case "no rebuild when unmoved" `Quick
             controller_no_rebuild_when_unmoved;

@@ -1016,6 +1016,9 @@ let server_parallel_connections_use_workers () =
 (* Client -> frontend -> backend chain over real links. The frontend is
    a server with an upstream; its own store holds a different value for
    "k", so a response shows which store answered. *)
+(* Client (host 1) -> frontend (host 2, upstream: the backend) ->
+   backend (host 3), over 20 us links. [open_client port] opens another
+   client connection and returns it with the responses it has read. *)
 let frontend_rig () =
   let engine = Des.Engine.create () in
   let fabric = Netsim.Fabric.create engine in
@@ -1041,20 +1044,24 @@ let frontend_rig () =
   Netsim.Fabric.add_link fabric ~src:2 ~dst:1 (mk ());
   Netsim.Fabric.add_link fabric ~src:2 ~dst:3 (mk ());
   Netsim.Fabric.add_link fabric ~src:3 ~dst:2 (mk ());
-  let conn =
-    Tcpsim.Endpoint.connect client_ep ~local:(Netsim.Addr.v 1 7000)
-      ~remote:fe_addr ()
+  let open_client port =
+    let conn =
+      Tcpsim.Endpoint.connect client_ep ~local:(Netsim.Addr.v 1 port)
+        ~remote:fe_addr ()
+    in
+    let responses = ref [] in
+    let reader = P.Reader.responses () in
+    Tcpsim.Conn.set_on_data conn (fun chunk ->
+        match P.Reader.feed reader chunk with
+        | Ok ms -> responses := !responses @ ms
+        | Error e -> Alcotest.fail e);
+    (conn, responses)
   in
-  let responses = ref [] in
-  let reader = P.Reader.responses () in
-  Tcpsim.Conn.set_on_data conn (fun chunk ->
-      match P.Reader.feed reader chunk with
-      | Ok ms -> responses := !responses @ ms
-      | Error e -> Alcotest.fail e);
-  (engine, frontend, backend, conn, responses)
+  let conn, responses = open_client 7000 in
+  (engine, frontend, backend, conn, responses, open_client)
 
 let frontend_forwards_to_backend () =
-  let engine, frontend, backend, conn, responses = frontend_rig () in
+  let engine, frontend, backend, conn, responses, _ = frontend_rig () in
   Tcpsim.Conn.set_on_connect conn (fun () ->
       Tcpsim.Conn.send conn (P.encode_request (P.Get { key = "k" })));
   Des.Engine.run ~until:(Des.Time.sec 1) engine;
@@ -1068,7 +1075,7 @@ let frontend_forwards_to_backend () =
   check_int "no worker left waiting" 0 (Memcache.Server.busy_workers frontend)
 
 let frontend_pipelines_in_order () =
-  let engine, _frontend, _backend, conn, responses = frontend_rig () in
+  let engine, _frontend, _backend, conn, responses, _ = frontend_rig () in
   Tcpsim.Conn.set_on_connect conn (fun () ->
       for i = 0 to 9 do
         Tcpsim.Conn.send conn
@@ -1087,6 +1094,35 @@ let frontend_pipelines_in_order () =
   Alcotest.(check (list int)) "responses in request order"
     (List.init 10 (fun i -> i))
     flags
+
+let frontend_reconnects_after_upstream_close () =
+  (* The backend's 60 s idle reaper closes the frontend's upstream
+     connection (at its 75 s pass). A GET on a new client connection at
+     80 s must still reach the backend, not wait on the half-closed
+     connection with a worker held forever. *)
+  let engine, frontend, backend, conn, responses, open_client =
+    frontend_rig ()
+  in
+  let get conn () =
+    Tcpsim.Conn.send conn (P.encode_request (P.Get { key = "k" }))
+  in
+  ignore (Des.Engine.schedule engine ~at:(Des.Time.sec 1) (get conn));
+  let late = ref None in
+  ignore
+    (Des.Engine.schedule engine ~at:(Des.Time.sec 80) (fun () ->
+         let conn, responses = open_client 7001 in
+         Tcpsim.Conn.set_on_connect conn (get conn);
+         late := Some responses));
+  Des.Engine.run ~until:(Des.Time.sec 120) engine;
+  let answered name responses =
+    match responses with
+    | [ P.Value { value; _ } ] -> check_str name "from-backend" value
+    | l -> Alcotest.failf "%s: %d responses" name (List.length l)
+  in
+  answered "GET at 1 s" !responses;
+  answered "GET at 80 s" (match !late with Some r -> !r | None -> []);
+  check_int "both reached the backend" 2 (Memcache.Server.gets_served backend);
+  check_int "no worker left waiting" 0 (Memcache.Server.busy_workers frontend)
 
 let () =
   Alcotest.run "memcache"
@@ -1135,6 +1171,8 @@ let () =
           Alcotest.test_case "forwards to backend" `Quick
             frontend_forwards_to_backend;
           Alcotest.test_case "pipeline order" `Quick frontend_pipelines_in_order;
+          Alcotest.test_case "reconnects after upstream close" `Quick
+            frontend_reconnects_after_upstream_close;
         ] );
       ( "server",
         [
