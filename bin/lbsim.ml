@@ -879,14 +879,14 @@ let flows_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Exit nonzero if the single-engine rate falls below half, or \
-             live words per flow exceed 1.5x, the record in \
-             BENCH_pr4.json. With two or more shards, also rerun the \
-             scenario with fixed-width windows and on one shard: both \
-             CSVs must equal this run's, fixed-width must take at least \
-             3x the adaptive drain windows, and with a core per shard \
-             the aggregate rate must reach 2x that record. The CI \
-             flow-smoke and shard-smoke gates.")
+            "Exit nonzero if the single-engine rate falls below half the \
+             record in BENCH_pr4.json, or live words per flow exceed 1.5x \
+             the record in BENCH_pr23.json. With two or more shards, also \
+             rerun the scenario with fixed-width windows and on one \
+             shard: both CSVs must equal this run's, fixed-width must \
+             take at least 3x the adaptive drain windows, and with a core \
+             per shard the aggregate rate must reach 2x the BENCH_pr4.json \
+             rate. The CI flow-smoke and shard-smoke gates.")
   in
   Cmd.v
     (Cmd.info "flows"

@@ -49,8 +49,8 @@ let print_alpha rows =
           (fun r ->
             [
               Report.pct r.alpha;
-              Fmt.str "%.1fus" r.p95_before_us;
-              Fmt.str "%.1fus" r.p95_after_us;
+              Report.nan_us r.p95_before_us;
+              Report.nan_us r.p95_after_us;
               Report.opt_ms r.reaction_ms;
               Report.opt_ms r.recovery_ms;
               string_of_int r.actions;
@@ -371,8 +371,8 @@ let fleet_cells r =
   [
     Coordination.policy_to_string r.coord;
     string_of_int r.n_lbs;
-    Fmt.str "%.1fus" r.p95_before_us;
-    Fmt.str "%.1fus" r.p95_after_us;
+    Report.nan_us r.p95_before_us;
+    Report.nan_us r.p95_after_us;
     string_of_int r.total_actions;
     String.concat "+" (List.map string_of_int r.per_lb_actions);
     string_of_int r.victim_flips;

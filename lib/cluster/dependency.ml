@@ -201,8 +201,8 @@ let print rows =
           (fun r ->
             [
               r.label;
-              Fmt.str "%.1fus" r.p95_before_us;
-              Fmt.str "%.1fus" r.p95_after_us;
+              Report.nan_us r.p95_before_us;
+              Report.nan_us r.p95_after_us;
               Fmt.str "%d / %d" r.actions_before r.actions_after;
               Fmt.str "%.3f" r.victim_weight;
               Fmt.str "%.0f / %.0f" r.est_us.(0) r.est_us.(1);

@@ -190,8 +190,8 @@ let print result =
       (fun r ->
         [
           Inband.Policy.to_string r.policy;
-          Fmt.str "%.1fus" r.p95_before_us;
-          Fmt.str "%.1fus" r.p95_after_us;
+          Report.nan_us r.p95_before_us;
+          Report.nan_us r.p95_after_us;
           Report.opt_ms r.reaction_ms;
           Report.opt_ms r.recovery_ms;
           string_of_int r.actions;

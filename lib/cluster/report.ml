@@ -37,6 +37,7 @@ let ns v =
 
 let pct f = Fmt.str "%.1f%%" (100.0 *. f)
 let opt_ms = function None -> "-" | Some ms -> Fmt.str "%.1fms" ms
+let nan_us us = if Float.is_nan us then "-" else Fmt.str "%.1fus" us
 
 let registry reg =
   let fmt_value metric v =

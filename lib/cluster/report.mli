@@ -11,6 +11,10 @@ val pct : float -> string
 val opt_ms : float option -> string
 (** Format a duration in ms ("3.9ms"), or "-" when there is none. *)
 
+val nan_us : float -> string
+(** Format a duration in µs ("312.4us"), or "-" when it is nan: the
+    median p95 of a window that holds no samples. *)
+
 val registry : Telemetry.Registry.t -> string
 (** Render a registry's current readings as a table (one row per
     metric, in registration order; [_ns]-suffixed metrics formatted

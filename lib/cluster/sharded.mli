@@ -68,7 +68,8 @@ val baseline_events_per_sec : float
     [flows_baseline_events_per_sec] (2 284 397 events/s). *)
 
 val baseline_words_per_flow : float
-(** The live words per flow recorded with it (61.743). *)
+(** The live words per flow of the 1-shard run at [n = 65536] recorded
+    in [BENCH_pr23.json]'s [flows_words_per_flow_k1_after] (13.232). *)
 
 val check : cores:int -> ?one_shard:result -> ?fixed:result -> result -> string list
 (** The flows contract (the CI flow-smoke and shard-smoke gates) over a

@@ -1,9 +1,11 @@
 (* Per-flow state is split across the ensemble slab and the balancer's
    own parallel arrays, both indexed by the flow's slab slot: the
-   open-addressed {!Netsim.Flow_table} maps a key to its slot, and
-   [fl_server]/[fl_last_seen]/[fl_live] hold what used to live in a
-   boxed per-flow record. Establishing a flow after warm-up therefore
-   allocates nothing, and a packet's state is three flat-array reads.
+   open-addressed {!Netsim.Flow_table} maps a key to its slot (keeping
+   the key inline, not as a record), and [fl_server]/[fl_last_seen]/
+   [fl_live] hold what used to live in a boxed per-flow record. The
+   balancer therefore holds no heap block per flow, establishing a flow
+   after warm-up allocates nothing, and a packet's state is three
+   flat-array reads.
 
    Idle tracking is bucketed by coarse time so the periodic sweep only
    visits flows whose bucket could have expired, instead of rescanning
@@ -11,7 +13,12 @@
    it is filed under its creation time and re-filed (under its current
    [last_seen]) only when a sweep visits it, so per-packet cost stays a
    single field write and each flow is re-examined at most once per
-   idle-timeout's worth of sweeps. *)
+   idle-timeout's worth of sweeps. A bucket is an intrusive chain of
+   slots through the [fl_next] lane, most recently filed first, and
+   [Buckets] maps the bucket index to the chain's head. The sweep
+   removes an expired flow by its slot: [fl_hash] holds the key's hash,
+   which is all {!Netsim.Flow_table.remove_value} needs to find its
+   bucket, so the sweep neither builds a key nor looks the flow up. *)
 
 (* Slot lanes are Bigarrays for the same reason the ensemble slab is:
    the per-flow integers live off the OCaml heap, invisible to the GC,
@@ -24,8 +31,9 @@ let lane_make n : lane =
 
 let lane_empty : lane = lane_make 0
 
-(* Bucket index -> flows filed there. [Int.equal] keys, not the generic
-   table's [compare_val]; the hash (and so every bucket) is the same. *)
+(* Bucket index -> the slot heading its chain. [Int.equal] keys, not
+   the generic table's [compare_val]; the hash (and so every bucket) is
+   the same. *)
 module Buckets = Hashtbl.Make (struct
   type t = int
 
@@ -35,7 +43,7 @@ end)
 
 type idle_buckets = {
   width : Des.Time.t; (* bucket granularity = sweep interval *)
-  table : Netsim.Flow_key.t list ref Buckets.t;
+  heads : int Buckets.t;
   mutable cursor : int; (* all buckets below this index are empty *)
 }
 
@@ -76,6 +84,8 @@ type t = {
   mutable fl_server : lane;
   mutable fl_last_seen : lane;
   mutable fl_pkts : lane; (* packets this incarnation: hot_k's rate proxy *)
+  mutable fl_hash : lane; (* the key's Flow_key.hash *)
+  mutable fl_next : lane; (* next slot on the idle chain, -1 at its end *)
   mutable fl_live : Bytes.t; (* '\001' = counted in conn_gauge *)
   idle : idle_buckets;
   conn_gauge : int array;
@@ -122,10 +132,32 @@ let release t slot =
 
 let bucket_of idle at = at / idle.width
 
-let file_flow idle ~bucket key =
-  match Buckets.find_opt idle.table bucket with
-  | Some keys -> keys := key :: !keys
-  | None -> Buckets.add idle.table bucket (ref [ key ])
+(* Push [slot] on the front of [bucket]'s chain. *)
+let file_flow t ~bucket slot =
+  let heads = t.idle.heads in
+  Bigarray.Array1.unsafe_set t.fl_next slot
+    (match Buckets.find heads bucket with
+    | head -> head
+    | exception Not_found -> -1);
+  Buckets.replace heads bucket slot
+
+(* Visit a chain detached from bucket [b], front to back: expire each
+   flow idle past the timeout and re-file the rest. The next link is
+   read before [slot] is re-filed, which overwrites it. *)
+let rec sweep_chain t ~now ~b slot =
+  if slot >= 0 then begin
+    let next = Bigarray.Array1.unsafe_get t.fl_next slot in
+    let last_seen = Bigarray.Array1.unsafe_get t.fl_last_seen slot in
+    if now - last_seen > t.config.Config.flow_idle_timeout then begin
+      release t slot;
+      Netsim.Flow_table.remove_value t.flows
+        ~hash:(Bigarray.Array1.unsafe_get t.fl_hash slot)
+        slot;
+      Ensemble.release_flow t.ensemble slot
+    end
+    else file_flow t ~bucket:(Int.max b (bucket_of t.idle last_seen)) slot;
+    sweep_chain t ~now ~b next
+  end
 
 (* Sweep cost is proportional to the flows filed in buckets at or below
    the expiry horizon — i.e. to expirations plus the boundary bucket —
@@ -142,27 +174,11 @@ let sweep t =
        until it fully expires. *)
     let boundary = bucket_of idle horizon in
     for b = idle.cursor to boundary do
-      match Buckets.find_opt idle.table b with
-      | None -> ()
-      | Some keys ->
-          Buckets.remove idle.table b;
-          List.iter
-            (fun key ->
-              let slot = Netsim.Flow_table.find t.flows key in
-              if slot >= 0 then begin
-                let last_seen = Bigarray.Array1.get t.fl_last_seen slot in
-                if now - last_seen > t.config.Config.flow_idle_timeout
-                then begin
-                  release t slot;
-                  Netsim.Flow_table.remove t.flows key;
-                  Ensemble.release_flow t.ensemble slot
-                end
-                else
-                  file_flow idle
-                    ~bucket:(Int.max b (bucket_of idle last_seen))
-                    key
-              end)
-            !keys
+      match Buckets.find idle.heads b with
+      | exception Not_found -> ()
+      | head ->
+          Buckets.remove idle.heads b;
+          sweep_chain t ~now ~b head
     done;
     idle.cursor <- Int.max idle.cursor boundary
   end
@@ -181,6 +197,8 @@ let ensure_slot_capacity t slot =
     t.fl_server <- grow t.fl_server;
     t.fl_last_seen <- grow t.fl_last_seen;
     t.fl_pkts <- grow t.fl_pkts;
+    t.fl_hash <- grow t.fl_hash;
+    t.fl_next <- grow t.fl_next;
     let nlive = Bytes.make n '\000' in
     Bytes.blit t.fl_live 0 nlive 0 (Bytes.length t.fl_live);
     t.fl_live <- nlive
@@ -198,7 +216,8 @@ let flow_slot t key ~now =
     Bigarray.Array1.set t.fl_pkts slot 0;
     Bytes.set t.fl_live slot '\001';
     Netsim.Flow_table.add t.flows key slot;
-    file_flow t.idle ~bucket:(bucket_of t.idle now) key;
+    Bigarray.Array1.set t.fl_hash slot (Netsim.Flow_key.hash key);
+    file_flow t ~bucket:(bucket_of t.idle now) slot;
     t.conn_gauge.(server) <- t.conn_gauge.(server) + 1;
     Telemetry.Registry.Counter.incr t.m_flows_to.(server);
     slot
@@ -386,11 +405,13 @@ let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
       fl_server = lane_empty;
       fl_last_seen = lane_empty;
       fl_pkts = lane_empty;
+      fl_hash = lane_empty;
+      fl_next = lane_empty;
       fl_live = Bytes.empty;
       idle =
         {
           width = Stdlib.max 1 config.Config.sweep_interval;
-          table = Buckets.create 64;
+          heads = Buckets.create 64;
           cursor = 0;
         };
       conn_gauge = Array.make n 0;

@@ -5,17 +5,22 @@ type t = { src : Addr.t; dst : Addr.t; hash : int }
 
 (* splitmix-style finalizer over the four components; stable across runs
    (no use of the polymorphic/seeded stdlib hash). *)
-let compute_hash ~src ~dst =
-  let mix h v =
-    let h = h lxor (v * 0x9e3779b1) in
-    let h = (h lxor (h lsr 16)) * 0x45d9f3b in
-    (h lxor (h lsr 13)) land max_int
-  in
-  mix
-    (mix (mix (mix 0x1234567 src.Addr.ip) src.Addr.port) dst.Addr.ip)
-    dst.Addr.port
+let[@inline] mix h v =
+  let h = h lxor (v * 0x9e3779b1) in
+  let h = (h lxor (h lsr 16)) * 0x45d9f3b in
+  (h lxor (h lsr 13)) land max_int
 
-let v ~src ~dst = { src; dst; hash = compute_hash ~src ~dst }
+let hash_parts ~src_ip ~src_port ~dst_ip ~dst_port =
+  mix (mix (mix (mix 0x1234567 src_ip) src_port) dst_ip) dst_port
+
+let v ~src ~dst =
+  {
+    src;
+    dst;
+    hash =
+      hash_parts ~src_ip:src.Addr.ip ~src_port:src.Addr.port
+        ~dst_ip:dst.Addr.ip ~dst_port:dst.Addr.port;
+  }
 
 let equal a b =
   a.hash = b.hash && Addr.equal a.src b.src && Addr.equal a.dst b.dst

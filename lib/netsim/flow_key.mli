@@ -17,6 +17,12 @@ val hash : t -> int
     here); also the hash Maglev consumes, so it must be stable across
     runs. *)
 
+val hash_parts :
+  src_ip:int -> src_port:int -> dst_ip:int -> dst_port:int -> int
+(** [hash_parts] of a key's four address components is its {!hash},
+    computed without building the key: a table that keeps keys unboxed
+    ({!Flow_table}) rehashes with it when it resizes. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Table : Hashtbl.S with type key = t

@@ -1,95 +1,108 @@
 (* Open-addressed flow-to-slot map: linear probing over a power-of-two
-   array, reusing the hash cached in {!Flow_key.t} so a probe is an int
-   compare plus at most one key equality per visited bucket. Values are
-   plain ints (flow slab slots), so lookups allocate nothing and a miss
+   bucket array from the hash cached in {!Flow_key.t}. Keys are kept
+   inline, not as records: a bucket is three consecutive ints of one
+   flat array, the value and then the packed source and destination
+   addresses, so the table holds no heap block per key and a probe
+   touches one cache line. The value doubles as the bucket's state:
+   [-1] empty, [-2] tombstone, anything else occupied (values are
+   non-negative flow slab slots). Lookups allocate nothing and a miss
    is reported as [-1] rather than an [option].
+
+   An address packs to [ip lsl 32 lor port]. That is injective for
+   ip < 2^30 and port < 2^32, and only such addresses are accepted, so
+   two keys are equal exactly when their packed words are: a probe is
+   two int compares, with no hash check and no pointer chased. Empty
+   buckets and tombstones carry -1 in both key words, which no packed
+   address is, so only an occupied bucket can match.
 
    Deletions leave tombstones so probe chains stay intact; an insert
    reuses the first tombstone it passed once the key is known to be
    absent. When occupied + tombstone buckets reach 3/4 of capacity the
    table is rebuilt — doubling if the live count alone justifies it,
-   at the same size if tombstones were the problem (purge). *)
+   at the same size if tombstones were the problem (purge). A rebuild
+   rehashes each key from its unpacked words with
+   {!Flow_key.hash_parts}, the key's own hash. *)
 
 type t = {
-  mutable keys : Flow_key.t array;
-  mutable vals : int array;
-  mutable state : Bytes.t; (* per bucket: '\000' empty, '\001' occupied,
-                              '\002' tombstone *)
+  mutable cells : int array; (* per bucket: value, src, dst *)
   mutable mask : int; (* capacity - 1; capacity is a power of two *)
   mutable len : int; (* occupied buckets *)
   mutable tombs : int; (* tombstone buckets *)
 }
 
-let empty = '\000'
-let occupied = '\001'
-let tombstone = '\002'
+let empty = -1
+let tombstone = -2
+let port_bits = 32
+let port_mask = (1 lsl port_bits) - 1
 
-(* Fills empty and tombstone key buckets. IP 0 is reserved by Fabric,
-   so the dummy can never equal a real key — but correctness never
-   relies on that: state bytes discriminate. A plain value, not a
-   [lazy]: domains building tables at once (a [Parallel.map] of
-   scenarios) would race to force it, and OCaml 5 raises
-   [CamlinternalLazy.Undefined] in the loser. *)
-let dummy_key = Flow_key.v ~src:(Addr.v 0 0) ~dst:(Addr.v 0 0)
+(* An ip below 2^30 keeps [ip lsl 32] under [max_int], so a packed
+   word is non-negative. [-1] for an address outside the range: [lsr]
+   sends a negative field to a huge value, so one test per field
+   covers both ends. *)
+let[@inline] pack (a : Addr.t) =
+  if a.ip lsr 30 = 0 && a.port lsr port_bits = 0 then
+    (a.ip lsl port_bits) lor a.port
+  else -1
+
+let[@inline] unpack w = Addr.v (w lsr port_bits) (w land port_mask)
+
+let[@inline] hash_packed s d =
+  Flow_key.hash_parts ~src_ip:(s lsr port_bits) ~src_port:(s land port_mask)
+    ~dst_ip:(d lsr port_bits) ~dst_port:(d land port_mask)
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
 
 let create ?(initial = 16) () =
   let cap = pow2_at_least (Stdlib.max 16 initial) 16 in
-  {
-    keys = Array.make cap dummy_key;
-    vals = Array.make cap 0;
-    state = Bytes.make cap empty;
-    mask = cap - 1;
-    len = 0;
-    tombs = 0;
-  }
+  { cells = Array.make (3 * cap) empty; mask = cap - 1; len = 0; tombs = 0 }
 
 let length t = t.len
 let capacity t = t.mask + 1
 let tombstones t = t.tombs
 
-let find t key =
-  let mask = t.mask in
-  let i = ref (Flow_key.hash key land mask) in
-  let v = ref (-1) in
-  let continue = ref true in
-  while !continue do
-    match Bytes.unsafe_get t.state !i with
-    | c when c = empty -> continue := false
-    | c when c = occupied && Flow_key.equal (Array.unsafe_get t.keys !i) key
-      ->
-        v := Array.unsafe_get t.vals !i;
-        continue := false
-    | _ -> i := (!i + 1) land mask
-  done;
-  !v
+(* The probe loops are top-level functions over explicit arguments, so
+   no call builds a closure. *)
+let rec probe cells mask s d i =
+  let b = 3 * i in
+  if Array.unsafe_get cells (b + 1) = s && Array.unsafe_get cells (b + 2) = d
+  then Array.unsafe_get cells b
+  else if Array.unsafe_get cells b = empty then -1
+  else probe cells mask s d ((i + 1) land mask)
+
+let find t (key : Flow_key.t) =
+  let s = pack key.src and d = pack key.dst in
+  if s lor d < 0 then -1
+  else probe t.cells t.mask s d (Flow_key.hash key land t.mask)
 
 let mem t key = find t key >= 0
 
-(* Raw insert into a table known not to contain [key] and to have a free
-   bucket; used by [resize] (no tombstones to consider). *)
-let insert_fresh keys vals state mask key v =
-  let i = ref (Flow_key.hash key land mask) in
-  while Bytes.unsafe_get state !i = occupied do
-    i := (!i + 1) land mask
-  done;
-  Bytes.unsafe_set state !i occupied;
-  Array.unsafe_set keys !i key;
-  Array.unsafe_set vals !i v
+(* Annotated: a store into an array of unknown element type is a
+   [caml_modify] call. *)
+let[@inline] set (cells : int array) b v s d =
+  Array.unsafe_set cells b v;
+  Array.unsafe_set cells (b + 1) s;
+  Array.unsafe_set cells (b + 2) d
+
+(* Raw insert into a table known not to contain the key and to have no
+   tombstones and a free bucket; used after a rebuild. *)
+let rec insert_fresh cells mask s d v i =
+  let b = 3 * i in
+  if Array.unsafe_get cells b = empty then set cells b v s d
+  else insert_fresh cells mask s d v ((i + 1) land mask)
 
 let resize t cap =
-  let keys = Array.make cap dummy_key in
-  let vals = Array.make cap 0 in
-  let state = Bytes.make cap empty in
+  let cells = Array.make (3 * cap) empty in
   let mask = cap - 1 in
+  let old = t.cells in
   for i = 0 to t.mask do
-    if Bytes.unsafe_get t.state i = occupied then
-      insert_fresh keys vals state mask t.keys.(i) t.vals.(i)
+    let b = 3 * i in
+    let v = old.(b) in
+    if v >= 0 then begin
+      let s = old.(b + 1) and d = old.(b + 2) in
+      insert_fresh cells mask s d v (hash_packed s d land mask)
+    end
   done;
-  t.keys <- keys;
-  t.vals <- vals;
-  t.state <- state;
+  t.cells <- cells;
   t.mask <- mask;
   t.tombs <- 0
 
@@ -106,61 +119,74 @@ let maybe_grow t =
    occupancy invariant is unchanged — every true insert still checks
    the pre-insert load, so occupied + tombstone buckets never exceed
    3/4 of capacity plus the one insert in flight, and probe loops
-   always find an empty bucket. *)
-let add t key v =
-  let mask = t.mask in
-  let i = ref (Flow_key.hash key land mask) in
-  let slot = ref (-1) in (* first tombstone passed *)
-  let continue = ref true in
-  while !continue do
-    match Bytes.unsafe_get t.state !i with
-    | c when c = empty ->
-        (* True insert. Grow/purge first if this key would push the
-           table past 3/4 load; the rebuilt table has no tombstones and
-           no [key], so a fresh probe suffices. *)
-        if 4 * (t.len + t.tombs) >= 3 * (t.mask + 1) then begin
-          maybe_grow t;
-          insert_fresh t.keys t.vals t.state t.mask key v
-        end
-        else begin
-          let j = if !slot >= 0 then !slot else !i in
-          if !slot >= 0 then t.tombs <- t.tombs - 1;
-          Bytes.unsafe_set t.state j occupied;
-          Array.unsafe_set t.keys j key;
-          Array.unsafe_set t.vals j v
-        end;
-        t.len <- t.len + 1;
-        continue := false
-    | c when c = occupied ->
-        if Flow_key.equal (Array.unsafe_get t.keys !i) key then begin
-          Array.unsafe_set t.vals !i v;
-          continue := false
-        end
-        else i := (!i + 1) land mask
-    | _ ->
-        if !slot < 0 then slot := !i;
-        i := (!i + 1) land mask
-  done
+   always find an empty bucket. [tomb] is the first tombstone passed,
+   or -1. *)
+let rec add_at t s d v h i tomb =
+  let cells = t.cells in
+  let b = 3 * i in
+  let c = Array.unsafe_get cells b in
+  if Array.unsafe_get cells (b + 1) = s && Array.unsafe_get cells (b + 2) = d
+  then Array.unsafe_set cells b v
+  else if c = empty then begin
+    (* True insert. Grow/purge first if this key would push the table
+       past 3/4 load; the rebuilt table has no tombstones and no key,
+       so a fresh probe suffices. *)
+    if 4 * (t.len + t.tombs) >= 3 * (t.mask + 1) then begin
+      maybe_grow t;
+      insert_fresh t.cells t.mask s d v (h land t.mask)
+    end
+    else if tomb >= 0 then begin
+      t.tombs <- t.tombs - 1;
+      set cells (3 * tomb) v s d
+    end
+    else set cells b v s d;
+    t.len <- t.len + 1
+  end
+  else
+    add_at t s d v h
+      ((i + 1) land t.mask)
+      (if tomb < 0 && c = tombstone then i else tomb)
 
-let remove t key =
-  let mask = t.mask in
-  let i = ref (Flow_key.hash key land mask) in
-  let continue = ref true in
-  while !continue do
-    match Bytes.unsafe_get t.state !i with
-    | c when c = empty -> continue := false
-    | c when c = occupied && Flow_key.equal (Array.unsafe_get t.keys !i) key
-      ->
-        Bytes.unsafe_set t.state !i tombstone;
-        (* Drop the key record so expired flows don't pin it. *)
-        Array.unsafe_set t.keys !i dummy_key;
-        t.len <- t.len - 1;
-        t.tombs <- t.tombs + 1;
-        continue := false
-    | _ -> i := (!i + 1) land mask
-  done
+let add t (key : Flow_key.t) v =
+  if v < 0 then invalid_arg "Flow_table.add: negative value";
+  let s = pack key.src and d = pack key.dst in
+  if s lor d < 0 then invalid_arg "Flow_table.add: address out of range";
+  let h = Flow_key.hash key in
+  add_at t s d v h (h land t.mask) (-1)
+
+let vacate t b =
+  set t.cells b tombstone (-1) (-1);
+  t.len <- t.len - 1;
+  t.tombs <- t.tombs + 1
+
+let rec remove_at t s d i =
+  let cells = t.cells in
+  let b = 3 * i in
+  if Array.unsafe_get cells (b + 1) = s && Array.unsafe_get cells (b + 2) = d
+  then vacate t b
+  else if Array.unsafe_get cells b <> empty then
+    remove_at t s d ((i + 1) land t.mask)
+
+let remove t (key : Flow_key.t) =
+  let s = pack key.src and d = pack key.dst in
+  if s lor d >= 0 then remove_at t s d (Flow_key.hash key land t.mask)
+
+(* A value is non-negative and the state markers are not, so [c = v]
+   holds only in an occupied bucket. *)
+let rec remove_value_at t v i =
+  let b = 3 * i in
+  let c = Array.unsafe_get t.cells b in
+  if c = v then vacate t b
+  else if c <> empty then remove_value_at t v ((i + 1) land t.mask)
+
+let remove_value t ~hash v =
+  if v >= 0 then remove_value_at t v (hash land t.mask)
 
 let iter f t =
+  let cells = t.cells in
   for i = 0 to t.mask do
-    if Bytes.unsafe_get t.state i = occupied then f t.keys.(i) t.vals.(i)
+    let b = 3 * i in
+    let v = cells.(b) in
+    if v >= 0 then
+      f (Flow_key.v ~src:(unpack cells.(b + 1)) ~dst:(unpack cells.(b + 2))) v
   done

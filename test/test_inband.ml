@@ -804,6 +804,92 @@ let balancer_sweep_evicts_idle_flows () =
   Des.Engine.run ~until:(Des.Time.sec 1) rig.engine;
   check_int "evicted when idle" 0 (Inband.Balancer.active_flows rig.balancer)
 
+(* Idle expiry walks a bucket most recently filed first and re-files a
+   survivor on the front of its new bucket's chain. Released slots go
+   on the ensemble's free stack, so the order in which it hands them
+   back out is the reverse of the sweep's. A, B, C, D open at t = 0
+   (slots 0-3); B and C send again at 40 ms. The sweep at 50 ms walks
+   D, C, B, A: it frees D and A and re-files C, then B, so B heads the
+   chain. The sweep at 100 ms frees B, then C, and walking and freeing
+   that chain allocates nothing: no key is built and no flow looked
+   up. *)
+let balancer_sweep_order () =
+  let config =
+    {
+      Inband.Config.default with
+      Inband.Config.flow_idle_timeout = ms 30;
+      sweep_interval = ms 50;
+    }
+  in
+  let rig = make_bal_rig ~config () in
+  let ports = [ 1; 2; 3; 4 ] in
+  List.iter (fun port -> send_from_client rig ~port ()) ports;
+  Des.Engine.run ~until:(ms 40) rig.engine;
+  List.iter (fun port -> send_from_client rig ~port ()) [ 2; 3 ];
+  Des.Engine.run ~until:(ms 60) rig.engine;
+  let ensemble = Inband.Balancer.ensemble rig.balancer in
+  let hand_out n =
+    List.init n (fun _ -> Inband.Ensemble.create_flow ensemble ~now:0)
+  in
+  check_int "B and C survive the first sweep" 2
+    (Inband.Balancer.active_flows rig.balancer);
+  Alcotest.(check (list int)) "first sweep freed D, then A" [ 0; 3 ] (hand_out 2);
+  (* Words a run allocates, less what measuring an empty run costs. *)
+  let words_to until =
+    let w0 = Gc.minor_words () in
+    Des.Engine.run ~until rig.engine;
+    Gc.minor_words () -. w0
+  in
+  let idle = words_to (ms 70) in
+  let sweep = words_to (ms 110) in
+  check_int "second sweep expires the re-filed pair" 0
+    (Inband.Balancer.active_flows rig.balancer);
+  Alcotest.(check (list int)) "re-filed B heads the chain" [ 2; 1 ] (hand_out 2);
+  Alcotest.(check (float 0.0)) "the sweep allocates nothing" idle sweep
+
+(* Opening 2^12 flows grows the live heap by the flat table's cells
+   (three words a bucket) and the one-byte live flag per slot, and by
+   no block per flow: the table keeps no key record, the idle chains are
+   Bigarray lanes, and the packets themselves die after forwarding. *)
+let balancer_flow_state_is_flat () =
+  let n = 1 lsl 12 in
+  let engine = Des.Engine.create () in
+  let fabric = Netsim.Fabric.create engine in
+  let server_ips = [| 10; 11; 12 |] in
+  let balancer =
+    Inband.Balancer.create fabric ~vip ~server_ips ~table_size:1021 ()
+  in
+  Array.iter
+    (fun ip ->
+      Netsim.Fabric.register fabric ~ip ignore;
+      Netsim.Fabric.add_link fabric ~src:1 ~dst:ip
+        (Netsim.Link.create engine ~delay:(us 10) ()))
+    server_ips;
+  let open_flow port =
+    Netsim.Fabric.deliver fabric ~ip:1
+      (Netsim.Packet.make ~src:(Netsim.Addr.v 100 port) ~dst:vip ~seq:0 ~ack:0
+         ~flags:Netsim.Packet.flag_ack ~payload:"");
+    Des.Engine.run ~until:(Des.Engine.now engine + us 10) engine
+  in
+  open_flow 0;
+  Gc.compact ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let cap0 = Inband.Balancer.flow_capacity balancer in
+  for port = 1 to n do
+    open_flow port
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - live0 in
+  let cells = 3 * (Inband.Balancer.flow_capacity balancer - cap0) in
+  check_int "all tracked" (n + 1) (Inband.Balancer.active_flows balancer);
+  let per_flow = float_of_int grown /. float_of_int n in
+  let beyond_cells = float_of_int (grown - cells) /. float_of_int n in
+  if per_flow > 6.5 || beyond_cells > 0.5 then
+    Alcotest.failf
+      "%d flows grew the live heap by %d words (%.2f a flow), %.2f a flow \
+       beyond the table's %d cell words"
+      n grown per_flow beyond_cells cells
+
 let balancer_buses_fire () =
   let rig = make_bal_rig ~policy:Inband.Policy.Latency_aware () in
   let tapped = ref 0 in
@@ -1072,6 +1158,9 @@ let () =
           Alcotest.test_case "least conn" `Quick balancer_least_conn_prefers_idle;
           Alcotest.test_case "fin releases" `Quick balancer_fin_releases_conn_gauge;
           Alcotest.test_case "sweep evicts" `Quick balancer_sweep_evicts_idle_flows;
+          Alcotest.test_case "sweep order" `Quick balancer_sweep_order;
+          Alcotest.test_case "flow state is flat" `Quick
+            balancer_flow_state_is_flat;
           Alcotest.test_case "telemetry buses" `Quick balancer_buses_fire;
           Alcotest.test_case "controller presence" `Quick
             balancer_controller_only_for_latency_aware;

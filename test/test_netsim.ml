@@ -153,6 +153,313 @@ let flow_table_resize_and_purge () =
   FT.iter (fun _ v -> if v >= 1001 then incr live) t;
   check_int "iter sees exactly the live bindings" 100 !live
 
+(* --- Flow_table reference oracle --------------------------------------- *)
+
+(* The table as it stood before keys went inline: a boxed key array, an
+   int value array and a state byte per bucket, with the same hash,
+   linear probing, first-tombstone reuse and 3/4 rebuild policy. The
+   flat table must agree with it on every result, on [length],
+   [capacity] and [tombstones], and on the whole [iter] sequence. *)
+module Boxed_table = struct
+  type t = {
+    mutable keys : Netsim.Flow_key.t array;
+    mutable vals : int array;
+    mutable state : Bytes.t; (* '\000' empty, '\001' occupied, '\002' tomb *)
+    mutable mask : int;
+    mutable len : int;
+    mutable tombs : int;
+  }
+
+  let dummy = Netsim.Flow_key.v ~src:(addr 0 0) ~dst:(addr 0 0)
+
+  let create ?(initial = 16) () =
+    let rec pow2 c = if c >= Stdlib.max 16 initial then c else pow2 (c * 2) in
+    let cap = pow2 16 in
+    {
+      keys = Array.make cap dummy;
+      vals = Array.make cap 0;
+      state = Bytes.make cap '\000';
+      mask = cap - 1;
+      len = 0;
+      tombs = 0;
+    }
+
+  let find t key =
+    let rec go i =
+      match Bytes.get t.state i with
+      | '\000' -> -1
+      | '\001' when Netsim.Flow_key.equal t.keys.(i) key -> t.vals.(i)
+      | _ -> go ((i + 1) land t.mask)
+    in
+    go (Netsim.Flow_key.hash key land t.mask)
+
+  let insert_fresh keys vals state mask key v =
+    let i = ref (Netsim.Flow_key.hash key land mask) in
+    while Bytes.get state !i = '\001' do
+      i := (!i + 1) land mask
+    done;
+    Bytes.set state !i '\001';
+    keys.(!i) <- key;
+    vals.(!i) <- v
+
+  let resize t cap =
+    let keys = Array.make cap dummy and vals = Array.make cap 0 in
+    let state = Bytes.make cap '\000' in
+    for i = 0 to t.mask do
+      if Bytes.get t.state i = '\001' then
+        insert_fresh keys vals state (cap - 1) t.keys.(i) t.vals.(i)
+    done;
+    t.keys <- keys;
+    t.vals <- vals;
+    t.state <- state;
+    t.mask <- cap - 1;
+    t.tombs <- 0
+
+  let add t key v =
+    let rec go i tomb =
+      match Bytes.get t.state i with
+      | '\000' ->
+          let cap = t.mask + 1 in
+          if 4 * (t.len + t.tombs) >= 3 * cap then begin
+            resize t (if 2 * t.len >= cap then cap * 2 else cap);
+            insert_fresh t.keys t.vals t.state t.mask key v
+          end
+          else begin
+            let j = if tomb >= 0 then tomb else i in
+            if tomb >= 0 then t.tombs <- t.tombs - 1;
+            Bytes.set t.state j '\001';
+            t.keys.(j) <- key;
+            t.vals.(j) <- v
+          end;
+          t.len <- t.len + 1
+      | '\001' when Netsim.Flow_key.equal t.keys.(i) key -> t.vals.(i) <- v
+      | '\001' -> go ((i + 1) land t.mask) tomb
+      | _ -> go ((i + 1) land t.mask) (if tomb < 0 then i else tomb)
+    in
+    go (Netsim.Flow_key.hash key land t.mask) (-1)
+
+  let remove t key =
+    let rec go i =
+      match Bytes.get t.state i with
+      | '\000' -> ()
+      | '\001' when Netsim.Flow_key.equal t.keys.(i) key ->
+          Bytes.set t.state i '\002';
+          t.keys.(i) <- dummy;
+          t.len <- t.len - 1;
+          t.tombs <- t.tombs + 1
+      | _ -> go ((i + 1) land t.mask)
+    in
+    go (Netsim.Flow_key.hash key land t.mask)
+
+  let bindings t =
+    List.filter_map
+      (fun i ->
+        if Bytes.get t.state i = '\001' then Some (t.keys.(i), t.vals.(i))
+        else None)
+      (List.init (t.mask + 1) Fun.id)
+end
+
+let max_ip = (1 lsl 30) - 1
+let max_port = (1 lsl 32) - 1
+
+(* Keys the flat table must store: the edges of the packed range, keys
+   that share a source and differ in the destination (and the reverse),
+   and keys that a narrower packing would confuse. *)
+let storable_keys =
+  let k (a, b) (c, d) = Netsim.Flow_key.v ~src:(addr a b) ~dst:(addr c d) in
+  [
+    k (0, 0) (0, 0);
+    k (max_ip, max_port) (max_ip, max_port);
+    k (max_ip, 0) (0, max_port);
+    k (0, max_port) (max_ip, 0);
+    k (1, 0) (1, 80);
+    k (0, 1 lsl 16) (1, 80);
+    k (1, 1 lsl 16) (1, 80);
+    k (2, 0) (1, 80);
+    k (100, 7) (1, 80);
+    k (100, 7) (2, 80);
+    k (100, 7) (1, 81);
+    k (1, 80) (100, 7);
+    k (2, 80) (100, 7);
+  ]
+
+(* Keys with an address outside the packed range: [add] rejects them and
+   nothing ever finds them. Each differs from a storable key only in the
+   out-of-range field, or wraps onto one under a truncating packing. *)
+let unstorable_keys =
+  let k (a, b) (c, d) = Netsim.Flow_key.v ~src:(addr a b) ~dst:(addr c d) in
+  [
+    k (1 lsl 30, 0) (1, 80);
+    k (0, 1 lsl 32) (1, 80);
+    k (1, 0) (1, (1 lsl 32) + 80);
+    k (-1, 7) (1, 80);
+    k (100, -1) (1, 80);
+    k (100, 7) (1 lsl 30 + 1, 80);
+    k (max_int, max_int) (max_int, max_int);
+  ]
+
+(* Twelve keys whose hashes agree in the low 6 bits, so they share one
+   probe chain at every capacity up to 64, half of them sharing a source
+   with another key of the set. *)
+let colliding_keys =
+  let rec scan acc n port =
+    if n = 0 then List.rev acc
+    else
+      let a = Netsim.Flow_key.v ~src:(addr 100 port) ~dst:(addr 1 80) in
+      let b = Netsim.Flow_key.v ~src:(addr 100 port) ~dst:(addr 2 80) in
+      let low k = Netsim.Flow_key.hash k land 63 in
+      if low a = low b && low a = 5 then scan (b :: a :: acc) (n - 2) (port + 1)
+      else if low a = 5 then scan (a :: acc) (n - 1) (port + 1)
+      else scan acc n (port + 1)
+  in
+  scan [] 12 1
+
+let special_keys =
+  storable_keys @ colliding_keys @ unstorable_keys
+  @ List.init 24 (fun i -> key_of_port (5000 + i))
+
+let n_special = List.length special_keys
+
+(* Then fresh keys for sliding-window churn, as the balancer sees it. *)
+let oracle_keys =
+  Array.of_list
+    (special_keys @ List.init 600 (fun i -> key_of_port (10_000 + i)))
+
+let storable k =
+  not (List.exists (Netsim.Flow_key.equal k) unstorable_keys)
+
+type ft_op = Add of int | Remove of int | Remove_value of int | Find of int
+
+(* Random operations on the special keys; [adds] against [removes]
+   sets how full the table runs. *)
+let ft_op_gen (adds, removes) =
+  let key = QCheck.Gen.int_bound (n_special - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (adds, map (fun i -> Add i) key);
+        (removes, map (fun i -> Remove i) key);
+        (2, map (fun i -> Remove_value i) key);
+        (3, map (fun i -> Find i) key);
+      ])
+
+(* A window of [w] live keys sliding over [m] fresh ones: every step
+   adds a key, looks one up and retires the oldest, so tombstones pile
+   up and rebuilds purge in place rather than double. *)
+let ft_churn_gen =
+  QCheck.Gen.(
+    pair (int_range 1 12) (int_range 0 (Array.length oracle_keys - n_special))
+    >|= fun (w, m) ->
+    List.concat
+      (List.init m (fun j ->
+           let k = n_special + j in
+           [ Add k; Find (n_special + (j / 2)) ]
+           @
+           if j < w then []
+           else if j mod 2 = 0 then [ Remove (k - w) ]
+           else [ Remove_value (k - w) ])))
+
+let ft_case =
+  QCheck.make
+    ~print:(fun (initial, ops) ->
+      Fmt.str "initial %d, %d ops: %s" initial (List.length ops)
+        (String.concat " "
+           (List.map
+              (function
+                | Add i -> Fmt.str "+%d" i
+                | Remove i -> Fmt.str "-%d" i
+                | Remove_value i -> Fmt.str "~%d" i
+                | Find i -> Fmt.str "?%d" i)
+              ops)))
+    QCheck.Gen.(
+      pair
+        (oneofl [ 0; 1; 16; 17; 32; 64 ])
+        (frequency
+           [
+             ( 3,
+               oneofl [ (5, 4); (6, 2) ] >>= fun mix ->
+               list_size (int_range 0 400) (ft_op_gen mix) );
+             (1, ft_churn_gen);
+           ]))
+
+(* Every add binds a fresh value, so a value names one key and
+   [remove_value] with a key's own hash and value removes exactly that
+   key; with a value nobody holds it must leave the table alone. *)
+let flat_matches_boxed (initial, ops) =
+  let module FT = Netsim.Flow_table in
+  let flat = FT.create ~initial () and boxed = Boxed_table.create ~initial () in
+  let next = ref 0 in
+  let same_state () =
+    FT.length flat = boxed.Boxed_table.len
+    && FT.capacity flat = boxed.Boxed_table.mask + 1
+    && FT.tombstones flat = boxed.Boxed_table.tombs
+    &&
+    let seen = ref [] in
+    FT.iter (fun k v -> seen := (k, v) :: !seen) flat;
+    List.equal
+      (fun (k1, v1) (k2, v2) -> Netsim.Flow_key.equal k1 k2 && v1 = v2)
+      (List.rev !seen) (Boxed_table.bindings boxed)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Add i ->
+          let k = oracle_keys.(i) in
+          incr next;
+          if storable k then begin
+            FT.add flat k !next;
+            Boxed_table.add boxed k !next;
+            true
+          end
+          else (
+            match FT.add flat k !next with
+            | () -> false
+            | exception Invalid_argument _ -> true)
+      | Remove i ->
+          FT.remove flat oracle_keys.(i);
+          Boxed_table.remove boxed oracle_keys.(i);
+          true
+      | Remove_value i ->
+          let k = oracle_keys.(i) in
+          let v = Boxed_table.find boxed k in
+          FT.remove_value flat ~hash:(Netsim.Flow_key.hash k)
+            (if v >= 0 then v else !next + 1);
+          Boxed_table.remove boxed k;
+          true
+      | Find i ->
+          let k = oracle_keys.(i) in
+          let v = Boxed_table.find boxed k in
+          FT.find flat k = v && FT.mem flat k = (v >= 0))
+      && same_state ())
+    ops
+
+let flow_table_oracle_qcheck =
+  QCheck.Test.make ~count:300
+    ~name:"flat table equals the boxed oracle under random churn" ft_case
+    flat_matches_boxed
+
+let flow_table_packed_range () =
+  let module FT = Netsim.Flow_table in
+  let t = FT.create () in
+  List.iteri (fun i k -> FT.add t k i) storable_keys;
+  List.iteri
+    (fun i k -> check_int "storable key keeps its own binding" i (FT.find t k))
+    storable_keys;
+  List.iter
+    (fun k ->
+      Alcotest.check_raises "add rejects an unpackable address"
+        (Invalid_argument "Flow_table.add: address out of range") (fun () ->
+          FT.add t k 0);
+      check_int "an unpackable key is never found" (-1) (FT.find t k);
+      check_bool "nor a member" false (FT.mem t k);
+      FT.remove t k)
+    unstorable_keys;
+  check_int "rejections leave the table alone"
+    (List.length storable_keys) (FT.length t);
+  Alcotest.check_raises "negative values are rejected"
+    (Invalid_argument "Flow_table.add: negative value") (fun () ->
+      FT.add t (key_of_port 1) (-1))
+
 (* --- Packet ------------------------------------------------------------- *)
 
 let packet_wire_size () =
@@ -491,7 +798,9 @@ let () =
             flow_table_update_never_resizes;
           Alcotest.test_case "resize and purge" `Quick
             flow_table_resize_and_purge;
-        ] );
+          Alcotest.test_case "packed range" `Quick flow_table_packed_range;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ flow_table_oracle_qcheck ] );
       ( "packet",
         [
           Alcotest.test_case "wire size" `Quick packet_wire_size;
