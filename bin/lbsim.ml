@@ -112,6 +112,35 @@ let remap_arg =
            knowingly breaks per-connection consistency; the PCC oracle \
            counts each break.")
 
+(* Flags several subcommands share, each with that subcommand's
+   default. *)
+let seed_arg ?(doc = "Random seed.") default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc)
+
+let duration_arg default =
+  Arg.(
+    value & opt sec default & info [ "duration" ] ~doc:"Run length, seconds.")
+
+let inject_at_arg default =
+  Arg.(
+    value & opt sec default
+    & info [ "inject-at" ] ~doc:"Injection time, seconds.")
+
+let inject_ms_arg =
+  Arg.(
+    value & opt float 1.0
+    & info [ "inject-ms" ] ~doc:"Injected delay, milliseconds.")
+
+let servers_arg =
+  Arg.(
+    value & opt int 2
+    & info [ "servers" ] ~doc:"Number of memcached servers.")
+
+let connections_arg =
+  Arg.(
+    value & opt int 4
+    & info [ "connections" ] ~doc:"Connections per client.")
+
 (* --- fig2 -------------------------------------------------------------- *)
 
 let csv_arg =
@@ -128,6 +157,15 @@ let metrics_csv_arg =
         ~doc:
           "Dump the telemetry snapshot stream (every registered metric, \
            sampled periodically) as label,t_s,metric,index,value CSV.")
+
+(* Write [render x] to the CSV file [path], when one was asked for, and
+   say where. *)
+let write_csv path render x =
+  Option.iter
+    (fun path ->
+      Cluster.Csv.write_file ~path (render x);
+      Fmt.pr "wrote %s@." path)
+    path
 
 let metrics_interval_arg =
   Arg.(
@@ -168,14 +206,7 @@ let fig2_cmd =
     in
     let result = Cluster.Fig2.run ~config () in
     Cluster.Fig2.print result;
-    match csv with
-    | Some path ->
-        Cluster.Csv.write_file ~path (Cluster.Csv.fig2_samples result);
-        Fmt.pr "wrote %s@." path
-    | None -> ()
-  in
-  let duration =
-    Arg.(value & opt sec (Des.Time.sec 6) & info [ "duration" ] ~doc:"Run length, seconds.")
+    write_csv csv Cluster.Csv.fig2_samples result
   in
   let step_at =
     Arg.(value & opt sec (Des.Time.sec 3) & info [ "step-at" ] ~doc:"RTT step time, seconds.")
@@ -186,10 +217,12 @@ let fig2_cmd =
   let window =
     Arg.(value & opt int (32 * 1024) & info [ "window" ] ~doc:"Sender window, bytes.")
   in
-  let seed = Arg.(value & opt int 0x5eed2 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "fig2" ~doc:"Estimator accuracy on a backlogged flow (Fig 2).")
-    Term.(const run $ duration $ step_at $ step_ms $ window $ seed $ csv_arg)
+    Term.(
+      const run
+      $ duration_arg (Des.Time.sec 6)
+      $ step_at $ step_ms $ window $ seed_arg 0x5eed2 $ csv_arg)
 
 (* --- fig3 -------------------------------------------------------------- *)
 
@@ -217,25 +250,8 @@ let fig3_cmd =
         ()
     in
     Cluster.Fig3.print result;
-    (match csv with
-    | Some path ->
-        Cluster.Csv.write_file ~path (Cluster.Csv.fig3_series result);
-        Fmt.pr "wrote %s@." path
-    | None -> ());
-    match metrics_csv with
-    | Some path ->
-        Cluster.Csv.write_file ~path (Cluster.Csv.fig3_metrics result);
-        Fmt.pr "wrote %s@." path
-    | None -> ()
-  in
-  let duration =
-    Arg.(value & opt sec (Des.Time.sec 30) & info [ "duration" ] ~doc:"Run length, seconds.")
-  in
-  let inject_at =
-    Arg.(value & opt sec (Des.Time.sec 10) & info [ "inject-at" ] ~doc:"Injection time, seconds.")
-  in
-  let inject_ms =
-    Arg.(value & opt float 1.0 & info [ "inject-ms" ] ~doc:"Injected delay, milliseconds.")
+    write_csv csv Cluster.Csv.fig3_series result;
+    write_csv metrics_csv Cluster.Csv.fig3_metrics result
   in
   let policies =
     Arg.(
@@ -243,23 +259,19 @@ let fig3_cmd =
       & opt (list policy) [ Inband.Policy.Static_maglev; Inband.Policy.Latency_aware ]
       & info [ "policies" ] ~doc:"Comma-separated policies to compare.")
   in
-  let servers =
-    Arg.(value & opt int 2 & info [ "servers" ] ~doc:"Number of memcached servers.")
-  in
-  let connections =
-    Arg.(value & opt int 4 & info [ "connections" ] ~doc:"Client connections.")
-  in
   let alpha =
     Arg.(value & opt float 0.10 & info [ "alpha" ] ~doc:"Controller shift fraction.")
   in
-  let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "fig3"
        ~doc:"Tail latency under a server delay injection (Fig 3).")
     Term.(
-      const run $ duration $ inject_at $ inject_ms $ policies $ servers
-      $ connections $ alpha $ law_arg $ remap_arg $ seed $ csv_arg
-      $ metrics_csv_arg $ metrics_interval_arg $ jobs_arg)
+      const run
+      $ duration_arg (Des.Time.sec 30)
+      $ inject_at_arg (Des.Time.sec 10)
+      $ inject_ms_arg $ policies $ servers_arg $ connections_arg $ alpha
+      $ law_arg $ remap_arg $ seed_arg 0xfeed $ csv_arg $ metrics_csv_arg
+      $ metrics_interval_arg $ jobs_arg)
 
 (* --- sweeps ------------------------------------------------------------ *)
 
@@ -386,18 +398,6 @@ let herd_cmd =
       & opt (list lb_count) [ 1; 2; 4 ]
       & info [ "lbs" ] ~docv:"N,..." ~doc:"Fleet sizes to sweep.")
   in
-  let duration =
-    Arg.(
-      value
-      & opt sec (Des.Time.sec 12)
-      & info [ "duration" ] ~doc:"Run length, seconds.")
-  in
-  let inject_at =
-    Arg.(
-      value
-      & opt sec (Des.Time.sec 4)
-      & info [ "inject-at" ] ~doc:"Injection time, seconds.")
-  in
   let check =
     Arg.(
       value & flag
@@ -417,7 +417,9 @@ let herd_cmd =
           oracle attached to every LB. $(b,--law) swaps the control law \
           every controller runs (default the paper's shift-worst).")
     Term.(
-      const run $ coord $ law_arg $ remap_arg $ lbs $ duration $ inject_at
+      const run $ coord $ law_arg $ remap_arg $ lbs
+      $ duration_arg (Des.Time.sec 12)
+      $ inject_at_arg (Des.Time.sec 4)
       $ check $ jobs_arg)
 
 (* --- run: free-form scenario ------------------------------------------- *)
@@ -557,9 +559,6 @@ let run_cmd =
     | Some oracle -> report_pcc ~hard:assert_pcc oracle
     | None -> ()
   in
-  let duration =
-    Arg.(value & opt sec (Des.Time.sec 10) & info [ "duration" ] ~doc:"Seconds.")
-  in
   let pol =
     Arg.(
       value
@@ -571,11 +570,7 @@ let run_cmd =
              p2c). The feedback controller — and $(b,--law) — only \
              runs under latency-aware.")
   in
-  let servers = Arg.(value & opt int 2 & info [ "servers" ] ~doc:"Servers.") in
   let clients = Arg.(value & opt int 1 & info [ "clients" ] ~doc:"Client hosts.") in
-  let connections =
-    Arg.(value & opt int 4 & info [ "connections" ] ~doc:"Connections per client.")
-  in
   let pipeline =
     Arg.(value & opt int 2 & info [ "pipeline" ] ~doc:"Pipelined requests per connection.")
   in
@@ -589,9 +584,6 @@ let run_cmd =
       & info [ "inject-at" ]
           ~doc:"Inject +inject-ms on the last server's path at this time.")
   in
-  let inject_ms =
-    Arg.(value & opt float 1.0 & info [ "inject-ms" ] ~doc:"Injected delay, ms.")
-  in
   let interfere =
     Arg.(
       value
@@ -602,7 +594,6 @@ let run_cmd =
   let zipf =
     Arg.(value & opt (some float) None & info [ "zipf" ] ~doc:"Zipf key skew exponent.")
   in
-  let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
   let estimate_window =
     Arg.(
       value & opt int 0
@@ -624,9 +615,11 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a free-form cluster scenario and print a summary.")
     Term.(
-      const run $ duration $ pol $ law_arg $ remap_arg $ servers $ clients
-      $ connections $ pipeline $ get_ratio $ inject_at $ inject_ms $ interfere
-      $ zipf $ seed $ estimate_window $ threshold $ metrics $ faults_arg
+      const run
+      $ duration_arg (Des.Time.sec 10)
+      $ pol $ law_arg $ remap_arg $ servers_arg $ clients $ connections_arg
+      $ pipeline $ get_ratio $ inject_at $ inject_ms_arg $ interfere $ zipf
+      $ seed_arg 0xfeed $ estimate_window $ threshold $ metrics $ faults_arg
       $ assert_pcc_arg)
 
 (* --- churn: multi-fault timeline with per-fault latencies --------------- *)
@@ -650,28 +643,13 @@ let churn_cmd =
     in
     let result = Cluster.Churn.run ~scenario ~duration ~timeline () in
     Cluster.Churn.print result;
-    (match csv with
-    | Some path ->
-        Cluster.Csv.write_file ~path (Cluster.Csv.churn_faults result);
-        Fmt.pr "wrote %s@." path
-    | None -> ());
-    (match metrics_csv with
-    | Some path ->
-        Cluster.Csv.write_file ~path (Cluster.Csv.churn_metrics result);
-        Fmt.pr "wrote %s@." path
-    | None -> ());
+    write_csv csv Cluster.Csv.churn_faults result;
+    write_csv metrics_csv Cluster.Csv.churn_metrics result;
     if assert_recovery && not (Cluster.Churn.all_recovered result) then begin
       Fmt.epr "churn: controller did not recover from every fault@.";
       exit 1
     end
   in
-  let duration =
-    Arg.(
-      value
-      & opt sec (Des.Time.sec 14)
-      & info [ "duration" ] ~doc:"Run length, seconds.")
-  in
-  let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
   let assert_recovery =
     Arg.(
       value & flag
@@ -686,8 +664,10 @@ let churn_cmd =
          "Replay a multi-fault timeline against the latency-aware LB and \
           report per-fault detection/recovery latency.")
     Term.(
-      const run $ duration $ seed $ remap_arg $ faults_arg
-      $ assert_recovery $ csv_arg $ metrics_csv_arg)
+      const run
+      $ duration_arg (Des.Time.sec 14)
+      $ seed_arg 0xfeed $ remap_arg $ faults_arg $ assert_recovery $ csv_arg
+      $ metrics_csv_arg)
 
 (* --- soak: long-horizon churn + adversarial clients -------------------- *)
 
@@ -760,7 +740,6 @@ let soak_cmd =
       value & opt int 6
       & info [ "windows" ] ~doc:"Flatness windows over [warmup, duration].")
   in
-  let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
   let check =
     Arg.(
       value & flag
@@ -803,7 +782,9 @@ let soak_cmd =
           asserting that memory telemetry stays flat and nothing gets \
           stuck. With $(b,--lbs)/$(b,--coord), soak a coordinated \
           multi-LB fleet instead.")
-    Term.(const run $ minutes $ warmup $ windows $ seed $ check $ lbs $ coord)
+    Term.(
+      const run $ minutes $ warmup $ windows $ seed_arg 0xfeed $ check $ lbs
+      $ coord)
 
 (* --- flows: sharded flow-scale churn ---------------------------------- *)
 
@@ -825,12 +806,7 @@ let flows_cmd =
       Fmt.pr "  windows=%d  cross-shard posts=%d  max barrier stall=%.3fs@."
         s.Des.Shard.windows s.Des.Shard.remote_posts max_stall
     end;
-    (match csv with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc r.Cluster.Sharded.csv);
-        Fmt.pr "wrote %s@." path);
+    write_csv csv (fun r -> r.Cluster.Sharded.csv) r;
     if check then begin
       (* A sharded run is judged against the same scenario with
          fixed-width windows and on one shard. *)
@@ -867,12 +843,10 @@ let flows_cmd =
              value.")
   in
   let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ]
-          ~doc:
-            "Deterministically perturb the flow-to-client map and flow \
-             port space (0 = the historical workload).")
+    seed_arg 0
+      ~doc:
+        "Deterministically perturb the flow-to-client map and flow port \
+         space (0 = the historical workload)."
   in
   let check =
     Arg.(

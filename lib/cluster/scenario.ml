@@ -93,17 +93,12 @@ let build config =
   let server_ips = Array.init config.n_servers server_ip in
   (* The cluster-wide registry: LB 0, servers, clients and their links. *)
   let telemetry = Telemetry.Registry.create () in
-  (* Engine health gauges: a stuck-timer leak grows the pending count
-     without bound; the wheel gauges catch cascade pathologies. Every
-     scenario consumer (soak monitor, --metrics-csv) watches the engine
-     through these. *)
-  let engine_gauge name f =
-    Telemetry.Registry.gauge_fn telemetry name (fun () ->
-        float_of_int (f engine))
-  in
-  engine_gauge "des.pending" Des.Engine.pending;
-  engine_gauge "des.queue_length" Des.Engine.queue_length;
-  engine_gauge "des.wheel_size" Des.Engine.wheel_size;
+  (* Engine health gauge: a stuck-timer leak grows the pending count
+     without bound. Every scenario consumer (soak monitor,
+     --metrics-csv) watches the engine through it; the queue holds
+     nothing but pending events, so this is its whole size. *)
+  Telemetry.Registry.gauge_fn telemetry "des.pending" (fun () ->
+      float_of_int (Des.Engine.pending engine));
   (* Every LB has its own VIP. LB 0 reports into the cluster registry;
      each further LB registers the same [lb.*], [ctl.*] and
      [link.lb_server.*] names, so it gets a registry of its own (summed

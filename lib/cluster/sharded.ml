@@ -217,7 +217,8 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ~n () =
   let full_major_s = Unix.gettimeofday () -. fm0 in
   let live_at_peak = (Gc.stat ()).Gc.live_words in
   (* Phase 2: silence the traffic and let idle expiry reap the tables —
-     wheel-scheduled sweeps must walk every flow out, on every shard. *)
+     the balancers' periodic sweeps must walk every flow out, on every
+     shard. *)
   Des.Shard.run shard ~until:(send_horizon + Des.Time.ms 200);
   let wall_s = Unix.gettimeofday () -. t0 -. full_major_s in
   let active_end =

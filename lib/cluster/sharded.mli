@@ -12,11 +12,6 @@
     historical single-engine bench exactly. DESIGN.md §14 has the
     determinism argument. *)
 
-val servers : int
-(** Backend servers (8), spread round-robin over the shards. The 64
-    client hosts are spread the same way; flow i lives on client
-    [i land 63]. *)
-
 val rounds : int
 (** Sends per flow over the whole run (12). *)
 

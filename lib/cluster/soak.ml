@@ -264,7 +264,7 @@ let run ?(config = default_config) () =
   (* Fleet gauges sum over the balancers; with one LB they are that
      LB's own. *)
   let sum_balancers f = Array.fold_left (fun acc b -> acc + f b) 0 balancers in
-  (* Engine health gauges (des.pending and friends) are registered by
+  (* The engine health gauge (des.pending) is registered by
      [Scenario.build] itself. *)
   (* The headline soak metric: live heap words, absolute and per
      tracked flow. [Gc.stat] (unlike [quick_stat]) runs a full major

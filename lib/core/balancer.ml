@@ -91,7 +91,6 @@ type t = {
   conn_gauge : int array;
   rng : Des.Rng.t;
   mutable rr_next : int;
-  telemetry : Telemetry.Registry.t;
   packet_bus : Netsim.Packet.t Telemetry.Bus.t;
   sample_bus : sample_event Telemetry.Bus.t;
   routed_bus : routed_event Telemetry.Bus.t;
@@ -417,7 +416,6 @@ let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
       conn_gauge = Array.make n 0;
       rng;
       rr_next = 0;
-      telemetry = registry;
       packet_bus = Telemetry.Bus.create ();
       sample_bus = Telemetry.Bus.create ();
       routed_bus = Telemetry.Bus.create ();
@@ -469,14 +467,12 @@ let create fabric ~vip ~server_ips ?(policy = Policy.Static_maglev)
          sweep t));
   t
 
-let telemetry t = t.telemetry
 let config t = t.config
 let packet_bus t = t.packet_bus
 let sample_bus t = t.sample_bus
 let routed_bus t = t.routed_bus
 let remap_bus t = t.remap_bus
 let remapped_flows t = Telemetry.Registry.Counter.value t.m_remapped
-let policy t = t.policy
 let pool t = t.pool
 let controller t = t.controller
 

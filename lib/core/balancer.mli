@@ -35,19 +35,16 @@ val create :
     [i] of the pool forwards to next hop [server_ips.(i)]. [rng] is used
     only by [P2c] (default: seeded stream). Metrics are registered in
     [telemetry] when given (one balancer per registry — names collide
-    otherwise), or in a private registry reachable via {!telemetry}.
+    otherwise), or in a private registry: counters
+    ["lb.pkts_forwarded"], ["lb.samples"], per-server ["lb.pkts_to"],
+    ["lb.flows_to"], ["lb.samples_to"]; gauges ["lb.active_flows"],
+    per-server ["lb.active_conns"], ["lb.est_latency_ns"]; and, under
+    {!Policy.Latency_aware}, the controller's ["ctl.*"] metrics.
 
     @raise Invalid_argument if [server_ips] is empty or the config is
     invalid. *)
 
 (** {1 Telemetry} *)
-
-val telemetry : t -> Telemetry.Registry.t
-(** The registry holding the balancer's metrics: counters
-    ["lb.pkts_forwarded"], ["lb.samples"], per-server ["lb.pkts_to"],
-    ["lb.flows_to"], ["lb.samples_to"]; gauges ["lb.active_flows"],
-    per-server ["lb.active_conns"], ["lb.est_latency_ns"]; and, under
-    {!Policy.Latency_aware}, the controller's ["ctl.*"] metrics. *)
 
 val config : t -> Config.t
 (** The configuration the balancer was built with (flow idle timeout,
@@ -100,7 +97,6 @@ val remapped_flows : t -> int
 
 (** {1 State access} *)
 
-val policy : t -> Policy.t
 val pool : t -> Maglev.Pool.t
 val controller : t -> Controller.t option
 (** [Some _] iff the policy is [Latency_aware]. *)

@@ -119,8 +119,6 @@ let estimate t i =
   | Some f -> f i
   | None -> Server_stats.estimate t.stats i
 
-let law_kind t = Control_law.kind t.law
-
 (* The decision loop acts only when at least two servers have an
    estimate, mirroring the historical [servers_with_samples >= 2] gate
    under local estimation (laws re-check as needed, but the gate lives

@@ -36,9 +36,6 @@ val on_sample : t -> now:Des.Time.t -> server:int -> Des.Time.t -> action option
     any. [action.victim]/[action.shifted] report the law's proposal:
     the server losing the most mass and the total mass moved. *)
 
-val law_kind : t -> Control_law.kind
-(** The decision rule this controller runs ([Config.law]). *)
-
 val drain : t -> now:Des.Time.t -> server:int -> unit
 (** Administratively pin one backend at the weight floor
     ([Config.min_weight]) and rebuild. The pin holds across every
@@ -107,11 +104,6 @@ val set_on_rebuild :
     The balancer uses this to apply its {!Remap} policy the instant
     the table changes; unset (the default) the commit path behaves
     exactly as before. *)
-
-val estimate : t -> int -> float option
-(** The estimate the decision loop currently sees for one server:
-    the override when installed, the local smoothed estimate
-    otherwise. *)
 
 val last_action_at : t -> Des.Time.t option
 (** Time of the most recent shift action (imposed commits excluded). *)

@@ -9,7 +9,6 @@ let create ~delta ~now =
   if delta <= 0 then invalid_arg "Fixed_timeout.create: delta";
   { delta; time_last_batch = now; time_last_pkt = now; samples = 0 }
 
-let delta t = t.delta
 
 let on_packet t ~now =
   let t_lb =

@@ -15,8 +15,6 @@ val create : delta:Des.Time.t -> now:Des.Time.t -> t
 
     @raise Invalid_argument if [delta <= 0]. *)
 
-val delta : t -> Des.Time.t
-
 val on_packet : t -> now:Des.Time.t -> Des.Time.t option
 (** Process one packet arrival; [Some t_lb] iff the packet started a new
     batch (Algorithm 1 lines 2–5). *)

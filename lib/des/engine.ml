@@ -5,17 +5,21 @@
    and never runs the write barrier ([caml_modify]) that swapping record
    pointers in a major-heap array costs. A per-engine [records] table
    maps each slot to its event record; it is written when an event
-   enters the heap and read when it leaves. The 4-ary layout halves the
-   sift depth of a binary heap and puts a node's four child times in 32
-   contiguous bytes. Five further disciplines keep the queue lean:
+   enters the queue and read when it leaves. The 4-ary layout halves
+   the sift depth of a binary heap and puts a node's four child times
+   in 32 contiguous bytes. Three further disciplines keep the queue
+   lean:
 
-   - Cancelled events stay in the heap as tombstones but are counted
-     exactly ([tombstones] is incremented by [cancel] and decremented
-     whenever a cancelled head is drained). When tombstones exceed half
-     the queue (heap and in-order FIFO) the heap is compacted in place
-     and re-heapified, so cancel-heavy workloads keep the queue
-     proportional to the live event count instead of accumulating
-     garbage until the original expiry times come around.
+   - A second table, [pos], maps each slot in the heap to its heap
+     index. [place], the one function that writes a heap entry, keeps
+     it current, so [cancel] removes a [schedule] record's own entry at
+     once (the last entry fills the hole and sifts up or down) and
+     [rearm] gives the entry a new (time, seq) where it stands and
+     sifts it up or down. The heap holds no cancelled entry, and a
+     [Timer] keeps one record, and one slot while armed. [rearm] draws
+     its seq exactly where a cancel plus [schedule] would, so the
+     (time, seq) order, and with it every firing, is that of the
+     cancel-and-reschedule path.
 
    - [post] / [post_after] / [post_call] / [post_tagged] serve the
      dominant schedule-then-fire pattern (link transmissions, service
@@ -26,8 +30,8 @@
      nothing beyond the caller's closure ([post_call] with a
      preallocated function, and [post_tagged]: nothing at all). A
      [schedule] record is a live handle left to the GC: it borrows a
-     slot when it enters the heap and returns it when it leaves (fired,
-     drained as a tombstone, or compacted away).
+     slot when it enters the heap and returns it when it leaves (fired
+     or cancelled).
 
    - Pooled posts made in time order skip the heap: they join one of
      two FIFO rings of (time, seq, slot) beside it. A post for the
@@ -41,28 +45,7 @@
      links, replies posted from a handler) and constant-delay
      deliveries (a link's propagation) thus cost a few int stores
      instead of a sift through a deep heap. Cancellable events never
-     enter a ring, so the rings hold no tombstones.
-
-   - Cancellable events more than one wheel tick in the future park in a
-     hierarchical timing wheel ({!Wheel}) instead of the heap: O(1) arm,
-     O(1) cancel with no tombstone debt, and a slot flush into the heap
-     just before the clock can enter their tick. The queue alone decides
-     firing order — a flushed record is pushed with its original
-     (time, seq), so wheel-routed timers fire exactly as if they had
-     been heap-resident all along. TCP RTO and delayed-ack timers,
-     re-armed and cancelled once per packet, never touch the heap at
-     all. Events beyond the wheel's span overflow to the heap.
-
-   - [rearm] moves a timer's own record instead of cancelling it and
-     minting another. A parked record is unlinked and offered again;
-     one that has left the queue (fired, or cancelled out of the wheel)
-     is queued again. Only a record still in the heap, live or a
-     tombstone, is cancelled and replaced, since the heap holds its
-     slot. The seq is drawn exactly where a cancel plus [schedule] would
-     draw it, so the (time, seq) order, and with it every firing, is
-     that of the old path. *)
-
-open Event
+     enter a ring. *)
 
 (* A FIFO of (time, seq, slot) int triples: entry [k] of
    [head .. head + size) (mod the power-of-two capacity) is
@@ -121,12 +104,24 @@ module Ring = struct
     sl
 end
 
-type event = t Event.t
+(* An event record. Firing applies [fn a b]. A call ([post_call f x];
+   [post] and [schedule] are calls of a thunk on [()]) stores [apply],
+   [f] and [x]; a tagged event stores the engine's sink, the tag and
+   the payload. Either way no closure is built per event. The heap
+   keeps the record's (time, seq), so the record holds neither. *)
+type event = {
+  pooled : bool;
+  mutable fn : Obj.t -> Obj.t -> unit;
+  mutable a : Obj.t;
+  mutable b : Obj.t;
+  owner : t; (* for [cancel] and [rearm], which get only the record *)
+  mutable slot : int; (* a [schedule] record's slot while queued, else -1 *)
+}
 
-(* The six arrays share one capacity, at least [nslots]: a heap entry,
-   a ring entry, an idle pooled slot and a spare slot each name a
-   distinct slot, so only handing out a new slot ever needs to grow
-   them. The rings grow on their own. *)
+(* The seven slot-indexed arrays share one capacity, at least
+   [nslots]: a heap entry, a ring entry, an idle pooled slot and a
+   spare slot each name a distinct slot, so only handing out a new slot
+   ever needs to grow them. The rings grow on their own. *)
 and t = {
   mutable now : Time.t;
   mutable next_seq : int;
@@ -135,8 +130,8 @@ and t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable slots : int array;
+  mutable pos : int array; (* slot -> heap index, while in the heap *)
   mutable len : int;
-  mutable tombstones : int; (* cancelled events still in the heap *)
   lane : Ring.t; (* pooled posts due [now] *)
   fifo : Ring.t; (* later pooled posts, appended in time order *)
   mutable records : event array; (* slot -> record; [nil] if unbound *)
@@ -145,26 +140,19 @@ and t = {
   mutable nidle : int;
   mutable spare : int array; (* stack of unbound slots *)
   mutable nspare : int;
-  mutable compactions : int;
-  nil : event; (* wheel list terminator and unbound slot, never queued *)
-  mutable wheel : t Wheel.t option; (* Some after [create] *)
-  mutable emit : event -> unit; (* preallocated wheel->heap push *)
+  nil : event; (* fills unbound slots, never queued *)
   mutable tagged_sink : Obj.t -> Obj.t -> unit; (* [fn] of tagged events *)
 }
 
 type handle = event
 
 let null_arg = Obj.repr 0
-let in_heap = -2
 
 (* The [fn] of every call event: [a] is the function, [b] its argument. *)
 let apply a b = (Obj.obj a : Obj.t -> unit) b
 
 let no_sink (_ : Obj.t) (_ : Obj.t) =
   failwith "Engine: tagged event fired with no sink installed"
-
-let wheel_of t =
-  match t.wheel with Some w -> w | None -> assert false
 
 let now t = t.now
 
@@ -181,7 +169,8 @@ let[@inline] precedes (tm : int) (sq : int) (times : int array)
 let[@inline] place t i tm sq sl =
   Array.unsafe_set t.times i tm;
   Array.unsafe_set t.seqs i sq;
-  Array.unsafe_set t.slots i sl
+  Array.unsafe_set t.slots i sl;
+  Array.unsafe_set t.pos sl i
 
 let[@inline] move t ~src ~dst =
   place t dst
@@ -225,21 +214,32 @@ let rec sift_down t len i tm sq sl =
     end
   end
 
+(* Fill the hole at heap index [i] with (tm, sq, sl): it sifts up if it
+   precedes [i]'s parent, else down. *)
+let resift t i tm sq sl =
+  if i > 0 && precedes tm sq t.times t.seqs ((i - 1) asr 2) then
+    sift_up t i tm sq sl
+  else sift_down t t.len i tm sq sl
+
 let push t tm sq sl =
   let i = t.len in
   t.len <- i + 1;
   sift_up t i tm sq sl
 
+(* Remove heap entry [i]; the last entry fills its hole. *)
+let remove t i =
+  let n = t.len - 1 in
+  t.len <- n;
+  if i < n then
+    resift t i
+      (Array.unsafe_get t.times n)
+      (Array.unsafe_get t.seqs n)
+      (Array.unsafe_get t.slots n)
+
 (* Remove the root and return its slot. *)
 let pop t =
   let sl = Array.unsafe_get t.slots 0 in
-  let n = t.len - 1 in
-  t.len <- n;
-  if n > 0 then
-    sift_down t n 0
-      (Array.unsafe_get t.times n)
-      (Array.unsafe_get t.seqs n)
-      (Array.unsafe_get t.slots n);
+  remove t 0;
   sl
 
 let grow t =
@@ -253,6 +253,7 @@ let grow t =
   t.times <- extend t.times 0;
   t.seqs <- extend t.seqs 0;
   t.slots <- extend t.slots 0;
+  t.pos <- extend t.pos 0;
   t.idle <- extend t.idle 0;
   t.spare <- extend t.spare 0;
   t.records <- extend t.records t.nil
@@ -271,16 +272,16 @@ let take_slot t =
   end
 
 (* A [schedule] record enters the heap on a borrowed slot... *)
-let enter t ev =
+let enter t ev at sq =
   let s = take_slot t in
   t.records.(s) <- ev;
-  ev.wslot <- in_heap;
-  push t ev.time ev.seq s
+  ev.slot <- s;
+  push t at sq s
 
 (* ...and gives it back when it leaves, unbinding it so the engine
    keeps no dead record (or its closure) alive. *)
 let release t s =
-  (Array.unsafe_get t.records s).wslot <- -1;
+  (Array.unsafe_get t.records s).slot <- -1;
   t.records.(s) <- t.nil;
   Array.unsafe_set t.spare t.nspare s;
   t.nspare <- t.nspare + 1
@@ -292,19 +293,8 @@ let recycle t s =
 
 let create () =
   let rec nil =
-    {
-      time = 0;
-      seq = -1;
-      cancelled = false;
-      pooled = false;
-      fn = apply;
-      a = null_arg;
-      b = null_arg;
-      owner = t;
-      wnext = nil;
-      wprev = nil;
-      wslot = -1;
-    }
+    { pooled = false; fn = apply; a = null_arg; b = null_arg; owner = t;
+      slot = -1 }
   and t =
     {
       now = Time.zero;
@@ -313,8 +303,8 @@ let create () =
       times = [||];
       seqs = [||];
       slots = [||];
+      pos = [||];
       len = 0;
-      tombstones = 0;
       lane = Ring.create ();
       fifo = Ring.create ();
       records = [||];
@@ -323,53 +313,11 @@ let create () =
       nidle = 0;
       spare = [||];
       nspare = 0;
-      compactions = 0;
       nil;
-      wheel = None;
-      emit = ignore;
       tagged_sink = no_sink;
     }
   in
-  t.wheel <- Some (Wheel.create ~nil ());
-  t.emit <- (fun ev -> enter t ev);
   t
-
-(* Drop the payload a record would otherwise keep alive (and, for a
-   record in the major heap, promote at the next minor collection). *)
-let[@inline] clear ev =
-  ev.a <- null_arg;
-  if ev.b != null_arg then ev.b <- null_arg
-
-(* Drop every tombstone, returning its slot, and restore the heap
-   invariant bottom-up (Floyd). *)
-let compact t =
-  let j = ref 0 in
-  for i = 0 to t.len - 1 do
-    let s = t.slots.(i) in
-    let ev = t.records.(s) in
-    if ev.cancelled then begin
-      clear ev;
-      release t s
-    end
-    else begin
-      move t ~src:i ~dst:!j;
-      incr j
-    end
-  done;
-  t.len <- !j;
-  t.tombstones <- 0;
-  t.compactions <- t.compactions + 1;
-  for i = (t.len - 2) asr 2 downto 0 do
-    sift_down t t.len i t.times.(i) t.seqs.(i) t.slots.(i)
-  done
-
-(* The FIFO counts as heap here and in [drain_cancelled_heads]: the
-   queue keeps exactly the tombstones one heap holding both would keep,
-   so [queue_length] reads as if one heap held both, and the bound
-   [queue_length <= max 64 (2 * pending)] holds with a small heap. *)
-let maybe_compact t =
-  let n = t.len + t.fifo.size in
-  if n >= 64 && 2 * t.tombstones > n then compact t
 
 let in_the_past t at =
   invalid_arg
@@ -380,16 +328,16 @@ let in_the_past t at =
    inlines the compare instead of calling it. *)
 let[@inline] check_future t at = if at < t.now then in_the_past t at
 
+(* A record for [schedule] and [unscheduled]: a call of [f] on [()]. *)
+let record t f =
+  { pooled = false; fn = apply; a = f; b = Obj.repr (); owner = t; slot = -1 }
+
 let schedule t ~at f =
   check_future t at;
-  let nil = t.nil in
-  let ev =
-    { time = at; seq = t.next_seq; cancelled = false; pooled = false;
-      fn = apply; a = Obj.repr f; b = Obj.repr (); owner = t; wnext = nil;
-      wprev = nil; wslot = -1 }
-  in
-  t.next_seq <- t.next_seq + 1;
-  if not (Wheel.offer (wheel_of t) ev) then enter t ev;
+  let ev = record t (Obj.repr f) in
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  enter t ev at sq;
   ev
 
 let schedule_after t ~delay f =
@@ -411,11 +359,10 @@ let post_pooled t ~at fn a b =
       Array.unsafe_get t.idle t.nidle
     end
     else begin
-      let s = take_slot t and nil = t.nil in
+      let s = take_slot t in
       t.records.(s) <-
-        { time = 0; seq = -1; cancelled = false; pooled = true; fn = apply;
-          a = null_arg; b = null_arg; owner = t; wnext = nil; wprev = nil;
-          wslot = -1 };
+        { pooled = true; fn = apply; a = null_arg; b = null_arg; owner = t;
+          slot = -1 };
       s
     end
   in
@@ -450,108 +397,48 @@ let post_tagged t ~at ~tag arg =
   if tag < 0 then invalid_arg "Engine.post_tagged: tag must be >= 0";
   post_pooled t ~at t.tagged_sink (Obj.repr tag) arg
 
+(* Only [schedule] records are handles, and such a record holds a slot
+   only while its entry is in the heap, so a fired or cancelled handle
+   ([slot = -1]) is left alone. The record keeps its payload for
+   [rearm]. *)
 let cancel (ev : handle) =
-  (* Events are marked cancelled when they fire, so late cancels of
-     fired handles are no-ops and never skew the tombstone count. *)
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
+  let s = ev.slot in
+  if s >= 0 then begin
     let t = ev.owner in
-    if ev.wslot >= 0 then
-      (* Parked in the wheel: unlink outright — no tombstone, no
-         compaction debt, the heap never hears of it. *)
-      Wheel.remove (wheel_of t) ev
-    else begin
-      t.tombstones <- t.tombstones + 1;
-      maybe_compact t
-    end
+    remove t (Array.unsafe_get t.pos s);
+    release t s
   end
 
-let unscheduled t =
-  let nil = t.nil in
-  { time = 0; seq = -1; cancelled = true; pooled = false; fn = apply;
-    a = null_arg; b = Obj.repr (); owner = t; wnext = nil; wprev = nil;
-    wslot = -1 }
+let unscheduled t = record t null_arg
+let scheduled (ev : handle) = ev.slot >= 0
 
-let scheduled (ev : handle) = not ev.cancelled
-
-(* [cancel ev] then [schedule_after ~delay f], reusing [ev] unless the
-   heap still holds it. [f] is restored because [compact] clears the
-   payload of the tombstones it drops. *)
+(* [cancel ev] then [schedule_after ~delay f] on [ev]'s own record: a
+   queued entry takes the new (time, seq) where it stands, and an idle
+   record enters the heap again. *)
 let rearm (ev : handle) ~delay f =
   if delay < 0 then invalid_arg "Engine.rearm: negative delay";
   let t = ev.owner in
-  let at = t.now + delay in
-  if ev.wslot = in_heap then begin
-    cancel ev;
-    schedule t ~at f
-  end
-  else begin
-    let sq = t.next_seq in
-    t.next_seq <- sq + 1;
-    let f = Obj.repr f in
-    if ev.a != f then ev.a <- f;
-    let w = wheel_of t in
-    if ev.wslot >= 0 then Wheel.remove w ev else ev.cancelled <- false;
-    ev.time <- at;
-    ev.seq <- sq;
-    if not (Wheel.offer w ev) then enter t ev;
-    ev
-  end
+  let at = t.now + delay and sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  let f = Obj.repr f in
+  if ev.a != f then ev.a <- f;
+  let s = ev.slot in
+  if s >= 0 then resift t (Array.unsafe_get t.pos s) at sq s
+  else enter t ev at sq
 
 (* The heap root precedes the head of ring [r]; neither may be empty. *)
 let[@inline] root_precedes t (r : Ring.t) =
   precedes (Array.unsafe_get t.times 0) (Array.unsafe_get t.seqs 0) r.times
     r.seqs r.head
 
-(* Only [schedule] records have handles, so every tombstone holds a
-   borrowed slot. [tombstones] is exact, so with none the root record
-   is not even read. A tombstone leaves once it is due before the FIFO
-   head, as it would from the root of a heap holding both. *)
-let rec drain_cancelled_heads t =
-  if
-    t.tombstones > 0
-    && t.records.(t.slots.(0)).cancelled
-    && (t.fifo.size = 0 || root_precedes t t.fifo)
-  then begin
-    release t (pop t);
-    t.tombstones <- t.tombstones - 1;
-    drain_cancelled_heads t
-  end
-
-(* Fire time of the next queued event once heads are drained: the
-   lane's entries are all due now, and nothing queued is earlier.
-   [max_int] when all three are empty (the wheel aside). *)
+(* Fire time of the next queued event: the lane's entries are all due
+   now, and nothing queued is earlier. [max_int] when all three are
+   empty. *)
 let head_time t =
   if t.lane.size > 0 then t.now
   else
     let h = if t.len > 0 then Array.unsafe_get t.times 0 else max_int in
     if t.fifo.size > 0 then Int.min h (Ring.time t.fifo) else h
-
-(* Make the next queued event the globally next one: flush every wheel
-   tick at or below its time (wheel entries are never cancelled —
-   [cancel] unlinks them — so everything emitted is live). Tombstoned
-   heads are drained first so the flush target is a live time. With
-   nothing queued, flush through the next occupied tick; with an empty
-   wheel, just keep its origin tracking the clock. *)
-let settle t =
-  drain_cancelled_heads t;
-  let w = wheel_of t in
-  if Wheel.live w = 0 then Wheel.catch_up w ~upto:t.now
-  else
-    let head = head_time t in
-    if head < max_int then Wheel.advance w ~upto:head ~emit:t.emit
-    else Wheel.advance_next w ~emit:t.emit
-
-(* Bounded variant for [run ~until]: only ticks at or below the limit
-   may be flushed, so timers parked beyond the stopping point stay in
-   the wheel (and keep their O(1) cancel) across run/schedule cycles. *)
-let settle_until t limit =
-  drain_cancelled_heads t;
-  let w = wheel_of t in
-  if Wheel.live w = 0 then Wheel.catch_up w ~upto:t.now
-  else
-    let head = head_time t in
-    Wheel.advance w ~upto:(if head <= limit then head else limit) ~emit:t.emit
 
 (* Fire the record in slot [s]. Its slot is returned before the
    callback runs, so the callback may post again straight away. A
@@ -568,22 +455,16 @@ let[@inline] fire t s =
     if b != null_arg then ev.b <- null_arg;
     recycle t s
   end
-  else begin
-    ev.cancelled <- true;
-    release t s
-  end;
+  else release t s;
   (* A call fires as a one-argument application: [fn a b] on an unknown
      [fn] would go through [caml_apply2]. *)
   if fn == apply then (Obj.obj a : Obj.t -> unit) b else fn a b
 
-(* After [settle] no wheel entry is due before the next queued event,
-   and the heap root is live unless the FIFO head precedes it. Of the
-   lane head, the FIFO head and the heap root, the least (time, seq)
-   fires: [r] is the ring with the lesser head (the lane's is due now,
-   so it is never later than the FIFO's), and the heap root goes first
-   only if it precedes that. *)
+(* Of the lane head, the FIFO head and the heap root, the least
+   (time, seq) fires: [r] is the ring with the lesser head (the lane's
+   is due now, so it is never later than the FIFO's), and the heap root
+   goes first only if it precedes that. *)
 let step t =
-  settle t;
   let lane = t.lane and fifo = t.fifo in
   let r =
     if lane.size = 0 then fifo
@@ -616,34 +497,12 @@ let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-      let continue = ref true in
-      while !continue do
-        settle_until t limit;
-        if head_time t <= limit then ignore (step t)
-        else begin
-          t.now <- Time.max t.now limit;
-          continue := false
-        end
-      done
+      while head_time t <= limit && step t do () done;
+      t.now <- Time.max t.now limit
 
-(* Lower bound on the next live event's fire time, [None] when idle.
-   The ring and heap heads are exact once tombstoned heads are
-   drained (a local mutation, safe between runs); the wheel contributes
-   its conservative slot bound. The shard barrier feeds the fleet-wide
-   minimum of these into the adaptive window horizon, so "lower bound"
-   is the contract — never later than the true next event. *)
 let next_event_time t =
-  drain_cancelled_heads t;
-  let bound = Wheel.next_time_lower_bound (wheel_of t) in
-  let head = head_time t in
-  let bound = if head < bound then head else bound in
-  if bound = max_int then None else Some bound
+  let h = head_time t in
+  if h = max_int then None else Some h
 
-let pending t =
-  t.len - t.tombstones + t.lane.size + t.fifo.size + Wheel.live (wheel_of t)
-
-let queue_length t = t.len + t.lane.size + t.fifo.size
-let wheel_size t = Wheel.live (wheel_of t)
-let wheel_cascades t = Wheel.cascades (wheel_of t)
-let compactions t = t.compactions
+let pending t = t.len + t.lane.size + t.fifo.size
 let events_fired t = t.fired

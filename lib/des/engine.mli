@@ -5,14 +5,15 @@
     makes whole simulations deterministic given deterministic callbacks
     and seeded {!Rng} streams.
 
-    The queue has four parts that never change that order: a 4-ary heap
-    of (time, seq) entries, a timing wheel for cancellable events further
-    out, and two FIFO rings. A fire-and-forget post ({!post},
-    {!post_call}, {!post_tagged}) for the current instant joins the
-    same-instant lane; a later one at or after the in-order FIFO's tail
-    (a constant-delay stream, such as a link's deliveries) joins that
-    FIFO; only other posts enter the heap. The engine merges the lane,
-    the FIFO and the heap by (time, seq) exactly. *)
+    The queue has three parts that never change that order: a 4-ary
+    heap of (time, seq) entries and two FIFO rings. Every cancellable
+    event ({!schedule}, {!rearm}, a {!Timer}) is in the heap. A
+    fire-and-forget post ({!post}, {!post_call}, {!post_tagged}) for
+    the current instant joins the same-instant lane; a later one at or
+    after the in-order FIFO's tail (a constant-delay stream, such as a
+    link's deliveries) joins that FIFO; only other posts enter the
+    heap. The engine merges the lane, the FIFO and the heap by
+    (time, seq) exactly. *)
 
 type t
 (** A simulation engine instance. *)
@@ -84,11 +85,9 @@ val post_tagged : t -> at:Time.t -> tag:int -> Obj.t -> unit
 
 val cancel : handle -> unit
 (** Prevent a pending event from firing. Cancelling an event that already
-    fired (or was already cancelled) is a no-op. Events parked in the
-    timing wheel are unlinked in O(1); heap-resident events remain queued
-    as tombstones but are counted exactly, and the queue is compacted in
-    place whenever tombstones exceed half of it, so cancel-heavy
-    workloads stay bounded by the live event count. *)
+    fired (or was already cancelled) is a no-op. The event's heap entry
+    is removed at once, in O(log n): the queue never holds a cancelled
+    event. *)
 
 val unscheduled : t -> handle
 (** A handle to no event, for {!rearm}: {!cancel} ignores it and
@@ -99,27 +98,23 @@ val scheduled : handle -> bool
 (** [true] from a {!schedule} or {!rearm} until the event fires or is
     cancelled. *)
 
-val rearm : handle -> delay:Time.t -> (unit -> unit) -> handle
-(** [rearm h ~delay f] is [cancel h] followed by
-    [schedule_after ~delay f], with the same (time, seq) and so the same
-    firing order, but it reuses [h]'s record and returns it. Only when
-    the heap still holds [h] (due within one wheel tick, or a cancelled
-    tombstone not yet drained) is [h] cancelled and a fresh handle
-    returned. So a re-arm allocates nothing, unless it is due within
-    one tick ({!Wheel.tick_ns}) or the previous expiry was: a parked
-    record is unlinked from its wheel slot and parked again.
+val rearm : handle -> delay:Time.t -> (unit -> unit) -> unit
+(** [rearm h ~delay f] makes [h] stand for [schedule_after ~delay f]:
+    it is [cancel h] followed by that [schedule_after], with the same
+    (time, seq) and so the same firing order, but on [h]'s own record.
+    A pending [h] takes the new (time, seq) in place in the heap; an
+    idle one enters it again. Once the engine has held as many events
+    at once before, a re-arm allocates nothing, at any delay.
 
     Only the owner of [h] may re-arm it: the caller must hold the only
-    reference, as {!Timer} does, and must use the returned handle from
-    then on.
+    reference, as {!Timer} does.
 
     @raise Invalid_argument if [delay] is negative. *)
 
 val step : t -> bool
 (** Fire the earliest pending event, in (time, seq) order across the
-    same-instant lane, the in-order FIFO, the heap and the wheel.
-    Returns [false] if the queue was empty (clock unchanged), [true]
-    otherwise. *)
+    same-instant lane, the in-order FIFO and the heap. Returns [false]
+    if the queue was empty (clock unchanged), [true] otherwise. *)
 
 val run : ?until:Time.t -> t -> unit
 (** [run t] fires events until the queue drains. With [?until], stops as
@@ -127,40 +122,16 @@ val run : ?until:Time.t -> t -> unit
     clock to exactly [until]. *)
 
 val pending : t -> int
-(** Number of scheduled, not-yet-cancelled events, whether heap-resident,
-    in the same-instant lane or the in-order FIFO, or parked in the
-    timing wheel. O(1). *)
+(** Number of scheduled, not-yet-cancelled events: heap entries plus
+    same-instant lane and in-order FIFO entries, since the queue holds
+    nothing else. O(1). *)
 
 val next_event_time : t -> Time.t option
-(** Conservative lower bound on the next live event's fire time ([None]
-    when nothing is pending): the exact time of the earliest of the heap
-    root and the in-order FIFO's head ({!now} while the same-instant
-    lane is non-empty) combined with the timing wheel's slot-granular
-    bound ({!Wheel.next_time_lower_bound}).
-    Never later than the true next event — the contract the adaptive
-    shard barrier relies on to widen windows to
-    [min_next_event + lookahead]. Intended to be called between runs
-    (it drains tombstoned heap heads, a local mutation). *)
-
-val queue_length : t -> int
-(** Physical queue size: heap entries, including cancelled tombstones not
-    yet drained or compacted away, plus same-instant lane and in-order
-    FIFO entries; events parked in the timing wheel are excluded. For
-    tombstones the FIFO counts as heap, so this reads as if one heap held
-    both. For diagnostics and boundedness tests. *)
-
-val wheel_size : t -> int
-(** Events currently parked in the hierarchical timing wheel. Cancellable
-    events ({!schedule}/{!schedule_after}) more than one wheel tick
-    ({!Wheel.tick_ns}) ahead park there and migrate to the heap just
-    before the clock enters their tick, so firing order is still decided
-    solely by the queue's exact (time, seq) comparison. *)
-
-val wheel_cascades : t -> int
-(** Higher-level wheel slot redistributions performed (diagnostics). *)
-
-val compactions : t -> int
-(** Number of tombstone compaction passes run since creation. *)
+(** The exact fire time of the next pending event ([None] when nothing
+    is pending): the earliest of the heap root and the in-order FIFO's
+    head, or {!now} while the same-instant lane is non-empty. Read-only.
+    The adaptive shard barrier widens its windows to
+    [min_next_event + lookahead] from it. *)
 
 val events_fired : t -> int
 (** Total events executed since creation; a cheap progress metric. *)

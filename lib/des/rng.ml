@@ -16,7 +16,6 @@ let hash_label seed label =
 let split t ~label = create ~seed:(hash_label t.seed label)
 let int t bound = Random.State.int t.state bound
 let float t bound = Random.State.float t.state bound
-let bool t = Random.State.bool t.state
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
 
 let exponential t ~mean =

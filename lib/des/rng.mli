@@ -22,8 +22,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. *)
 

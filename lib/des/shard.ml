@@ -24,7 +24,7 @@
 
    Adaptive horizon (DESIGN.md §15): at the barrier every engine sits at
    the same time [w] with its inboxes drained, so the fleet-wide minimum
-   next-event time [m] (heap head + wheel bound, per engine) is a sound
+   next-event time [m] (each engine's exact next event) is a sound
    lower bound on when *anything* can happen anywhere. No event fires
    before [m], hence no cross-shard effect can land before [m + L], and
    the next window may run to [max (w + L) (m + L)] without any shard
@@ -108,8 +108,6 @@ type stats = {
 }
 
 let shards (t : t) = t.shards
-let lookahead (t : t) = t.lookahead
-let adaptive (t : t) = t.adaptive
 let engine (t : t) k = t.engines.(k)
 
 let post_remote_tagged (t : t) ~src ~dst ~at ~tag arg =

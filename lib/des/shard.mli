@@ -1,9 +1,9 @@
 (** Conservative synchronized-window parallel DES.
 
     A sharded simulation partitions its hosts across K shards, each
-    owning a private {!Engine} (wheel + heap), RNG streams, and slab
-    lanes. Shards run concurrently — shard 0 on the calling domain,
-    shards 1..K-1 on a persistent domain team — in lockstep windows
+    owning a private {!Engine}, RNG streams, and slab lanes. Shards run
+    concurrently — shard 0 on the calling domain, shards 1..K-1 on a
+    persistent domain team — in lockstep windows
     bounded by [lookahead], the minimum propagation delay of any
     cross-shard link: an event executed during window [w, w+L) can only
     produce a cross-shard effect at time ≥ w+L, so within a window every
@@ -47,10 +47,6 @@ val create : ?adaptive:bool -> shards:int -> lookahead:Time.t -> unit -> t
     non-positive [lookahead]. *)
 
 val shards : t -> int
-val lookahead : t -> Time.t
-
-val adaptive : t -> bool
-(** Whether event-horizon widening is enabled. *)
 
 val engine : t -> int -> Engine.t
 (** The engine owned by shard [k]. Scenario construction registers each

@@ -1,16 +1,12 @@
-(* The timer owns one event record and re-arms it in place
-   ([Engine.rearm]); the record changes only when the heap still holds
-   it. [f] is the scheduled callback itself: a fired record reads as
-   not scheduled, so no wrapper has to clear any state. *)
-type t = { f : unit -> unit; mutable handle : Engine.handle }
+(* The timer owns one event record for life and re-arms it in place
+   ([Engine.rearm]). [f] is the scheduled callback itself: a fired
+   record reads as not scheduled, so no wrapper has to clear any
+   state. *)
+type t = { f : unit -> unit; handle : Engine.handle }
 
 let create engine ~f = { f; handle = Engine.unscheduled engine }
 let stop t = Engine.cancel t.handle
-
-let arm t ~delay =
-  let h = Engine.rearm t.handle ~delay t.f in
-  if h != t.handle then t.handle <- h
-
+let arm t ~delay = Engine.rearm t.handle ~delay t.f
 let is_armed t = Engine.scheduled t.handle
 
 let every engine ~period ?start f =

@@ -15,12 +15,10 @@ val arm : t -> delay:Time.t -> unit
 (** [arm t ~delay] (re)starts the timer: any pending expiry is cancelled
     and [f] will fire once after [delay].
 
-    The timer keeps one event record and moves it ({!Engine.rearm}), so
-    a re-arm allocates nothing, except when the new expiry or the
-    pending one is due within one wheel tick (65.5 µs) of the clock:
-    such an expiry sits in the engine's heap, and re-arming it costs a
-    fresh record, as {!Engine.schedule_after} does. The timer owns its
-    record; nothing else may re-arm or keep it. *)
+    The timer keeps one event record for life and moves it
+    ({!Engine.rearm}), so a warm re-arm allocates nothing, at any
+    delay. The timer owns its record; nothing else may re-arm or keep
+    it. *)
 
 val stop : t -> unit
 (** Cancel any pending expiry. Idempotent. *)

@@ -172,5 +172,3 @@ let install engine ~env ?telemetry timeline =
 
 let intervals t = List.rev t.intervals_rev
 let active_faults t = t.active
-let applied_count t = Telemetry.Registry.Counter.value t.m_applied
-let reverted_count t = Telemetry.Registry.Counter.value t.m_reverted

@@ -51,5 +51,3 @@ val intervals : t -> interval list
 (** Ground-truth fault intervals, in application order. *)
 
 val active_faults : t -> int
-val applied_count : t -> int
-val reverted_count : t -> int

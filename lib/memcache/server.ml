@@ -363,6 +363,5 @@ let resume t = Interference.clear t.interference
 let gets_served t = Telemetry.Registry.Counter.value t.m_gets
 let sets_served t = Telemetry.Registry.Counter.value t.m_sets
 let requests_served t = gets_served t + sets_served t
-let queue_depth t = t.queue_depth
 let busy_workers t = t.config.workers - t.free_workers
 let sojourn t = t.sojourn

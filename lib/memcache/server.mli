@@ -93,9 +93,6 @@ val requests_served : t -> int
 val gets_served : t -> int
 val sets_served : t -> int
 
-val queue_depth : t -> int
-(** Requests admitted but not yet in service. *)
-
 val busy_workers : t -> int
 
 val sojourn : t -> Stats.Histogram.t

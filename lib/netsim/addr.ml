@@ -9,6 +9,4 @@ let compare a b =
   let c = Int.compare a.ip b.ip in
   if c <> 0 then c else Int.compare a.port b.port
 
-(* A small integer mix; addresses are tiny so spread the bits. *)
-let hash t = ((t.ip * 0x27d4eb2f) lxor (t.port * 0x165667b1)) land max_int
 let pp ppf t = Fmt.pf ppf "%d:%d" t.ip t.port

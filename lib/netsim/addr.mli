@@ -14,7 +14,6 @@ val port : t -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Renders as ["ip:port"], e.g. ["10:5201"]. *)

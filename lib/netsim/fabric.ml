@@ -57,14 +57,11 @@ let rec add tbl key v =
     tbl.count <- tbl.count + 1
   end
 
-(* A host's receive handler lives in a cell that [add_link] binds into
-   the link's delivery function, so delivery does no lookup and
-   [replace_handler] reaches packets already in flight. *)
-type host = { mutable handler : Packet.t -> unit }
-
+(* [add_link] connects a link to its destination's receive handler
+   itself, so delivery does no lookup. *)
 type t = {
   engine : Des.Engine.t;
-  hosts : host table;
+  hosts : (Packet.t -> unit) table;
   links : Link.t table;
 }
 
@@ -80,13 +77,7 @@ let register t ~ip handler =
   check_ip ~who:"Fabric.register" ip;
   if find t.hosts ip <> None then
     invalid_arg (Fmt.str "Fabric.register: ip %d already registered" ip);
-  add t.hosts ip { handler }
-
-let replace_handler t ~ip handler =
-  match find t.hosts ip with
-  | Some host -> host.handler <- handler
-  | None ->
-      invalid_arg (Fmt.str "Fabric.replace_handler: ip %d not registered" ip)
+  add t.hosts ip handler
 
 let add_link t ~src ~dst link =
   check_ip ~who:"Fabric.add_link" src;
@@ -97,8 +88,8 @@ let add_link t ~src ~dst link =
   | None ->
       invalid_arg
         (Fmt.str "Fabric.add_link: destination %d not registered" dst)
-  | Some host ->
-      Link.connect link (fun pkt -> host.handler pkt);
+  | Some handler ->
+      Link.connect link handler;
       add t.links (link_key ~src ~dst) link
 
 (* A cross-shard link: [dst] lives on another shard's fabric, so there
@@ -116,7 +107,7 @@ let add_remote_link t ~src ~dst ~remote link =
 
 let deliver t ~ip pkt =
   match find t.hosts ip with
-  | Some host -> host.handler pkt
+  | Some handler -> handler pkt
   | None -> invalid_arg (Fmt.str "Fabric.deliver: ip %d not registered" ip)
 
 let link_between t ~src ~dst =

@@ -28,12 +28,6 @@ val register : t -> ip:ip -> (Packet.t -> unit) -> unit
     @raise Invalid_argument if [ip] is 0, out of range, or already
     registered. *)
 
-val replace_handler : t -> ip:ip -> (Packet.t -> unit) -> unit
-(** Swap the handler of a registered host (used when rewiring a host
-    after creation, e.g. attaching an endpoint built later).
-
-    @raise Invalid_argument if [ip] is not registered. *)
-
 val add_link : t -> src:ip -> dst:ip -> Link.t -> unit
 (** Install the directed link used for packets going from host [src]
     towards next hop [dst]. The link's delivery callback is set by this

@@ -25,10 +25,6 @@ let v ~src ~dst =
 let equal a b =
   a.hash = b.hash && Addr.equal a.src b.src && Addr.equal a.dst b.dst
 
-let compare a b =
-  let c = Addr.compare a.src b.src in
-  if c <> 0 then c else Addr.compare a.dst b.dst
-
 let hash t = t.hash
 let pp ppf t = Fmt.pf ppf "%a->%a" Addr.pp t.src Addr.pp t.dst
 

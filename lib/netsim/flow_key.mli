@@ -10,7 +10,6 @@ type t = private { src : Addr.t; dst : Addr.t; hash : int }
 
 val v : src:Addr.t -> dst:Addr.t -> t
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val hash : t -> int
 (** Deterministic mix of both addresses, cached at construction (O(1)

@@ -3,7 +3,7 @@
    a host owned by another shard. A remote sink is handed the absolute
    arrival time instead of an event: the shard runtime buffers the
    packet in an inbox and the *destination* engine schedules it, so no
-   domain ever touches another domain's wheel or heap. *)
+   domain ever touches another domain's event queue. *)
 type sink =
   | Local of (Packet.t -> unit)
   | Remote of (at:Des.Time.t -> Packet.t -> unit)
@@ -177,7 +177,6 @@ let set_loss_prob t p =
   t.loss_prob <- p
 
 let extra_delay t = t.extra
-let base_delay t = t.delay
 let loss_prob t = t.loss_prob
 let has_rng t = t.rng <> None
 let packets_sent t = Telemetry.Registry.Counter.value t.m_sent

@@ -57,10 +57,6 @@ val connect_remote : t -> (at:Des.Time.t -> Packet.t -> unit) -> unit
     the gap between send and arrival, which is exactly the cross-shard
     lookahead {!Des.Shard} relies on. *)
 
-val base_delay : t -> Des.Time.t
-(** The static propagation delay the link was created with (excluding
-    [extra] and jitter, which only ever add). *)
-
 val send : t -> Packet.t -> unit
 (** Enqueue a packet for transmission. Silently dropped if the queue is
     full (counted in {!drops}). *)

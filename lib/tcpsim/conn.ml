@@ -94,7 +94,6 @@ type t = {
   mutable delack_timer : Des.Timer.t;
   (* Counters. *)
   mutable bytes_sent_acked : int;
-  mutable bytes_received : int;
   mutable retransmit_count : int;
   mutable head_retx_count : int;
   mutable send_drop_count : int;
@@ -120,7 +119,6 @@ let local_addr t = t.key.src
 let remote_addr t = t.key.dst
 let srtt t = Rto.srtt t.rto
 let bytes_sent t = t.bytes_sent_acked
-let bytes_received t = t.bytes_received
 let retransmits t = t.retransmit_count
 let send_queue_len t = t.pending_bytes
 let send_drops t = t.send_drop_count
@@ -391,10 +389,7 @@ let process_payload t (pkt : Netsim.Packet.t) =
     | None -> ()
     | Some reasm ->
         let delivered = Reassembly.insert reasm ~seq:pkt.seq pkt.payload in
-        if String.length delivered > 0 then begin
-          t.bytes_received <- t.bytes_received + String.length delivered;
-          t.on_data delivered
-        end;
+        if String.length delivered > 0 then t.on_data delivered;
         note_rx_segment t
   end
 
@@ -493,7 +488,6 @@ let make engine ~tx ~config ~local ~remote ~on_teardown ~state =
       rto_timer = placeholder;
       delack_timer = placeholder;
       bytes_sent_acked = 0;
-      bytes_received = 0;
       retransmit_count = 0;
       head_retx_count = 0;
       send_drop_count = 0;

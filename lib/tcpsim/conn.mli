@@ -112,7 +112,6 @@ val srtt : t -> Des.Time.t option
 val bytes_sent : t -> int
 (** Application bytes handed to {!send} that have been acknowledged. *)
 
-val bytes_received : t -> int
 val retransmits : t -> int
 val send_queue_len : t -> int
 (** Application bytes queued but not yet on the wire. *)

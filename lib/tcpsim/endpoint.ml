@@ -99,7 +99,7 @@ let handle t (pkt : Netsim.Packet.t) =
     | Some conn -> Conn.handle_packet conn pkt
     | None -> () (* a bound index always holds its connection *)
 
-let make fabric ~host_ip ~replace =
+let create fabric ~host_ip =
   let t =
     {
       fabric;
@@ -113,12 +113,8 @@ let make fabric ~host_ip ~replace =
       retired_send_drops = 0;
     }
   in
-  if replace then Netsim.Fabric.replace_handler fabric ~ip:host_ip (handle t)
-  else Netsim.Fabric.register fabric ~ip:host_ip (handle t);
+  Netsim.Fabric.register fabric ~ip:host_ip (handle t);
   t
-
-let create fabric ~host_ip = make fabric ~host_ip ~replace:false
-let attach fabric ~host_ip = make fabric ~host_ip ~replace:true
 
 let listen t ~addr ?(config = Conn.default_config) accept =
   if Hashtbl.mem t.listeners addr then

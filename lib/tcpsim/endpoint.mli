@@ -15,10 +15,6 @@ val create : Netsim.Fabric.t -> host_ip:int -> t
 
     @raise Invalid_argument if the IP is already registered. *)
 
-val attach : Netsim.Fabric.t -> host_ip:int -> t
-(** Like {!create} but replaces the handler of an already registered
-    host (used when a tap or wrapper was registered first). *)
-
 val listen :
   t -> addr:Netsim.Addr.t -> ?config:Conn.config -> (Conn.t -> unit) -> unit
 (** [listen t ~addr accept] accepts connections addressed to [addr]

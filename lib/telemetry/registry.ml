@@ -79,8 +79,6 @@ let value t ?index name =
   | Some (Gauge g) -> Some (Gauge.read g)
   | Some (Histogram _) | None -> None
 
-let size t = List.length t.rev_order
-
 type sample = { metric : string; index : int option; value : float }
 
 let read t =

@@ -65,9 +65,6 @@ val value : t -> ?index:int -> string -> float option
 (** Current scalar reading of a counter or gauge; [None] for unknown
     names and for histogram metrics. *)
 
-val size : t -> int
-(** Number of registered metrics. *)
-
 type sample = { metric : string; index : int option; value : float }
 (** One scalar reading. Histograms read as three derived samples named
     [name.count], [name.mean_ns] and [name.p95_ns]. *)

@@ -8,7 +8,6 @@ type row = {
 type t = {
   engine : Des.Engine.t;
   registry : Registry.t;
-  interval : Des.Time.t;
   timer : Des.Timer.t;
   mutable rows_rev : row list;
   mutable snaps : int;
@@ -29,7 +28,6 @@ let start engine registry ~interval =
       {
         engine;
         registry;
-        interval;
         timer =
           Des.Timer.every engine ~period:interval (fun () ->
               snap (Lazy.force t));
@@ -48,4 +46,3 @@ let retained_words t =
      its own O(duration) footprint from what it judges. *)
   Obj.reachable_words (Obj.repr t.rows_rev)
 let snap_count t = t.snaps
-let interval t = t.interval

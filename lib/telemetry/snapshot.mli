@@ -39,4 +39,3 @@ val rows : t -> row list
 val snap_count : t -> int
 (** Snapshots taken so far (periodic and manual). *)
 
-val interval : t -> Des.Time.t

@@ -90,6 +90,12 @@ let rng_gaussian_moments () =
 
 (* --- Engine ------------------------------------------------------------ *)
 
+(* Delay scales for the tests: [tick] is 2^16 ns (about 65.5 us), and
+   [span], 2^40 ns (about 18 minutes), lies beyond any timer a scenario
+   arms. *)
+let tick = 1 lsl 16
+let span = 1 lsl 40
+
 let engine_orders_events () =
   let e = Des.Engine.create () in
   let log = ref [] in
@@ -141,7 +147,17 @@ let engine_cancel () =
   let h = Des.Engine.schedule e ~at:(Des.Time.ms 1) (fun () -> fired := true) in
   ignore (Des.Engine.schedule e ~at:(Des.Time.ms 2) (fun () -> ()));
   Des.Engine.cancel h;
-  check_int "cancelled excluded while still queued" 1 (Des.Engine.pending e);
+  check_int "cancelled leaves the queue" 1 (Des.Engine.pending e);
+  (* A cancel away from the heap root removes that event's own entry. *)
+  let mid =
+    Des.Engine.schedule e ~at:(Des.Time.ms 3) (fun () -> fired := true)
+  in
+  ignore (Des.Engine.schedule e ~at:(Des.Time.ms 4) (fun () -> ()));
+  Des.Engine.cancel mid;
+  Alcotest.(check (option int))
+    "the earliest live event is next" (Some (Des.Time.ms 2))
+    (Des.Engine.next_event_time e);
+  check_int "two live events" 2 (Des.Engine.pending e);
   Des.Engine.run e;
   check_bool "cancelled never fires" false !fired;
   check_int "pending zero" 0 (Des.Engine.pending e)
@@ -225,27 +241,29 @@ let engine_qcheck_exact_order =
       List.rev !fired = expected)
 
 let engine_cancel_heavy_queue_bounded () =
-  (* A timer re-armed per packet is the worst case for tombstones. Times
-     beyond the wheel span overflow to the heap, so this exercises the
-     tombstone + compaction path: the queue must stay proportional to
-     the live event count (compaction invariant: tombstones are at most
-     half the queue once it reaches the compaction floor of 64). *)
-  let far = Des.Wheel.span_ns * 2 in
+  (* A timer cancelled and scheduled afresh per packet, far out: each
+     cancel removes its heap entry at once, so the queue holds exactly
+     the one live event throughout, and only it fires. *)
+  let far = span * 2 in
   let e = Des.Engine.create () in
-  let h = ref None in
+  let h = ref None and fired = ref [] in
   for i = 1 to 20_000 do
     (match !h with Some h -> Des.Engine.cancel h | None -> ());
-    h := Some (Des.Engine.schedule e ~at:(i + far) (fun () -> ()));
+    h :=
+      Some
+        (Des.Engine.schedule e ~at:(i + far) (fun () -> fired := i :: !fired));
     if i mod 500 = 0 then begin
       Des.Engine.run ~until:i e;
-      let q = Des.Engine.queue_length e and p = Des.Engine.pending e in
-      if q > Stdlib.max 64 (2 * p) then
-        Alcotest.failf "queue_length %d not bounded by pending %d" q p
+      check_int "one live event" 1 (Des.Engine.pending e);
+      Alcotest.(check (option int))
+        "the live event is next" (Some (i + far))
+        (Des.Engine.next_event_time e)
     end
   done;
-  check_int "overflow events stay out of the wheel" 0 (Des.Engine.wheel_size e);
-  check_bool "compaction ran" true (Des.Engine.compactions e > 0);
-  check_int "exactly one live event" 1 (Des.Engine.pending e)
+  check_int "exactly one live event" 1 (Des.Engine.pending e);
+  Des.Engine.run e;
+  Alcotest.(check (list int)) "only the last fired" [ 20_000 ] !fired;
+  check_int "clock at its time" (20_000 + far) (Des.Engine.now e)
 
 let engine_post_fire_zero_alloc () =
   (* Pooled records own a slot and idle ones wait on an int stack, so a
@@ -340,7 +358,6 @@ let engine_lane_is_visible () =
   Des.Engine.run ~until:100 e;
   Des.Engine.post e ~at:100 (note "lane");
   check_int "pending counts the lane" 1 (Des.Engine.pending e);
-  check_int "queue_length counts the lane" 1 (Des.Engine.queue_length e);
   Alcotest.(check (option int))
     "next event is now" (Some 100)
     (Des.Engine.next_event_time e);
@@ -371,15 +388,14 @@ let engine_lane_is_visible () =
 
 let engine_fifo_is_visible () =
   (* A later post at or after the in-order FIFO's tail waits in that
-     FIFO, not the heap: [pending], [queue_length], [next_event_time]
-     and the next run must all see one made between runs. *)
+     FIFO, not the heap: [pending], [next_event_time] and the next run
+     must all see one made between runs. *)
   let e = Des.Engine.create () in
   let fired = ref [] in
   let note s () = fired := (s, Des.Engine.now e) :: !fired in
   Des.Engine.run ~until:100 e;
   Des.Engine.post e ~at:150 (note "fifo");
   check_int "pending counts the FIFO" 1 (Des.Engine.pending e);
-  check_int "queue_length counts the FIFO" 1 (Des.Engine.queue_length e);
   Alcotest.(check (option int))
     "next event from the FIFO" (Some 150)
     (Des.Engine.next_event_time e);
@@ -387,7 +403,6 @@ let engine_fifo_is_visible () =
   Des.Engine.post e ~at:150 (note "fifo tie");
   Des.Engine.post e ~at:100 (note "lane");
   check_int "pending counts all three" 4 (Des.Engine.pending e);
-  check_int "queue_length counts all three" 4 (Des.Engine.queue_length e);
   Des.Engine.run ~until:149 e;
   Alcotest.(check (option int))
     "FIFO head next" (Some 150)
@@ -447,37 +462,6 @@ let engine_in_order_posts_zero_alloc () =
   check_int "every event fired" 20_000 !hits;
   check_int "16 in flight" 16 (Des.Engine.pending e)
 
-let engine_fifo_tombstones_as_one_heap () =
-  (* For tombstones the FIFO counts as heap: a cancelled heap entry
-     leaves the queue once it is due before the FIFO head, and
-     compaction weighs tombstones against heap and FIFO together. So
-     [queue_length] reads as with one heap holding both, and stays
-     within max 64 (2 * pending) with a heap under 64 entries. *)
-  let far = Des.Wheel.span_ns * 2 in
-  let e = Des.Engine.create () in
-  Des.Engine.post e ~at:far ignore;
-  let first = Des.Engine.schedule e ~at:(far + 1) ignore in
-  Des.Engine.cancel first;
-  Alcotest.(check (option int))
-    "FIFO head next" (Some far)
-    (Des.Engine.next_event_time e);
-  check_int "a tombstone behind the FIFO head stays" 2
-    (Des.Engine.queue_length e);
-  let rest =
-    List.init 59 (fun i -> Des.Engine.schedule e ~at:(far + 2 + i) ignore)
-  in
-  for i = 1 to 29 do
-    Des.Engine.post e ~at:(far + 100 + i) ignore
-  done;
-  List.iter Des.Engine.cancel rest;
-  let q = Des.Engine.queue_length e and p = Des.Engine.pending e in
-  check_int "only the posts are live" 30 p;
-  if q > Stdlib.max 64 (2 * p) then
-    Alcotest.failf "queue_length %d not bounded by pending %d" q p;
-  check_bool "compaction ran" true (Des.Engine.compactions e > 0);
-  Des.Engine.run e;
-  check_int "drained" 0 (Des.Engine.pending e)
-
 let engine_stale_cancel_after_slot_reuse () =
   (* A fired [schedule] record gives its heap slot back and the next
      heap-resident event takes it; the old handle must stay inert. *)
@@ -487,7 +471,7 @@ let engine_stale_cancel_after_slot_reuse () =
   let old = Des.Engine.schedule e ~at:10 (note "old") in
   Des.Engine.run e;
   ignore (Des.Engine.schedule e ~at:20 (note "new"));
-  check_int "heap-resident" 1 (Des.Engine.queue_length e);
+  check_int "queued" 1 (Des.Engine.pending e);
   Des.Engine.cancel old;
   check_int "stale cancel is a no-op" 1 (Des.Engine.pending e);
   Des.Engine.run e;
@@ -495,11 +479,11 @@ let engine_stale_cancel_after_slot_reuse () =
     "both fired" [ "old"; "new" ] (List.rev !fired)
 
 let engine_compaction_then_slot_reuse () =
-  (* 100 heap-resident events with ties, 60 cancelled: compaction runs
-     and frees their slots, then 60 posts take them. Cancelling the old
+  (* 100 heap-resident events with ties, 60 cancelled: each cancel frees
+     its slot at once, then 60 posts take them. Cancelling the old
      handles again must not touch the posts, and everything live fires
      in (time, seq) order. *)
-  let far = Des.Wheel.span_ns * 2 in
+  let far = span * 2 in
   let e = Des.Engine.create () in
   let fired = ref [] in
   let note i () = fired := i :: !fired in
@@ -509,15 +493,12 @@ let engine_compaction_then_slot_reuse () =
   in
   let cancelled i = i mod 5 <> 0 && i mod 5 <> 3 in
   Array.iteri (fun i h -> if cancelled i then Des.Engine.cancel h) handles;
-  check_bool "compaction ran" true (Des.Engine.compactions e > 0);
+  check_int "cancels leave the queue" 40 (Des.Engine.pending e);
   for i = 100 to 159 do
     Des.Engine.post e ~at:(at i) (note i)
   done;
   Array.iteri (fun i h -> if cancelled i then Des.Engine.cancel h) handles;
-  let p = Des.Engine.pending e and q = Des.Engine.queue_length e in
-  check_int "pending is exact" 100 p;
-  if q > Stdlib.max 64 (2 * p) then
-    Alcotest.failf "queue_length %d not bounded by pending %d" q p;
+  check_int "pending is exact" 100 (Des.Engine.pending e);
   Des.Engine.run e;
   let expected =
     List.init 160 Fun.id
@@ -529,17 +510,16 @@ let engine_compaction_then_slot_reuse () =
 
 let engine_qcheck_exact_order_interleaved =
   (* Exact (time, seq) order over interleaved operations: schedules near
-     (ties) or, two times in three, beyond the wheel span (heap-resident),
-     posts, cancels of any earlier handle (pending, fired or already
-     cancelled) and [run ~until] pauses. Slots of fired, drained and
-     compacted events are reused throughout (about a quarter of the cases
-     compact), so a stale handle must never reach a newer event. Chained
+     (ties) or, two times in three, far out, posts, cancels of any
+     earlier handle (pending, fired or already cancelled) and
+     [run ~until] pauses. Slots of fired and cancelled events are reused
+     throughout, so a stale handle must never reach a newer event. Chained
      posts fire a callback that posts at its own instant — the
      same-instant lane's main source — then (k = 1) schedules there too,
      or (k = 2) only schedules there; other events due at that instant
      sit in the heap with smaller seqs, and the chained schedules with
      larger ones. *)
-  let far = Des.Wheel.span_ns * 2 in
+  let far = span * 2 in
   let op =
     QCheck.Gen.(
       frequency
@@ -707,7 +687,8 @@ let engine_qcheck_in_order_runs =
                 let i, h = hs.(slot) in
                 kill i;
                 let j = fresh (now () + d) in
-                hs.(slot) <- (j, Des.Engine.rearm h ~delay:d (note j))
+                Des.Engine.rearm h ~delay:d (note j);
+                hs.(slot) <- (j, h)
               end
           | `Pause d -> Des.Engine.run ~until:(now () + d) e)
         ops;
@@ -718,12 +699,171 @@ let engine_qcheck_in_order_runs =
       in
       List.rev !fired = expected && Des.Engine.pending e = 0)
 
-(* --- Timing wheel ------------------------------------------------------- *)
+(* One operation on the queue, for the model test below. *)
+type queue_op =
+  | Q_schedule of int (* delay *)
+  | Q_cancel of int (* any handle made so far, fired or cancelled too *)
+  | Q_arm of int * int (* timer, delay *)
+  | Q_stop of int
+  | Q_post of int
+  | Q_step
+  | Q_run of int (* run ~until now + d *)
 
-let wheel_cancel_heavy_no_tombstones () =
-  (* The same re-arm-per-packet workload at RTO-like horizons parks in
-     the timing wheel: cancels unlink in O(1), so the heap accumulates
-     no tombstones and never compacts. *)
+let pp_queue_op ppf = function
+  | Q_schedule d -> Fmt.pf ppf "schedule+%d" d
+  | Q_cancel k -> Fmt.pf ppf "cancel#%d" k
+  | Q_arm (i, d) -> Fmt.pf ppf "arm %d +%d" i d
+  | Q_stop i -> Fmt.pf ppf "stop %d" i
+  | Q_post d -> Fmt.pf ppf "post+%d" d
+  | Q_step -> Fmt.pf ppf "step"
+  | Q_run d -> Fmt.pf ppf "run+%d" d
+
+let queue_timers = 16
+
+let queue_op_gen =
+  let open QCheck.Gen in
+  let delay =
+    frequency
+      [
+        (3, int_bound 200);
+        (2, int_bound 5_000);
+        (1, map (fun k -> tick * k) (int_bound 100));
+      ]
+  and timer = int_bound (queue_timers - 1) in
+  frequency
+    [
+      (3, map (fun d -> Q_schedule d) delay);
+      (3, map (fun k -> Q_cancel k) nat);
+      (4, map2 (fun i d -> Q_arm (i, d)) timer delay);
+      (1, map (fun i -> Q_stop i) timer);
+      (2, map (fun d -> Q_post d) delay);
+      (2, return Q_step);
+      (1, map (fun d -> Q_run d) (int_bound 400));
+    ]
+
+let engine_qcheck_one_queue =
+  (* The queue against a model: a list of (time, seq, label, cancellable)
+     sorted by (time, seq), with seqs drawn where the engine draws them.
+     Before every operation at least 64 [schedule] records and timers
+     are queued (fresh [schedule]s top them up), so cancels and re-arms
+     reach interior heap nodes, and a re-arm moves an entry up as often
+     as down. After every operation the firings so far (label and
+     clock), [pending], [next_event_time], the clock and every timer's
+     [is_armed] must match the model. *)
+  QCheck.Test.make ~count:200 ~name:"one queue matches a sorted model"
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_queue_op))
+       QCheck.Gen.(list_size (int_bound 200) queue_op_gen))
+    (fun ops ->
+      let e = Des.Engine.create () in
+      let fired = ref [] and expected = ref [] in
+      let log label () = fired := (label, Des.Engine.now e) :: !fired in
+      let timers =
+        Array.init queue_timers (fun i -> Des.Timer.create e ~f:(log i))
+      in
+      let model = ref [] and seq = ref 0 and clock = ref 0 in
+      let next_label = ref queue_timers and handles = ref [||] in
+      let insert at cancellable label =
+        let entry = (at, !seq, label, cancellable) in
+        incr seq;
+        let rec go = function
+          | ((t, s, _, _) as x) :: rest when (t, s) < (at, !seq - 1) ->
+              x :: go rest
+          | rest -> entry :: rest
+        in
+        model := go !model
+      in
+      let drop label =
+        model := List.filter (fun (_, _, l, _) -> l <> label) !model
+      in
+      let fire_head () =
+        match !model with
+        | [] -> ()
+        | (at, _, label, _) :: rest ->
+            model := rest;
+            clock := at;
+            expected := (label, at) :: !expected
+      in
+      let fresh () =
+        let l = !next_label in
+        incr next_label;
+        l
+      in
+      let schedule d =
+        let label = fresh () and at = Des.Engine.now e + d in
+        let h = Des.Engine.schedule e ~at (log label) in
+        insert at true label;
+        handles := Array.append !handles [| (label, h) |]
+      in
+      let cancellable () =
+        List.length (List.filter (fun (_, _, _, c) -> c) !model)
+      in
+      let same () =
+        !fired = !expected
+        && Des.Engine.pending e = List.length !model
+        && Des.Engine.next_event_time e
+           = (match !model with [] -> None | (at, _, _, _) :: _ -> Some at)
+        && Des.Engine.now e = !clock
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i t ->
+                  Des.Timer.is_armed t
+                  = List.exists (fun (_, _, l, _) -> l = i) !model)
+                timers)
+      in
+      let apply op =
+        let n = cancellable () in
+        for k = n to 63 do
+          schedule (((k * 7_919) + !seq) mod 5_000)
+        done;
+        let now = Des.Engine.now e in
+        match op with
+        | Q_schedule d -> schedule d
+        | Q_cancel k ->
+            let hs = !handles in
+            let label, h = hs.(k mod Array.length hs) in
+            Des.Engine.cancel h;
+            drop label
+        | Q_arm (i, d) ->
+            Des.Timer.arm timers.(i) ~delay:d;
+            drop i;
+            insert (now + d) true i
+        | Q_stop i ->
+            Des.Timer.stop timers.(i);
+            drop i
+        | Q_post d ->
+            let label = fresh () in
+            Des.Engine.post e ~at:(now + d) (log label);
+            insert (now + d) false label
+        | Q_step ->
+            let stepped = Des.Engine.step e in
+            if stepped <> (!model <> []) then
+              QCheck.Test.fail_report "step disagrees on an empty queue";
+            fire_head ()
+        | Q_run d ->
+            let limit = now + d in
+            Des.Engine.run e ~until:limit;
+            let rec go () =
+              match !model with
+              | (at, _, _, _) :: _ when at <= limit ->
+                  fire_head ();
+                  go ()
+              | _ -> ()
+            in
+            go ();
+            clock := Int.max !clock limit
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          same ())
+        ops)
+
+(* --- Timers far ahead --------------------------------------------------- *)
+
+let far_timer_cancel_heavy () =
+  (* The same cancel-and-schedule-per-packet workload at RTO-like
+     horizons: the queue holds the one live timer and nothing else. *)
   let e = Des.Engine.create () in
   let h = ref None in
   for i = 1 to 20_000 do
@@ -731,11 +871,9 @@ let wheel_cancel_heavy_no_tombstones () =
     h := Some (Des.Engine.schedule e ~at:(i + Des.Time.ms 200) (fun () -> ()));
     if i mod 500 = 0 then begin
       Des.Engine.run ~until:i e;
-      check_int "timer parked in wheel" 1 (Des.Engine.wheel_size e);
-      check_int "heap untouched" 0 (Des.Engine.queue_length e)
+      check_int "one timer queued" 1 (Des.Engine.pending e)
     end
   done;
-  check_int "no compactions" 0 (Des.Engine.compactions e);
   check_int "one live event" 1 (Des.Engine.pending e);
   let fired = ref false in
   (match !h with Some h -> Des.Engine.cancel h | None -> ());
@@ -743,32 +881,26 @@ let wheel_cancel_heavy_no_tombstones () =
     (Des.Engine.schedule_after e ~delay:(Des.Time.ms 1) (fun () ->
          fired := true));
   Des.Engine.run e;
-  check_bool "wheel timer fires after drain" true !fired;
+  check_bool "far timer fires after drain" true !fired;
   check_int "drained" 0 (Des.Engine.pending e)
 
-let wheel_levels_fire_in_order () =
-  (* Delays spanning all three wheel levels plus sub-tick and
-     beyond-span overflow times must still fire in exact global time
-     order, with ties broken by scheduling order. *)
+let far_horizons_fire_in_order () =
+  (* Delays from under a tick to beyond [span] must fire in exact
+     global time order, with ties broken by scheduling order. *)
   let delays =
     [
-      (* sub-tick: straight to slot 0 / heap *)
       1;
-      Des.Wheel.tick_ns - 1;
-      (* level 0 *)
-      Des.Wheel.tick_ns * 3;
-      (Des.Wheel.tick_ns * 200) + 17;
-      (* level 1 *)
-      Des.Wheel.tick_ns * 300;
-      Des.Wheel.tick_ns * 65_000;
-      (* level 2 *)
-      Des.Wheel.tick_ns * 70_000;
-      Des.Wheel.tick_ns * 16_000_000;
-      (* overflow: heap *)
-      Des.Wheel.span_ns + 5;
-      Des.Wheel.span_ns * 3;
-      (* duplicates to exercise (time, seq) ties across routes *)
-      Des.Wheel.tick_ns * 3;
+      tick - 1;
+      tick * 3;
+      (tick * 200) + 17;
+      tick * 300;
+      tick * 65_000;
+      tick * 70_000;
+      tick * 16_000_000;
+      span + 5;
+      span * 3;
+      (* duplicates, for (time, seq) ties *)
+      tick * 3;
       1;
     ]
   in
@@ -786,36 +918,35 @@ let wheel_levels_fire_in_order () =
     |> List.stable_sort (fun (d1, _) (d2, _) -> Int.compare d1 d2)
   in
   Alcotest.(check (list (pair int int)))
-    "exact (time, seq) order across wheel levels" expected (List.rev !fired);
-  check_bool "wheel cascaded" true (Des.Engine.wheel_cascades e > 0)
+    "exact (time, seq) order across horizons" expected (List.rev !fired)
 
-let wheel_run_until_leaves_far_timers_parked () =
-  (* [run ~until] must not flush wheel entries beyond the limit into the
-     heap — otherwise parked timers lose their O(1) cancel. *)
+let run_until_keeps_far_timer () =
+  (* A timer beyond a [run ~until] limit stays queued across the pause,
+     and a cancel after it still keeps it from firing. *)
   let e = Des.Engine.create () in
   let h =
     Des.Engine.schedule e ~at:(Des.Time.sec 1) (fun () -> assert false)
   in
   Des.Engine.run ~until:(Des.Time.ms 10) e;
-  check_int "still parked" 1 (Des.Engine.wheel_size e);
-  check_int "heap empty" 0 (Des.Engine.queue_length e);
+  check_int "still queued" 1 (Des.Engine.pending e);
+  Alcotest.(check (option int))
+    "next at its time" (Some (Des.Time.sec 1))
+    (Des.Engine.next_event_time e);
   check_int "clock at limit" (Des.Time.ms 10) (Des.Engine.now e);
   Des.Engine.cancel h;
   check_int "cancel unlinks" 0 (Des.Engine.pending e);
   Des.Engine.run e;
   check_int "nothing fires" 0 (Des.Engine.events_fired e)
 
-let wheel_cancel_midflight_after_cascade () =
-  (* Cancelling an entry that has already cascaded to a lower level (or
-     been flushed to the heap) must still be honoured. *)
+let cancel_far_timer_from_callback () =
+  (* Cancelling a far timer from the callback of a nearer one, once the
+     clock has come most of the way, must still be honoured. *)
   let e = Des.Engine.create () in
   let fired = ref 0 in
   let far = Des.Engine.schedule e ~at:(Des.Time.sec 2) (fun () -> incr fired) in
   let near =
     Des.Engine.schedule e ~at:(Des.Time.sec 1) (fun () ->
         incr fired;
-        (* [far] has cascaded at least once by now; cancel must unlink
-           it wherever it currently lives. *)
         Des.Engine.cancel far)
   in
   ignore near;
@@ -823,13 +954,12 @@ let wheel_cancel_midflight_after_cascade () =
   check_int "only the near timer fired" 1 !fired;
   check_int "drained" 0 (Des.Engine.pending e)
 
-let engine_qcheck_exact_order_wheel =
-  (* The exact-order property again, over a time range wide enough that
-     events are routed through every wheel level and the overflow heap,
-     interleaved with cancels. *)
+let engine_qcheck_exact_order_far =
+  (* The exact-order property again, over times from ties to beyond
+     [span], interleaved with cancels. *)
   QCheck.Test.make ~count:100
     ~name:"exact (time, seq) order across wheel levels under cancels"
-    QCheck.(list (pair (int_bound (Des.Wheel.span_ns + 100_000)) bool))
+    QCheck.(list (pair (int_bound (span + 100_000)) bool))
     (fun items ->
       let e = Des.Engine.create () in
       let fired = ref [] in
@@ -948,18 +1078,16 @@ module Old_timer = struct
   let is_armed t = t.pending <> None
 end
 
-let tick = Des.Wheel.tick_ns
-
 (* One step of a timer program. Delays are drawn when the step runs,
-   from state both sides share, in the classes the wheel treats
-   differently (see [delay]). *)
+   from state both sides share, in classes from ties with a pending
+   expiry to beyond [span] (see [delay]). *)
 type timer_op =
   | Arm of int * int * int (* timer, delay class, raw *)
   | Stop of int
   | Post of int * int (* instant class, raw: a pooled post *)
   | Run of int * int (* delay class, raw: run ~until now + delay *)
   | Steps of int
-  | Flood (* 70 heap tombstones: forces a compaction *)
+  | Flood (* 70 events scheduled and cancelled *)
 
 let pp_timer_op ppf = function
   | Arm (i, c, r) -> Fmt.pf ppf "arm %d c%d %d" i c r
@@ -1019,11 +1147,12 @@ let make_side ~create ~arm ~stop ~armed =
     posts = 0;
   }
 
-(* The delay of class [c] from now. 0: within the timer's own wheel
-   slot, 1: inside the current tick (the heap), 2: another level-0
-   slot, 3: level 1, 4: level 2, 5: beyond the wheel's span, 6: the
-   exact deadline of timer [raw mod n_timers], 7: zero, 8: the latest
-   post's instant. A class whose instant has passed gives zero. *)
+(* The delay of class [c] from now. 0: within the [tick] that holds
+   the timer's own deadline, 1: inside the current [tick], 2: 1 to 255
+   ticks, 3: 2^8 to 2^16 ticks, 4: 2^16 to 2^23 ticks, 5: beyond 2^24
+   ticks, 6: the exact deadline of timer [raw mod n_timers], 7: zero,
+   8: the latest post's instant. A class whose instant has passed gives
+   zero. *)
 let delay side ~timer c raw =
   let now = Des.Engine.now side.engine in
   let until at = if at >= now then at - now else 0 in
@@ -1111,14 +1240,19 @@ let timer_qcheck_rearm_matches_old =
        same ()))
 
 let timer_rearm_zero_alloc () =
-  (* The timer moves its one record: 10 000 warm re-arms, in its own
-     wheel slot, in other slots and after it fired, allocate nothing. *)
+  (* The timer moves its one record: 10 000 warm re-arms at delays from
+     zero to beyond [span], while pending, after a stop and after it
+     fired, allocate nothing. *)
   let e = Des.Engine.create () in
   let t = Des.Timer.create e ~f:ignore in
+  let delays =
+    [| 0; 1; tick - 1; tick * 3; Des.Time.ms 1; Des.Time.ms 200; span + 3; 1 |]
+  in
   let burst () =
     for i = 1 to 10_000 do
       if i land 1023 = 0 then Des.Engine.run e;
-      Des.Timer.arm t ~delay:(Des.Time.ms 1 + ((i land 7) * tick))
+      if i land 15 = 0 then Des.Timer.stop t;
+      Des.Timer.arm t ~delay:delays.(i land 7)
     done
   in
   burst ();
@@ -1127,27 +1261,6 @@ let timer_rearm_zero_alloc () =
   let delta = Gc.minor_words () -. w0 in
   if delta > 64.0 then
     Alcotest.failf "10000 warm Timer.arm allocated %.0f minor words" delta
-
-let timer_rearm_after_compaction () =
-  (* A timer stopped while due within the tick leaves a heap tombstone;
-     once compaction has dropped it, and with it the payload, re-arming
-     must still run the timer's own callback. *)
-  let e = Des.Engine.create () in
-  (* With a timer parked far out, running to 1 µs flushes the current
-     tick, so what is due within it from now on waits in the heap. *)
-  ignore (Des.Engine.schedule e ~at:(Des.Time.sec 1) ignore);
-  Des.Engine.run e ~until:(Des.Time.us 1);
-  let fired = ref 0 in
-  let t = Des.Timer.create e ~f:(fun () -> incr fired) in
-  Des.Timer.arm t ~delay:1;
-  check_int "in the heap" 1 (Des.Engine.queue_length e);
-  Des.Timer.stop t;
-  List.init 70 (fun _ -> Des.Engine.schedule_after e ~delay:0 ignore)
-  |> List.iter Des.Engine.cancel;
-  check_bool "compacted" true (Des.Engine.compactions e > 0);
-  Des.Timer.arm t ~delay:(Des.Time.ms 1);
-  Des.Engine.run e;
-  check_int "fired once" 1 !fired
 
 let () =
   Alcotest.run "des"
@@ -1193,8 +1306,6 @@ let () =
             `Quick engine_fifo_is_visible;
           Alcotest.test_case "in-order posts allocate nothing warm" `Quick
             engine_in_order_posts_zero_alloc;
-          Alcotest.test_case "FIFO tombstones as in one heap" `Quick
-            engine_fifo_tombstones_as_one_heap;
           Alcotest.test_case "stale cancel after slot reuse" `Quick
             engine_stale_cancel_after_slot_reuse;
           Alcotest.test_case "compaction then slot reuse" `Quick
@@ -1206,20 +1317,23 @@ let () =
               engine_qcheck_exact_order;
               engine_qcheck_exact_order_interleaved;
               engine_qcheck_in_order_runs;
+              engine_qcheck_one_queue;
             ] );
+      (* Named for the timing wheel that once held these horizons; the
+         names are kept so that each test keeps its identity. *)
       ( "wheel",
         [
           Alcotest.test_case "cancel-heavy leaves heap clean" `Quick
-            wheel_cancel_heavy_no_tombstones;
+            far_timer_cancel_heavy;
           Alcotest.test_case "levels fire in order" `Quick
-            wheel_levels_fire_in_order;
+            far_horizons_fire_in_order;
           Alcotest.test_case "run-until keeps far timers parked" `Quick
-            wheel_run_until_leaves_far_timers_parked;
+            run_until_keeps_far_timer;
           Alcotest.test_case "cancel after cascade" `Quick
-            wheel_cancel_midflight_after_cascade;
+            cancel_far_timer_from_callback;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ engine_qcheck_exact_order_wheel ] );
+            [ engine_qcheck_exact_order_far ] );
       ( "timer",
         [
           Alcotest.test_case "one shot" `Quick timer_one_shot;
@@ -1229,8 +1343,6 @@ let () =
           Alcotest.test_case "every with start" `Quick timer_every_start;
           Alcotest.test_case "re-arm allocates nothing warm" `Quick
             timer_rearm_zero_alloc;
-          Alcotest.test_case "re-arm after compaction" `Quick
-            timer_rearm_after_compaction;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ timer_qcheck_rearm_matches_old ] );

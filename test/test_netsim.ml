@@ -651,20 +651,6 @@ let fabric_errors () =
       Netsim.Fabric.add_link fabric ~src:2 ~dst:9
         (Netsim.Link.create engine ~delay:1 ()))
 
-let fabric_replace_handler () =
-  let engine = Des.Engine.create () in
-  let fabric = Netsim.Fabric.create engine in
-  let first = ref 0 and second = ref 0 in
-  Netsim.Fabric.register fabric ~ip:2 (fun _ -> incr first);
-  Netsim.Fabric.register fabric ~ip:1 (fun _ -> ());
-  Netsim.Fabric.add_link fabric ~src:1 ~dst:2
-    (Netsim.Link.create engine ~delay:1 ());
-  Netsim.Fabric.replace_handler fabric ~ip:2 (fun _ -> incr second);
-  Netsim.Fabric.send fabric ~from:1 (mk_packet ~src:(addr 1 1) ~dst:(addr 2 1) ());
-  Des.Engine.run engine;
-  check_int "old handler not called" 0 !first;
-  check_int "new handler called" 1 !second
-
 let fabric_missing_link () =
   let engine = Des.Engine.create () in
   let fabric = Netsim.Fabric.create engine in
@@ -760,26 +746,6 @@ let link_ring_wrap_and_growth () =
         (List.map (fun (_, p) -> p.Netsim.Packet.seq) (arrivals ()));
       check_int "packets_sent" 9 (Netsim.Link.packets_sent link))
 
-let fabric_replace_handler_in_flight () =
-  (* The link delivers through the host's handler cell, read when the
-     packet arrives: a packet already propagating reaches the handler
-     installed after it was sent. *)
-  let engine = Des.Engine.create () in
-  let fabric = Netsim.Fabric.create engine in
-  let first = ref 0 and second = ref 0 in
-  Netsim.Fabric.register fabric ~ip:2 (fun _ -> incr first);
-  Netsim.Fabric.register fabric ~ip:1 (fun _ -> ());
-  Netsim.Fabric.add_link fabric ~src:1 ~dst:2
-    (Netsim.Link.create engine ~delay:(Des.Time.us 10) ~rate_bps:0 ());
-  Netsim.Fabric.send fabric ~from:1
-    (mk_packet ~src:(addr 1 1) ~dst:(addr 2 1) ());
-  Des.Engine.run ~until:(Des.Time.us 5) engine;
-  check_int "in flight" 1 (Des.Engine.pending engine);
-  Netsim.Fabric.replace_handler fabric ~ip:2 (fun _ -> incr second);
-  Des.Engine.run engine;
-  check_int "old handler not called" 0 !first;
-  check_int "new handler called" 1 !second
-
 let () =
   Alcotest.run "netsim"
     [
@@ -828,11 +794,8 @@ let () =
         [
           Alcotest.test_case "routes by next hop" `Quick fabric_routes_by_next_hop;
           Alcotest.test_case "errors" `Quick fabric_errors;
-          Alcotest.test_case "replace handler" `Quick fabric_replace_handler;
           Alcotest.test_case "missing link" `Quick fabric_missing_link;
           Alcotest.test_case "link_between" `Quick fabric_link_between;
-          Alcotest.test_case "replace handler in flight" `Quick
-            fabric_replace_handler_in_flight;
           Alcotest.test_case "warm send allocates nothing" `Quick
             fabric_send_zero_alloc;
         ] );
