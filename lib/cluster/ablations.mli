@@ -93,7 +93,7 @@ type herd_row = {
   p95_after_us : float;
   total_actions : int;
       (** Fleet-total [ctl.actions]: local shifts plus leader-imposed
-          weight adoptions — every entry is one Maglev rebuild. *)
+          weight adoptions — every entry is one weight commit. *)
   per_lb_actions : int list;
       (** Per-LB [ctl.actions], LB order. Sums to [total_actions]. *)
   victim_flips : int;

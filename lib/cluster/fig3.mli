@@ -25,6 +25,11 @@ type run_result = {
   actions : int;
   weights_final : float array option;
   pool_disruption : float;
+      (** {!Maglev.Pool.total_disruption} at the end of the run: over
+          the tables the run built, the summed fraction of slots whose
+          owner changed from one to the next. A table is built at the
+          first lookup after a controller commit, so commits no new
+          connection observed add nothing. *)
   victim_share_before : float;  (** Fraction of flows routed to server 1. *)
   victim_share_after : float;
   metrics : Telemetry.Snapshot.row list;

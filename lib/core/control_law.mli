@@ -7,7 +7,7 @@
     vector (a {!proposal}) or holds. Everything around that decision —
     epoch spacing, the drain/restore pins, coordination hooks (estimate
     override, shift gate, imposed weights), recovery-towards-uniform,
-    telemetry and the weighted-Maglev rebuild — stays in {!Controller},
+    telemetry and the weighted-Maglev commit — stays in {!Controller},
     so every law composes with the fleet machinery of
     [Cluster.Coordination] unchanged.
 

@@ -10,7 +10,7 @@ type t = {
   pool : Maglev.Pool.t;
   law : Control_law.t; (* the pluggable decision rule (control-law zoo) *)
   stats : Server_stats.t;
-  mutable last_update : Des.Time.t; (* last table rebuild (shift or recovery) *)
+  mutable last_update : Des.Time.t; (* last commit (shift or recovery) *)
   mutable updated_once : bool;
   mutable actions_rev : action list;
   mutable actions_len : int;
@@ -26,11 +26,10 @@ type t = {
   mutable shift_gate : (now:Des.Time.t -> victim:int -> bool) option;
   mutable autonomous : bool;
   mutable imposed_count : int;
-  (* Remap hook (lib/core/balancer): invoked after every committed
-     table rebuild, with the server the commit shifted traffic away
-     from when it had one. Absent (the default, and always under
-     [Remap.Preserve]) the commit path is byte-identical to the
-     pre-hook code. *)
+  (* Remap hook (lib/core/balancer): invoked after every commit, with
+     the server the commit shifted traffic away from when it had one.
+     Absent (the default, and always under [Remap.Preserve]) the commit
+     path is byte-identical to the pre-hook code. *)
   mutable on_rebuild : (now:Des.Time.t -> victim:int option -> unit) option;
 }
 
@@ -162,14 +161,14 @@ let apply_recovery t ~now w =
   end
 
 let commit ?victim t ~now w =
-  (* Drains hold across every rebuild, whatever recovery or shifting
+  (* Drains hold across every commit, whatever recovery or shifting
      computed above; normalization then keeps the simplex. *)
   Array.iteri
     (fun i d -> if d then w.(i) <- t.config.Config.min_weight)
     t.drained;
   normalize w;
   Maglev.Pool.set_weights t.pool w;
-  Maglev.Pool.rebuild t.pool;
+  Maglev.Pool.commit t.pool;
   t.last_update <- now;
   t.updated_once <- true;
   match t.on_rebuild with
@@ -178,7 +177,7 @@ let commit ?victim t ~now w =
 
 (* Administrative drain: pin the backend at the weight floor until
    {!restore}, which hands it back its uniform share and lets the
-   feedback loop take over again. Both rebuild immediately. *)
+   feedback loop take over again. Both commit immediately. *)
 let drain t ~now ~server =
   if server < 0 || server >= Array.length t.drained then
     invalid_arg "Controller.drain: server out of range";
@@ -271,7 +270,7 @@ let on_sample t ~now ~server sample =
    backends stay pinned — [commit] re-applies the floor — and the
    imposed vector is normalized, so drain/restore keep working while a
    leader drives the weights. Counted in [ctl.actions]: an imposed
-   rebuild is control-plane churn just like a local shift. *)
+   commit is control-plane churn just like a local shift. *)
 let impose_weights t ~now w =
   if Array.length w <> Array.length t.drained then
     invalid_arg "Controller.impose_weights: length mismatch";

@@ -2,11 +2,12 @@
 
     On each new in-band latency sample the controller may ask its
     {!Control_law} (chosen by [Config.law]; default the paper's
-    α shift-from-worst) for a new weight vector and rebuild the
-    weighted Maglev table. The controller owns everything around that
+    α shift-from-worst) for a new weight vector and commit it to the
+    weighted Maglev pool ({!Maglev.Pool.commit}; the table is built at
+    the next read). The controller owns everything around that
     decision — epoch spacing, drain/restore pins, recovery towards
-    uniform, the coordination hooks below, telemetry and the table
-    rebuild — so laws stay pure decision rules. Extensions beyond the
+    uniform, the coordination hooks below, telemetry and the commit —
+    so laws stay pure decision rules. Extensions beyond the
     paper, all off by default: a minimum spacing between actions, a
     relative-latency activation threshold, a weight floor, and a slow
     recovery towards uniform weights (see {!Config}). *)
@@ -38,15 +39,15 @@ val on_sample : t -> now:Des.Time.t -> server:int -> Des.Time.t -> action option
 
 val drain : t -> now:Des.Time.t -> server:int -> unit
 (** Administratively pin one backend at the weight floor
-    ([Config.min_weight]) and rebuild. The pin holds across every
-    subsequent shift/recovery rebuild until {!restore}; draining an
+    ([Config.min_weight]) and commit. The pin holds across every
+    subsequent shift/recovery commit until {!restore}; draining an
     already-drained backend is a no-op. The fault layer's backend-drain
     knob.
 
     @raise Invalid_argument if [server] is out of range. *)
 
 val restore : t -> now:Des.Time.t -> server:int -> unit
-(** Undo a {!drain}: give the backend its uniform share back, rebuild,
+(** Undo a {!drain}: give the backend its uniform share back, commit,
     and let feedback control adjust from there. No-op when not
     drained. *)
 
@@ -71,8 +72,8 @@ val set_estimate_override : t -> (int -> float option) option -> unit
 val set_shift_gate : t -> (now:Des.Time.t -> victim:int -> bool) option -> unit
 (** When set, the gate is consulted after a shift's victim is chosen
     but before any weight moves; returning [false] suppresses the
-    action (no commit, no rebuild, not counted). Recovery still
-    applies. Used for fleet-epoch hysteresis. *)
+    action (no commit, not counted). Recovery still applies. Used for
+    fleet-epoch hysteresis. *)
 
 val set_autonomous : t -> bool -> unit
 (** [set_autonomous t false] turns the controller into a follower: it
@@ -85,8 +86,9 @@ val is_autonomous : t -> bool
 val impose_weights : t -> now:Des.Time.t -> float array -> unit
 (** Adopt an externally-computed weight vector (leader mode): drained
     backends are re-pinned at the floor, the vector is normalized, and
-    the table rebuilt. Counted in [ctl.actions] and {!imposed_count} —
-    an imposed rebuild is churn just like a local shift.
+    the weights committed. Counted in [ctl.actions] and
+    {!imposed_count} — an imposed commit is churn just like a local
+    shift.
 
     @raise Invalid_argument on a length mismatch or negative/NaN
     weight. *)
@@ -96,14 +98,15 @@ val imposed_count : t -> int
 
 val set_on_rebuild :
   t -> (now:Des.Time.t -> victim:int option -> unit) option -> unit
-(** Install a hook invoked after every committed table rebuild —
-    shifts, drains, restores, recovery drift and imposed weights alike.
+(** Install a hook invoked after every weight commit — shifts,
+    drains, restores, recovery drift and imposed weights alike.
     [victim] is the server the commit moved traffic away from, when it
     had a single one: the shift's victim or the drained backend;
     [None] for restores, recovery-only commits and imposed vectors.
     The balancer uses this to apply its {!Remap} policy the instant
-    the table changes; unset (the default) the commit path behaves
-    exactly as before. *)
+    the weights change (its repicks read, and so build, the new
+    table); unset (the default) the commit path behaves exactly as
+    before. *)
 
 val last_action_at : t -> Des.Time.t option
 (** Time of the most recent shift action (imposed commits excluded). *)

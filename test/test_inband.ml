@@ -677,15 +677,60 @@ let controller_no_rebuild_when_unmoved () =
     }
   in
   let c, pool = mk_controller ~config () in
+  (* The recovery pull runs only after a first commit: make one, of the
+     uniform weights, and let a read build its table. *)
+  Inband.Controller.impose_weights c ~now:0 [| 0.5; 0.5 |];
+  ignore (Maglev.Pool.lookup pool 0);
   let builds = Maglev.Pool.rebuilds pool in
   (* Weights are already uniform and the samples sit below the
      threshold: the recovery pull computes a step far under the motion
-     epsilon, so no rebuild may happen. *)
-  ignore (Inband.Controller.on_sample c ~now:(ms 1) ~server:0 (us 100));
-  ignore (Inband.Controller.on_sample c ~now:(ms 2) ~server:1 (us 110));
-  ignore (Inband.Controller.on_sample c ~now:(Des.Time.sec 1) ~server:1 (us 110));
+     epsilon, so nothing may be committed. A commit builds no table
+     until a read, so each sample is followed by a lookup, which would
+     build the table of any commit. *)
+  List.iter
+    (fun (now, server, latency) ->
+      ignore (Inband.Controller.on_sample c ~now ~server latency);
+      ignore (Maglev.Pool.lookup pool 0))
+    [ (ms 1, 0, us 100); (ms 2, 1, us 110); (Des.Time.sec 1, 1, us 110) ];
   check_int "no table rebuilds for a vanishing pull" builds
     (Maglev.Pool.rebuilds pool)
+
+let controller_builds_at_first_read () =
+  let config =
+    { Inband.Config.default with Inband.Config.control_interval = 0 }
+  in
+  let c, pool = mk_controller ~config ~n:3 () in
+  let builds = Maglev.Pool.rebuilds pool in
+  (* Odd samples report a fast server, even ones a slow server, a
+     different one each time, so many of the slow samples act. *)
+  let acted = ref 0 in
+  for i = 1 to 40 do
+    let slow = i / 2 mod 3 in
+    let fast = (slow + 1) mod 3 in
+    let server, latency =
+      if i land 1 = 0 then (slow, us 900) else (fast, us 100)
+    in
+    match Inband.Controller.on_sample c ~now:(ms i) ~server latency with
+    | Some _ -> incr acted
+    | None -> ()
+  done;
+  check_bool "acted many times" true (!acted >= 10);
+  check_int "every action counted" !acted (Inband.Controller.action_count c);
+  check_int "no table built without a read" builds (Maglev.Pool.rebuilds pool);
+  ignore (Maglev.Pool.lookup pool 12345);
+  check_int "the first read builds once" (builds + 1)
+    (Maglev.Pool.rebuilds pool);
+  ignore (Maglev.Pool.lookup pool 54321);
+  check_int "later reads build nothing" (builds + 1)
+    (Maglev.Pool.rebuilds pool);
+  let w = Inband.Controller.weights c in
+  let expected =
+    Maglev.Table.populate ~size:1021
+      ~backends:(Array.init 3 (fun i -> (Fmt.str "s%d" i, w.(i))))
+      ()
+  in
+  check_bool "the table of the last commit" true
+    (Maglev.Pool.current_table pool = expected)
 
 (* --- Balancer ------------------------------------------------------------------ *)
 
@@ -1138,6 +1183,8 @@ let () =
           Alcotest.test_case "recovery dt clamp" `Quick controller_recovery_dt_clamp;
           Alcotest.test_case "no rebuild when unmoved" `Quick
             controller_no_rebuild_when_unmoved;
+          Alcotest.test_case "table built at first read" `Quick
+            controller_builds_at_first_read;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ controller_weight_simplex_qcheck ] );
       ( "control_law",

@@ -365,6 +365,36 @@ let pool_errors () =
   check_bool "table kept" true (Maglev.Pool.current_table p = before);
   check_int "not counted" 0 (Maglev.Pool.rebuilds p);
   Alcotest.(check (float 0.0)) "no disruption" 0.0
+    (Maglev.Pool.total_disruption p);
+  (* A rejected commit raises at the commit, not at the read after it,
+     and leaves the table, the counters and an earlier commit that no
+     read has built yet alone. *)
+  Alcotest.check_raises "all zero commit"
+    (Invalid_argument "Table.populate: all weights <= 0") (fun () ->
+      Maglev.Pool.commit p);
+  check_bool "table kept after commit" true
+    (Maglev.Pool.current_table p = before);
+  check_int "commit not counted" 0 (Maglev.Pool.rebuilds p);
+  let ws = [| 0.9; 0.1 |] in
+  Maglev.Pool.set_weights p ws;
+  Maglev.Pool.commit p;
+  Maglev.Pool.set_weights p [| 0.0; 0.0 |];
+  Alcotest.check_raises "all zero commit over a pending one"
+    (Invalid_argument "Table.populate: all weights <= 0") (fun () ->
+      Maglev.Pool.commit p);
+  check_int "pending commit not built" 0 (Maglev.Pool.rebuilds p);
+  Alcotest.(check (float 0.0)) "still no disruption" 0.0
+    (Maglev.Pool.total_disruption p);
+  let expected =
+    Maglev.Table.populate ~size:101
+      ~backends:(Array.mapi (fun i name -> (name, ws.(i))) (names 2))
+      ()
+  in
+  check_bool "the read builds the pending commit" true
+    (Maglev.Pool.current_table p = expected);
+  check_int "built once" 1 (Maglev.Pool.rebuilds p);
+  Alcotest.(check (float 0.0)) "measured against the kept table"
+    (Maglev.Table.disruption before expected)
     (Maglev.Pool.total_disruption p)
 
 (* MD5 of a table, one character per slot owner (n <= 10). *)
@@ -413,11 +443,13 @@ let pool_rebuild_allocation () =
   if !worst >= 100.0 then
     Alcotest.failf "a warm rebuild allocated %.0f minor words" !worst
 
-type pool_op = Set of float array | Rebuild
+type pool_op = Set of float array | Commit | Rebuild | Lookup of int
 
 let pp_pool_op ppf = function
   | Set ws -> Fmt.pf ppf "Set %a" pp_weights ws
+  | Commit -> Fmt.pf ppf "Commit"
   | Rebuild -> Fmt.pf ppf "Rebuild"
+  | Lookup h -> Fmt.pf ppf "Lookup %d" h
 
 let pool_ops_arbitrary =
   QCheck.make
@@ -431,11 +463,17 @@ let pool_ops_arbitrary =
         (list_size (int_range 1 30)
            (frequency
               [
-                (2, map (fun ws -> Set ws) (weights_gen n)); (3, return Rebuild);
+                (2, map (fun ws -> Set ws) (weights_gen n));
+                (2, return Commit);
+                (2, return Rebuild);
+                (3, map (fun h -> Lookup h) (int_bound (1 lsl 30)));
               ])))
 
-(* Replays the ops on a pool and on the oracle, which rebuilds from
-   scratch and measures each rebuild with [Table.disruption]. *)
+(* Replays the ops on a pool and on the oracle. The oracle populates
+   from scratch at every [Commit] and [Rebuild], from the weights set
+   then, but a commit's table counts as built only at the first read
+   after it; each built table is measured against the one built before
+   with [Table.disruption]. The counters must agree after every op. *)
 let pool_disruption_matches_oracle (size, n, ops) =
   let names = names n in
   let pool = Maglev.Pool.create ~table_size:size ~names () in
@@ -445,32 +483,45 @@ let pool_disruption_matches_oracle (size, n, ops) =
       ~backends:(Array.mapi (fun i name -> (name, weights.(i))) names)
   in
   let table = ref (oracle ()) in
+  let pending = ref None in
   let sum = ref 0.0 in
   let rebuilds = ref 0 in
-  let same_outcomes =
-    List.for_all
-      (function
+  let built fresh =
+    sum := !sum +. Maglev.Table.disruption !table fresh;
+    table := fresh;
+    pending := None;
+    incr rebuilds
+  in
+  let read () =
+    Option.iter built !pending;
+    !table
+  in
+  let same_counters () =
+    Int64.equal
+      (Int64.bits_of_float !sum)
+      (Int64.bits_of_float (Maglev.Pool.total_disruption pool))
+    && Maglev.Pool.rebuilds pool = !rebuilds
+  in
+  List.for_all
+    (fun op ->
+      let same_outcome =
+        match op with
         | Set ws ->
             Maglev.Pool.set_weights pool ws;
             Array.blit ws 0 weights 0 n;
             true
+        | Commit ->
+            outcome (fun () -> pending := Some (oracle ()))
+            = outcome (fun () -> Maglev.Pool.commit pool)
         | Rebuild ->
-            let expected =
-              outcome (fun () ->
-                  let fresh = oracle () in
-                  sum := !sum +. Maglev.Table.disruption !table fresh;
-                  table := fresh;
-                  incr rebuilds)
-            in
-            expected = outcome (fun () -> Maglev.Pool.rebuild pool))
-      ops
-  in
-  same_outcomes
-  && Int64.equal
-       (Int64.bits_of_float !sum)
-       (Int64.bits_of_float (Maglev.Pool.total_disruption pool))
-  && Maglev.Pool.rebuilds pool = !rebuilds
-  && Maglev.Pool.current_table pool = !table
+            outcome (fun () -> built (oracle ()))
+            = outcome (fun () -> Maglev.Pool.rebuild pool)
+        | Lookup h -> (read ()).(h mod size) = Maglev.Pool.lookup pool h
+      in
+      same_outcome && same_counters ())
+    ops
+  && read () = Maglev.Pool.current_table pool
+  && same_counters ()
 
 let pool_disruption_qcheck =
   QCheck.Test.make ~count:200
